@@ -45,7 +45,7 @@ from repro.relational import Table, read_csv, read_csv_chunks, stream_normalized
 from repro.la import ChunkedMatrix
 from repro.serve import FactorizedScorer, ModelRegistry, ScoringService
 
-__version__ = "1.9.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "obs",

@@ -15,7 +15,7 @@ This package implements the paper's primary contribution:
 * :mod:`repro.core.cost` -- the arithmetic-operation cost models of Table 3 /
   Table 11.
 * :mod:`repro.core.decision` -- the heuristic decision rule of Section 3.7 /
-  5.1 (one pluggable strategy beside the cost-based one) and the
+  5.1, :func:`decide` (that rule or the cost-based planner) and the
   :func:`morpheus` factory that applies it.
 * :mod:`repro.core.planner` -- the cost-based adaptive execution planner
   behind ``engine="auto"`` and ``NormalizedMatrix.plan()``: machine
@@ -48,11 +48,8 @@ from repro.core.cost import (
     CostModel,
 )
 from repro.core.decision import (
-    CostBasedStrategy,
     DecisionRule,
-    ExecutionStrategy,
-    ThresholdStrategy,
-    get_strategy,
+    decide,
     morpheus,
     should_factorize,
 )
@@ -68,13 +65,9 @@ from repro.core.stream import Batch, NormalizedBatchIterator, StreamedMatrix
 
 __all__ = [
     "CalibrationProfile",
-    "CostBasedStrategy",
-    "ExecutionStrategy",
     "Plan",
     "Planner",
-    "ThresholdStrategy",
     "WorkloadDescriptor",
-    "get_strategy",
     "ShardedMatrix",
     "ShardedNormalizedMatrix",
     "shard_bounds",
@@ -101,6 +94,7 @@ __all__ = [
     "asymptotic_speedup",
     "CostModel",
     "DecisionRule",
+    "decide",
     "should_factorize",
     "morpheus",
 ]

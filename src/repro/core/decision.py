@@ -16,19 +16,17 @@ with ``tau = 5`` and ``rho = 1``.  This module implements that rule, plus the
 :func:`morpheus` convenience factory that applies it when constructing a data
 matrix from base tables.
 
-The repo generalizes the paper here: the threshold rule is one *strategy*
-among several.  :class:`ThresholdStrategy` wraps the paper rule;
-:class:`CostBasedStrategy` delegates to the calibrated planner of
-:mod:`repro.core.planner`, which also weighs engines, backends and shard
-counts.  :func:`get_strategy` resolves either by name, and :func:`morpheus`
-accepts a ``strategy=`` argument.
+The repo generalizes the paper here: :func:`decide` applies either the
+paper rule (``strategy="threshold"``) or the calibrated planner of
+:mod:`repro.core.planner` (``strategy="cost"``), which also weighs engines,
+backends and shard counts, and :func:`morpheus` accepts the same
+``strategy=`` argument.
 """
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Tuple, Union
 
 from repro.la.types import MatrixLike
 from repro.core.normalized_matrix import NormalizedMatrix
@@ -80,104 +78,40 @@ def should_factorize(tuple_ratio: float, feature_ratio: float,
     return rule.predict(tuple_ratio, feature_ratio)
 
 
-# ---------------------------------------------------------------------------
-# Pluggable strategies
-# ---------------------------------------------------------------------------
+def decide(normalized: NormalizedMatrix, strategy: str = "threshold",
+           rule: Optional[DecisionRule] = None) -> Tuple[bool, str]:
+    """Whether *normalized* should execute factorized, and why.
 
-class ExecutionStrategy(abc.ABC):
-    """Decides whether a normalized matrix should execute factorized.
-
-    The paper's threshold rule and the repo's cost-based planner implement
-    the same tiny interface, so everything that consumes the decision --
-    the :func:`morpheus` factory, benchmark reports, the ML ``engine="auto"``
-    path -- is agnostic to *how* the decision is made.
+    ``strategy="threshold"`` applies the paper's rule (*rule*, default
+    :class:`DecisionRule`); ``strategy="cost"`` asks the calibrated cost-based
+    planner for one plan over its generic operator mix and reports that
+    plan's choice and explanation.  Returns ``(factorize, explanation)``.
     """
-
-    #: registry name (see :func:`get_strategy`)
-    name: str = "abstract"
-
-    @abc.abstractmethod
-    def should_factorize(self, normalized: NormalizedMatrix) -> bool:
-        """True when the factorized execution of *normalized* is predicted to win."""
-
-    @abc.abstractmethod
-    def explain(self, normalized: NormalizedMatrix) -> str:
-        """Human-readable account of the decision."""
-
-
-class ThresholdStrategy(ExecutionStrategy):
-    """The paper's static two-threshold rule as a strategy (Section 5.1)."""
-
-    name = "threshold"
-
-    def __init__(self, rule: Optional[DecisionRule] = None):
-        self.rule = rule or DecisionRule()
-
-    def should_factorize(self, normalized: NormalizedMatrix) -> bool:
-        return self.rule.predict(normalized.tuple_ratio, normalized.feature_ratio)
-
-    def explain(self, normalized: NormalizedMatrix) -> str:
-        return self.rule.explain(normalized.tuple_ratio, normalized.feature_ratio)
-
-
-class CostBasedStrategy(ExecutionStrategy):
-    """Delegate the layout decision to the calibrated cost-based planner.
-
-    *workload* defaults to the planner's generic single-pass operator mix;
-    hand the real workload descriptor in when it is known (the ML estimators
-    do) -- iteration counts shift the break-even point substantially.
-    """
-
-    name = "cost"
-
-    def __init__(self, planner=None, workload=None):
-        # Imported lazily: repro.core.planner imports this module's siblings.
-        from repro.core.planner import Planner
-
-        self.planner = planner or Planner()
-        self.workload = workload
-        self._last_plan = None  # (matrix, plan) of the most recent call
-
-    def plan(self, normalized: NormalizedMatrix):
-        # Decide-then-explain is the common calling pattern; memoizing the
-        # last plan (matrices are immutable) avoids scoring the whole
-        # candidate lattice twice for the same input.
-        if self._last_plan is not None and self._last_plan[0] is normalized:
-            return self._last_plan[1]
-        plan = self.planner.plan(normalized, self.workload)
-        self._last_plan = (normalized, plan)
-        return plan
-
-    def should_factorize(self, normalized: NormalizedMatrix) -> bool:
-        return self.plan(normalized).factorized
-
-    def explain(self, normalized: NormalizedMatrix) -> str:
-        return self.plan(normalized).explain()
-
-
-_STRATEGIES = {
-    ThresholdStrategy.name: ThresholdStrategy,
-    CostBasedStrategy.name: CostBasedStrategy,
-}
-
-
-def get_strategy(name: Union[str, ExecutionStrategy], **kwargs) -> ExecutionStrategy:
-    """Resolve a strategy by name (``"threshold"`` / ``"cost"``) or pass through."""
-    if isinstance(name, ExecutionStrategy):
-        return name
-    key = str(name).lower()
-    if key not in _STRATEGIES:
+    if strategy == "threshold":
+        rule = rule or DecisionRule()
+        tr, fr = normalized.tuple_ratio, normalized.feature_ratio
+        return rule.predict(tr, fr), rule.explain(tr, fr)
+    if strategy != "cost":
         raise ValueError(
-            f"unknown execution strategy {name!r}; expected one of {sorted(_STRATEGIES)}"
+            f"unknown execution strategy {strategy!r}; expected 'threshold' or 'cost'"
         )
-    return _STRATEGIES[key](**kwargs)
+    if rule is not None:
+        raise ValueError(
+            "pass either rule= or strategy='cost', not both: custom thresholds "
+            "only apply to the threshold strategy"
+        )
+    # Imported lazily: repro.core.planner imports this module's siblings.
+    from repro.core.planner import Planner
+
+    plan = Planner().plan(normalized)
+    return plan.factorized, plan.explain()
 
 
 def morpheus(entity: Optional[MatrixLike], indicators: Sequence[MatrixLike],
              attributes: Sequence[MatrixLike],
              rule: Optional[DecisionRule] = None,
              force_factorized: bool = False,
-             strategy: Union[None, str, ExecutionStrategy] = None
+             strategy: str = "threshold"
              ) -> Union[NormalizedMatrix, MatrixLike]:
     """Build the data matrix the way Morpheus would: factorized if profitable.
 
@@ -185,25 +119,14 @@ def morpheus(entity: Optional[MatrixLike], indicators: Sequence[MatrixLike],
     decision strategy and returns either the normalized matrix (factorized
     execution) or its materialization (standard execution).  ``force_factorized``
     bypasses the decision, which is what the operator-level benchmarks do.
-    ``strategy`` selects the decision procedure (default: the paper's
-    threshold rule; ``"cost"`` uses the calibrated planner); passing ``rule``
-    keeps the historical spelling for custom thresholds.  The two are
-    mutually exclusive -- wrap custom thresholds in
-    ``ThresholdStrategy(rule)`` and pass that as *strategy* instead.
+    ``strategy`` selects the decision procedure (see :func:`decide`): the
+    paper's ``"threshold"`` rule, with custom thresholds from ``rule``, or
+    the calibrated ``"cost"`` planner.
     """
     normalized = NormalizedMatrix(entity, list(indicators), list(attributes))
     if force_factorized:
         return normalized
-    if strategy is None:
-        resolved: ExecutionStrategy = ThresholdStrategy(rule)
-    elif rule is not None:
-        raise ValueError(
-            "pass either rule= or strategy=, not both; wrap custom thresholds "
-            "in ThresholdStrategy(rule) and pass that as strategy="
-        )
-    else:
-        resolved = get_strategy(strategy)
-    if resolved.should_factorize(normalized):
+    if decide(normalized, strategy, rule)[0]:
         return normalized
     return normalized.materialize()
 

@@ -37,7 +37,7 @@ CACHE_ENV = "REPRO_CALIBRATION_CACHE"
 #: no timing and no disk access -- what CI and the test suite use).
 MODE_ENV = "REPRO_CALIBRATION"
 
-_FORMAT_VERSION = 3
+_FORMAT_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,6 @@ class CalibrationProfile:
     lazy_node_overhead_s: float  # per graph node, per evaluation
     materialize_bandwidth: float  # join-output elements materialized per second
     parallel_efficiency: float  # marginal speedup of each extra shard worker
-    fused_gather_rows: float = 2e9  # row-elements/sec of the fused gather kernel
     source: str = "default"
 
     @classmethod
@@ -81,7 +80,6 @@ class CalibrationProfile:
             lazy_node_overhead_s=3e-6,
             materialize_bandwidth=2e8,
             parallel_efficiency=0.6,
-            fused_gather_rows=2e9,
             source="default",
         )
 
@@ -226,24 +224,6 @@ def probe(repeats: int = 3) -> CalibrationProfile:
     t_mat = _best_seconds(lambda: materialize_star(entity, [indicator], [attribute]), repeats)
     materialize_bandwidth = n_s * (4 + d_r) / t_mat
 
-    # Fused gather rate: row-elements per second of the fused
-    # gather-multiply-reduce kernel (best available set -- compiled when the
-    # [kernels] extra is installed, NumPy fancy indexing otherwise).  This is
-    # the rate the planner uses to price the per-row overhead passes of a
-    # fused-backend candidate, replacing the primitive-chain indicator rate.
-    from repro.la import kernels
-
-    gather_out = np.zeros((16_384, 4))
-    attribute_big = rng.standard_normal((1024, d_r))
-    gather_block = rng.standard_normal((d_r, 4))
-    with kernels.using(kernels.best_available()):
-        kernels.gather_add(gather_out, big_k, attribute_big,
-                           gather_block)  # warm up (and JIT-compile)
-        t_gather = _best_seconds(
-            lambda: kernels.gather_add(gather_out, big_k, attribute_big,
-                                       gather_block), repeats)
-    fused_gather_rows = float(gather_out.shape[0] * gather_out.shape[1]) / t_gather
-
     # Marginal efficiency of extra thread workers: 2-shard thread LMM vs
     # serial.  The serial operand is concatenated outside the timed lambda so
     # the baseline times only the matmul, not a data copy.
@@ -266,7 +246,6 @@ def probe(repeats: int = 3) -> CalibrationProfile:
         lazy_node_overhead_s=lazy_node_overhead,
         materialize_bandwidth=materialize_bandwidth,
         parallel_efficiency=parallel_efficiency,
-        fused_gather_rows=fused_gather_rows,
         source="probe",
     )
 

@@ -22,8 +22,8 @@ class ScoredCandidate:
 
     factorized: bool
     engine: str                 # "eager" or "lazy"
-    backend: str                # "dense", "sparse", "fused", "chunked",
-    #                             "sharded" or "streamed"
+    backend: str                # "dense", "sparse", "chunked", "sharded"
+    #                             or "streamed"
     n_shards: int
     predicted_seconds: float
     #: additive cost terms in seconds (arithmetic / dispatch / one-time ...)
@@ -142,31 +142,6 @@ class Plan:
                     f"{entry.get('head_nnz')}, tail nnz {entry.get('tail_nnz')}): "
                     f"{verdict} -- {entry.get('reason')}"
                 )
-        fused = self.data_summary.get("fused_kernels")
-        if fused is not None:
-            kernel_set = fused.get("kernel_set")
-            if self.chosen.backend == "fused":
-                lines.append(
-                    f"fused kernels: chosen (compiled '{kernel_set}' set)")
-            elif fused.get("considered"):
-                margin = next(
-                    (c.predicted_seconds / self.predicted_seconds
-                     for c in self.candidates if c.backend == "fused"), None)
-                if margin is None:
-                    lines.append(
-                        "fused kernels: available but not applicable "
-                        "(no factorized serial candidate)")
-                else:
-                    lines.append(
-                        f"fused kernels: scored but not chosen "
-                        f"({margin:.2f}x the chosen plan)")
-            elif not fused.get("compiled"):
-                lines.append(
-                    f"fused kernels: not scored -- compiled set unavailable "
-                    f"(install the [kernels] extra); '{kernel_set}' set still "
-                    f"serves the rewrites")
-            else:
-                lines.append("fused kernels: not scored (disabled)")
         tr = self.data_summary.get("tuple_ratio")
         fr = self.data_summary.get("feature_ratio")
         rr = self.data_summary.get("redundancy_ratio")

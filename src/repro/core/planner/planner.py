@@ -231,14 +231,6 @@ class Planner:
         ``NormalizedMatrix.plan()`` reports it for completeness).
     chunk_rows:
         Chunk size used when pricing chunked candidates.
-    include_fused:
-        Also score a serial factorized candidate executed through the
-        compiled fused kernel set (:mod:`repro.la.kernels`).  ``None`` (the
-        default) resolves to whether the compiled set is importable -- the
-        ``[kernels]`` extra -- so plans never recommend a backend the process
-        cannot run.  The NumPy kernel set serves every rewrite regardless;
-        the ``fused`` candidate exists to price compiled execution against
-        the primitive-chain candidates.
     charge_materialization:
         Whether a materialized plan for normalized input pays the one-time
         join-materialization cost (the honest cold-start default).  The ML
@@ -266,15 +258,10 @@ class Planner:
     def __init__(self, calibration: Optional[CalibrationProfile] = None,
                  shard_candidates: Optional[Sequence[int]] = None,
                  include_chunked: bool = False, chunk_rows: int = 4096,
-                 include_fused: Optional[bool] = None,
                  charge_materialization: bool = True,
                  memory_budget: Optional[float] = None):
-        from repro.la import kernels
-
         self.calibration = calibration
         self.include_chunked = bool(include_chunked)
-        self.include_fused = (kernels.compiled_available() if include_fused is None
-                              else bool(include_fused))
         self.chunk_rows = int(chunk_rows)
         self.charge_materialization = bool(charge_materialization)
         if memory_budget is not None and memory_budget <= 0:
@@ -375,15 +362,6 @@ class Planner:
                         and (n_shards is None or n_shards == 1):
                     candidates.append(self._score(
                         dp, workload, profile, factorized, engine, "chunked", 1))
-            # Fused candidate: serial factorized execution through the
-            # compiled kernel set.  Only meaningful where the kernels apply
-            # (factorized layout over at least one join) and only scored when
-            # the compiled set can actually run (see include_fused).
-            if self.include_fused and factorized and dp.num_joins \
-                    and dp.kind in ("normalized", "mn-normalized") \
-                    and (n_shards is None or n_shards == 1):
-                candidates.append(self._score(
-                    dp, workload, profile, True, "eager", "fused", 1))
 
         # Memory dimension: drop candidates whose resident footprint exceeds
         # the budget and add the streamed (mini-batch) candidate for
@@ -419,8 +397,8 @@ class Planner:
         # family (in-memory serial before sharded before out-of-core chunked
         # -- never recommend wrapping a small matrix in the chunked backend
         # for a tie's worth of benefit).
-        backend_rank = {"dense": 0, "sparse": 0, "fused": 1, "sharded": 1,
-                        "streamed": 2, "chunked": 3}
+        backend_rank = {"dense": 0, "sparse": 0, "sharded": 1, "streamed": 2,
+                        "chunked": 3}
         input_factorized = dp.can_factorize or dp.fixed_factorized
 
         def sort_key(c: ScoredCandidate):
@@ -482,12 +460,6 @@ class Planner:
                 overhead_rows += count * (dp.num_joins + 1) * dp.n_rows * width
                 scatter_calls += count * dp.num_joins
         throughput = profile.sparse_flops if dp.sparse else profile.dense_flops
-        # The fused kernels replace the per-row indicator scatter passes
-        # (K @ (R X) + block assembly) with one gather loop over memoized
-        # codes, so their overhead runs at the calibrated fused gather rate
-        # instead of the primitive-chain scatter rate.
-        overhead_rate = (profile.fused_gather_rows if backend == "fused"
-                         else profile.indicator_flops)
         speedup = 1.0
         fixed_partitioning = dp.kind in ("sharded-normalized", "sharded")
         if shards > 1 and (not fixed_partitioning or dp.parallel_partitions):
@@ -497,7 +469,7 @@ class Planner:
             speedup = 1.0 + (workers - 1) * profile.parallel_efficiency
         # The scatter/assembly passes fan out across shards exactly like the
         # base-matrix products, so both terms share the parallel speedup.
-        arithmetic_s = (flops / throughput + overhead_rows / overhead_rate) / speedup
+        arithmetic_s = (flops / throughput + overhead_rows / profile.indicator_flops) / speedup
         if engine == "lazy" and workload.lazy_gram_applies:
             # Per-iteration gram-vector products of the hoisted lazy form
             # (e.g. lazy GD's ``gram @ w``): regular d x d arithmetic that the
@@ -508,15 +480,8 @@ class Planner:
 
         # Dispatch: primitive calls per operator, multiplied by the fan-out.
         # A factorized operator issues ~2 dense calls plus, per join, two
-        # small base-matrix calls and one sparse indicator scatter.  The
-        # fused backend collapses each join's primitive chain into a single
-        # kernel dispatch over memoized indicator codes, so it pays one call
-        # per join (plus the entity term) and no sparse scatter calls.
-        if backend == "fused":
-            calls_per_op = 1.0 + float(dp.num_joins)
-            scatter_calls = 0.0
-        else:
-            calls_per_op = (2.0 + 2.0 * max(dp.num_joins, 1)) if factorized else 1.0
+        # small base-matrix calls and one sparse indicator scatter.
+        calls_per_op = (2.0 + 2.0 * max(dp.num_joins, 1)) if factorized else 1.0
         fanout = float(shards)
         if backend == "streamed":
             # Every operator is executed once per mini-batch.
@@ -571,8 +536,6 @@ class Planner:
     # -- reporting helpers -----------------------------------------------------
 
     def _summary(self, dp: _DataProfile) -> dict:
-        from repro.la import kernels
-
         summary = {
             "kind": dp.kind,
             "shape": (dp.n_rows, dp.n_cols),
@@ -580,11 +543,6 @@ class Planner:
             "num_joins": dp.num_joins,
             "materialized_bytes": dp.materialized_bytes,
             "factorized_bytes": dp.factorized_bytes,
-            "fused_kernels": {
-                "compiled": kernels.compiled_available(),
-                "kernel_set": kernels.best_available(),
-                "considered": self.include_fused,
-            },
         }
         if self.memory_budget is not None:
             summary["memory_budget"] = self.memory_budget

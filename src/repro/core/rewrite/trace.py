@@ -1,24 +1,27 @@
 """Structural tracing of the factorized rewrite rules (golden-test support).
 
 Every rewrite rule in :mod:`repro.core.rewrite` is expressed exclusively in
-terms of the primitives of :mod:`repro.la.ops` -- that is the closure
-property.  This module exploits it for regression protection: it temporarily
-wraps those primitives *inside the rewrite modules*, runs a Table-1 operator
-on a canonical schema, and records every primitive call as one step of an
-SSA-style operator tree::
+terms of the primitives of :mod:`repro.la.ops` and the named kernels of
+:mod:`repro.la.kernels` -- that is the closure property.  This module
+exploits it for regression protection: it temporarily wraps those functions,
+runs a Table-1 operator on a canonical schema, and records every call as one
+step of an SSA-style operator tree::
 
     {"id": "%0", "op": "matmul", "args": ["R1", {"anon": [3, 2]}], "shape": [4, 2]}
-    {"id": "%1", "op": "matmul", "args": ["K1", "%0"],             "shape": [8, 2]}
+    {"id": "%1", "op": "gather_add",
+     "args": [{"anon": [8, 2]}, "K1", "R1", {"anon": [3, 2]}], "shape": [8, 2]}
 
-Base matrices appear under their paper names (``S``, ``K1``, ``R1``, ...),
-intermediate results by the step id that produced them, and untracked
-temporaries (NumPy views, slices) as ``{"anon": shape}``.  The serialized
-trace captures exactly the *factorized algebra* -- including the
-multiplication order ``K (R X)`` vs. ``(K R) X`` that the paper's Section 3.3
-identifies as the crucial rewrite decision -- while being independent of the
-matrix values.  The golden files under ``tests/goldens/`` pin these traces;
-any refactor that silently changes the rewritten algebra fails the
-structural-equality test.
+A kernel call is one named step, recorded when it returns, so the
+:mod:`repro.la.ops` primitives the kernel runs itself (here ``R1 @ X``)
+appear just before it.  Base matrices appear under their paper names (``S``,
+``K1``, ``R1``, ...), intermediate results by the step id that produced them,
+dtypes by name, and untracked temporaries (NumPy views, slices) as
+``{"anon": shape}``.  The serialized trace captures exactly the *factorized
+algebra* that runs -- including the multiplication order ``K (R X)`` vs.
+``(K R) X`` that the paper's Section 3.3 identifies as the crucial rewrite
+decision -- while being independent of the matrix values.  The golden files
+under ``tests/goldens/`` pin these traces; any refactor that silently changes
+the rewritten algebra fails the structural-equality test.
 """
 
 from __future__ import annotations
@@ -41,11 +44,9 @@ PRIMITIVES = frozenset({
     "diag_scale_rows", "scalar_op", "elementwise", "ginv", "hstack", "vstack",
 })
 
-#: The rewrite modules whose primitive calls are intercepted.  The kernel
-#: layer is one of them: patching its primitives makes its dispatcher route
-#: every kernel to the "reference" implementations, whose primitive chains
-#: are exactly the pre-kernel rewrite algebra -- so the recorded traces are
-#: independent of which fused set is active.
+#: The modules whose primitive calls are intercepted: the rewrite rules and
+#: the kernel layer, whose own small base-table products are part of the
+#: algebra.
 REWRITE_MODULES = (aggregation, crossprod_rules, delta_rules, inversion,
                    multiplication, scalar_ops, kernel_layer)
 
@@ -69,6 +70,8 @@ class RewriteTrace:
             return value
         if isinstance(value, (np.integer, np.floating)):
             return float(value)
+        if isinstance(value, np.dtype):
+            return value.name
         if id(value) in self._names:
             return self._names[id(value)]
         if isinstance(value, (list, tuple)):
@@ -99,17 +102,17 @@ def _wrap(tracer: RewriteTrace, fn: Callable) -> Callable:
         tracer.record(fn.__name__, args, kwargs, result)
         return result
 
-    wrapper.__wrapped_primitive__ = fn
     return wrapper
 
 
 @contextlib.contextmanager
 def trace_rewrites(named_operands: Mapping[str, object]):
-    """Intercept every :mod:`repro.la.ops` primitive used by the rewrite modules.
+    """Intercept every :mod:`repro.la.ops` primitive and every kernel call.
 
-    The patch targets the names *imported into* each rewrite module (they use
-    ``from repro.la.ops import ...``), matching by the underlying function's
-    ``__name__`` so aliases like ``inversion.dense_ginv`` are covered too.
+    The primitive patch targets the names *imported into* each rewrite module
+    (they use ``from repro.la.ops import ...``), matching by the underlying
+    function's ``__name__`` so aliases like ``inversion.dense_ginv`` are
+    covered too.  The kernels are patched on :mod:`repro.la.kernels` itself.
     Yields the :class:`RewriteTrace` collecting the steps.
     """
     tracer = RewriteTrace()
@@ -123,6 +126,12 @@ def trace_rewrites(named_operands: Mapping[str, object]):
                         and value.__name__ in PRIMITIVES:
                     setattr(module, attr, _wrap(tracer, value))
                     patched.append((module, attr, value))
+        # Callers reach kernels through the module attribute, so wrapping the
+        # attribute records each call as one step.
+        for name in kernel_layer.KERNEL_NAMES:
+            kernel = getattr(kernel_layer, name)
+            setattr(kernel_layer, name, _wrap(tracer, kernel))
+            patched.append((kernel_layer, name, kernel))
         yield tracer
     finally:
         for module, attr, original in patched:

@@ -106,45 +106,6 @@ class SparseBackend(Backend):
         return to_sparse(matrix, "csr").astype(np.float64)
 
 
-class FusedBackend(Backend):
-    """Serial in-memory storage executed through the fused kernel registry.
-
-    Storage is identical to :class:`DenseBackend` / :class:`SparseBackend`
-    (dense stays dense, sparse stays CSR): what distinguishes this backend is
-    *execution*, not layout.  Table-1 operators over normalized matrices run
-    through :mod:`repro.la.kernels`, whose active implementation set collapses
-    each factorized operator's indicator gather/scatter passes into a single
-    compiled loop when Numba is installed (the ``[kernels]`` extra) and into
-    vectorized NumPy indexing otherwise.  The planner scores a ``fused``
-    candidate only when the compiled set is importable -- the NumPy set
-    already serves every rewrite unconditionally, so there is nothing to
-    choose when Numba is absent.
-    """
-
-    name = "fused"
-    preserves_sparsity = True
-
-    def from_dense(self, array: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(np.asarray(array, dtype=np.float64))
-
-    def from_sparse(self, matrix: sp.spmatrix) -> sp.csr_matrix:
-        return to_sparse(matrix, "csr").astype(np.float64)
-
-    def capabilities(self) -> dict:
-        from repro.la import kernels
-
-        caps = super().capabilities()
-        caps["compiled"] = kernels.compiled_available()
-        caps["kernel_set"] = kernels.best_available()
-        return caps
-
-    def describe(self) -> str:
-        from repro.la import kernels
-
-        status = "numba" if kernels.compiled_available() else "numpy fallback"
-        return f"fused kernel backend ({status})"
-
-
 class ChunkedBackend(Backend):
     """Store matrices row-partitioned, emulating ORE's ``ore.rowapply``.
 
@@ -234,7 +195,6 @@ class ShardedBackend(Backend):
 _REGISTRY = {
     "dense": DenseBackend,
     "sparse": SparseBackend,
-    "fused": FusedBackend,
     "chunked": ChunkedBackend,
     "sharded": ShardedBackend,
 }
@@ -242,8 +202,7 @@ _REGISTRY = {
 
 def get_backend(name: str, chunk_rows: Optional[int] = None,
                 n_shards: Optional[int] = None) -> Backend:
-    """Look up a backend by name (``dense``, ``sparse``, ``fused``, ``chunked``
-    or ``sharded``)."""
+    """Look up a backend by name (``dense``, ``sparse``, ``chunked`` or ``sharded``)."""
     key = name.lower()
     if key not in _REGISTRY:
         raise NotSupportedError(f"unknown backend {name!r}; expected one of {sorted(_REGISTRY)}")

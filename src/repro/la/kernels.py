@@ -1,4 +1,4 @@
-"""Named fused gather-multiply-reduce kernels behind one registry.
+"""Named fused gather-multiply-reduce kernels.
 
 The Table-1 rewrites win by pushing work into small per-table products, but
 executing them as chains of generic primitives re-walks the indicator CSR
@@ -28,61 +28,45 @@ kernel                  fused shape
 ``take_indicator_rows`` CSR row take rebuilt straight from codes
 ======================  =====================================================
 
-Three implementation sets live behind the registry:
+Each kernel is one function: gathers are ``ndarray.take``, scatters are
+``bincount``, and the small base-table products go through the
+:mod:`repro.la.ops` primitives.  A few kernels keep a path chosen by their
+input: ``cross_block`` falls back to the sparse ``K_i^T K_j`` product when
+the dense code-pair histogram would dwarf the join
+(``_CROSSING_DENSITY_LIMIT``), ``scatter_right`` / ``entity_cross_block``
+multiply non-ndarray operands through the indicator, and
+``take_indicator_rows`` row-indexes chained and non-CSR indicators.  The
+primitive chains the kernels replace live in ``tests/la/kernel_oracles.py``
+as test oracles.
 
-* ``"reference"`` -- the primitive chains exactly as the rewrite rules have
-  always emitted them (``matmul``/``colsums``/... from :mod:`repro.la.ops`).
-  This set *is* the traced algebra: when golden-trace recording is active the
-  dispatcher always routes here, so the operator traces are byte-identical to
-  the pre-kernel layer by construction.
-* ``"numpy"`` -- fused pure-NumPy passes over indicator codes (gathers are
-  fancy indexing, scatters are ``bincount``); always available, never slower
-  than the reference chains, and the automatic fallback when Numba is absent.
-* ``"numba"`` -- JIT-compiled single-pass loops from
-  :mod:`repro.la._numba_kernels`; only offered when the optional ``[kernels]``
-  extra (Numba) is installed.  Kernels without a compiled variant fall back to
-  the ``"numpy"`` set per kernel.
-
-The active set is process-global: ``REPRO_KERNELS=reference|numpy|numba``
-pins it at import, :func:`set_active` / :func:`using` switch it at runtime,
-and the default is :func:`best_available` (like BLAS, the fastest installed
-implementation wins unless the caller says otherwise).
+Callers reach every kernel through this module's attributes
+(``kernels.gather_add(...)``), so golden-trace recording
+(:mod:`repro.core.rewrite.trace`) and profilers can wrap them by name.  Each
+call counts in ``repro_kernel_dispatch_total{kernel}`` while observability
+is enabled.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+import functools
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro import obs
 from repro.la.chain import ChainedIndicator
-from repro.la.ops import (
-    colsums,
-    crossprod,
-    diag_scale_rows,
-    matmul,
-    rowsums,
-    transpose,
-)
+from repro.la.ops import diag_scale_rows, matmul, rowsums, transpose
 from repro.la.types import MatrixLike, to_dense
 
 __all__ = [
     "KERNEL_NAMES",
-    "active",
-    "available_sets",
-    "best_available",
-    "compiled_available",
     "cross_block",
     "entity_cross_block",
     "gather_add",
     "gather_dot",
     "gather_gram",
     "gather_rows",
-    "kernel_inventory",
     "logistic_sgd_step",
     "partial_scores",
     "result_dtype",
@@ -90,10 +74,8 @@ __all__ = [
     "scatter_crossprod",
     "scatter_right",
     "scatter_total",
-    "set_active",
     "sgd_step",
     "take_indicator_rows",
-    "using",
 ]
 
 KERNEL_NAMES = (
@@ -104,7 +86,7 @@ KERNEL_NAMES = (
 )
 
 #: When a fused cross_block would materialize a code-pair count matrix this
-#: many times larger than the join itself, the sparse reference formula wins.
+#: many times larger than the join itself, the sparse product wins.
 _CROSSING_DENSITY_LIMIT = 16
 
 
@@ -140,6 +122,20 @@ def _dense_result(x) -> np.ndarray:
     return to_dense(x)
 
 
+def _scatter_columns(x: np.ndarray, codes: np.ndarray, n_cols: int) -> np.ndarray:
+    """``X @ K`` without the CSR product: bin columns of ``x`` by code."""
+    out = np.empty((x.shape[0], n_cols))
+    for r in range(x.shape[0]):
+        out[r] = np.bincount(codes, weights=x[r], minlength=n_cols)
+    return out
+
+
+def _counts(indicator: MatrixLike) -> np.ndarray:
+    """``colSums(K)`` as float64 fan-out counts, one per attribute row."""
+    counts = np.bincount(_codes(indicator), minlength=indicator.shape[1])
+    return counts.astype(np.float64)
+
+
 def result_dtype(*operands) -> np.dtype:
     """The floating result dtype of a factorized operator.
 
@@ -159,87 +155,142 @@ def result_dtype(*operands) -> np.dtype:
     return dtype
 
 
-def _tracing() -> bool:
-    """True while golden-trace recording has patched this module's primitives.
+_DISPATCH_TOTAL = obs.REGISTRY.counter(
+    "repro_kernel_dispatch_total",
+    "Kernel calls by kernel name",
+    labels=("kernel",),
+)
 
-    :func:`repro.core.rewrite.trace.trace_rewrites` wraps the
-    :mod:`repro.la.ops` names imported here (this module is listed in its
-    ``REWRITE_MODULES``); the wrappers carry ``__wrapped_primitive__``.  The
-    dispatcher then forces the ``"reference"`` set so the recorded primitive
-    sequence is exactly the pre-kernel rewrite algebra.
-    """
-    return hasattr(matmul, "__wrapped_primitive__")
+
+def _kernel(fn: Callable) -> Callable:
+    """Count every call of a public kernel while observability is enabled."""
+    name = fn.__name__
+
+    @functools.wraps(fn)
+    def counted(*args, **kwargs):
+        if obs.enabled():
+            _DISPATCH_TOTAL.labels(kernel=name).inc()
+        return fn(*args, **kwargs)
+
+    return counted
 
 
 # ---------------------------------------------------------------------------
-# Reference implementations: the exact primitive chains of the rewrite rules
+# Public kernels
 # ---------------------------------------------------------------------------
 
-def _ref_gather_add(out: np.ndarray, indicator: MatrixLike,
-                    attribute: MatrixLike, block: np.ndarray) -> np.ndarray:
-    # K (R X): compute the small product first, then scatter through K.
-    out += to_dense(matmul(indicator, matmul(attribute, block)))
+@_kernel
+def gather_add(out: np.ndarray, indicator: MatrixLike, attribute: MatrixLike,
+               block: np.ndarray) -> np.ndarray:
+    """Accumulate ``K (R @ block)`` into *out* (the LMM per-table term)."""
+    small = np.ascontiguousarray(to_dense(matmul(attribute, block)))
+    # ndarray.take on a contiguous array is the fast gather path -- it beats
+    # both generic fancy indexing and the one-nnz-per-row CSR matmul.
+    out += small.take(_codes(indicator), axis=0)
     return out
 
 
-def _ref_scatter_right(x: MatrixLike, indicator: MatrixLike,
+@_kernel
+def scatter_right(x: MatrixLike, indicator: MatrixLike, attribute: MatrixLike,
+                  dtype: np.dtype) -> np.ndarray:
+    """``(X K) R``: one RMM output block, cast to the operator result dtype."""
+    if isinstance(x, np.ndarray):
+        xk = _scatter_columns(np.ascontiguousarray(x, dtype=np.float64),
+                              _codes(indicator), indicator.shape[1])
+    else:
+        # Sparse X: the intermediate X K is only m x nR.
+        xk = matmul(x, indicator)
+    return np.asarray(to_dense(matmul(xk, attribute)), dtype=dtype)
+
+
+@_kernel
+def scatter_crossprod(indicator: MatrixLike, attribute: MatrixLike,
+                      dtype: np.dtype) -> np.ndarray:
+    """``R^T (K^T K) R`` via the fan-out counts (diagonal cross-product block)."""
+    counts = _counts(indicator)
+    if isinstance(attribute, np.ndarray):
+        weights = counts.astype(dtype)
+        return np.asarray((attribute * weights[:, None]).T @ attribute, dtype=dtype)
+    scaled = diag_scale_rows(counts, attribute)
+    return np.asarray(to_dense(matmul(transpose(attribute), scaled)), dtype=dtype)
+
+
+@_kernel
+def cross_block(indicator_i: MatrixLike, indicator_j: MatrixLike,
+                attribute_i: MatrixLike, attribute_j: MatrixLike,
+                dtype: np.dtype) -> np.ndarray:
+    """``R_i^T (K_i^T K_j) R_j``: one off-diagonal cross-product block."""
+    ci, cj = _codes(indicator_i), _codes(indicator_j)
+    ni, nj = indicator_i.shape[1], indicator_j.shape[1]
+    if ni * nj > _CROSSING_DENSITY_LIMIT * max(ci.size, 1):
+        # The dense code-pair histogram would dwarf the data; let the sparse
+        # K_i^T K_j product exploit its own structure instead.
+        crossing = matmul(transpose(indicator_i), indicator_j)
+    else:
+        crossing = np.bincount(ci * nj + cj, minlength=ni * nj)
+        crossing = crossing.astype(np.float64).reshape(ni, nj)
+    inner = matmul(crossing, attribute_j)
+    block = to_dense(matmul(transpose(attribute_i), inner))
+    return np.asarray(block, dtype=dtype)
+
+
+@_kernel
+def entity_cross_block(entity: MatrixLike, indicator: MatrixLike,
                        attribute: MatrixLike, dtype: np.dtype) -> np.ndarray:
-    # (X K) R: the intermediate X K is only m x nR.
-    block = to_dense(matmul(matmul(x, indicator), attribute))
-    return np.asarray(block, dtype=dtype)
+    """``(S^T K) R``: the entity/table cross-product block."""
+    if isinstance(entity, np.ndarray):
+        sk = _scatter_columns(np.ascontiguousarray(entity.T, dtype=np.float64),
+                              _codes(indicator), indicator.shape[1])
+    else:
+        # Sparse S: small intermediate of size dS x nR.
+        sk = matmul(transpose(entity), indicator)
+    return np.asarray(to_dense(matmul(sk, attribute)), dtype=dtype)
 
 
-def _ref_scatter_crossprod(indicator: MatrixLike, attribute: MatrixLike,
-                           dtype: np.dtype) -> np.ndarray:
-    counts = colsums(indicator)
-    scaled = diag_scale_rows(np.sqrt(np.asarray(counts).ravel()), attribute)
-    return np.asarray(to_dense(crossprod(scaled)), dtype=dtype)
-
-
-def _ref_cross_block(indicator_i: MatrixLike, indicator_j: MatrixLike,
-                     attribute_i: MatrixLike, attribute_j: MatrixLike,
-                     dtype: np.dtype) -> np.ndarray:
-    crossing = matmul(transpose(indicator_i), indicator_j)
-    block = to_dense(matmul(transpose(attribute_i), matmul(crossing, attribute_j)))
-    return np.asarray(block, dtype=dtype)
-
-
-def _ref_entity_cross_block(entity: MatrixLike, indicator: MatrixLike,
-                            attribute: MatrixLike, dtype: np.dtype) -> np.ndarray:
-    # (S^T K) R: small intermediate of size dS x nR.
-    partial = to_dense(matmul(matmul(transpose(entity), indicator), attribute))
-    return np.asarray(partial, dtype=dtype)
-
-
-def _ref_gather_gram(out: np.ndarray, indicator: MatrixLike,
-                     attribute: MatrixLike) -> np.ndarray:
-    inner = matmul(attribute, transpose(attribute))
-    out += to_dense(matmul(matmul(indicator, inner), transpose(indicator)))
+@_kernel
+def gather_gram(out: np.ndarray, indicator: MatrixLike,
+                attribute: MatrixLike) -> np.ndarray:
+    """Accumulate ``K (R R^T) K^T`` into *out* (the Gramian per-table term)."""
+    inner = np.ascontiguousarray(to_dense(matmul(attribute, transpose(attribute))))
+    codes = _codes(indicator)
+    out += inner.take(codes, axis=0).take(codes, axis=1)
     return out
 
 
-def _ref_gather_rows(indicator: MatrixLike, attribute: MatrixLike) -> np.ndarray:
-    return to_dense(matmul(indicator, rowsums(attribute)))
+@_kernel
+def gather_rows(indicator: MatrixLike, attribute: MatrixLike) -> np.ndarray:
+    """``K rowSums(R)`` as an ``(n, 1)`` column (rowSums per-table term)."""
+    rs = np.ascontiguousarray(rowsums(attribute), dtype=np.float64)
+    return rs.take(_codes(indicator), axis=0)
 
 
-def _ref_scatter_colsums(indicator: MatrixLike, attribute: MatrixLike) -> np.ndarray:
-    return to_dense(matmul(colsums(indicator), attribute))
+@_kernel
+def scatter_colsums(indicator: MatrixLike, attribute: MatrixLike) -> np.ndarray:
+    """``colSums(K) R`` as a ``(1, d_R)`` row (colSums per-table term)."""
+    counts = _counts(indicator).reshape(1, -1)
+    return np.asarray(to_dense(matmul(counts, attribute)), dtype=np.float64)
 
 
-def _ref_scatter_total(indicator: MatrixLike, attribute: MatrixLike) -> float:
-    partial = matmul(colsums(indicator), rowsums(attribute))
-    return float(to_dense(partial).ravel()[0])
+@_kernel
+def scatter_total(indicator: MatrixLike, attribute: MatrixLike) -> float:
+    """``colSums(K) rowSums(R)`` as a float (sum per-table term)."""
+    rs = np.asarray(rowsums(attribute), dtype=np.float64).ravel()
+    return float(_counts(indicator) @ rs)
 
 
-def _ref_gather_dot(base: np.ndarray, partials: Sequence[np.ndarray],
-                    code_rows: Sequence[np.ndarray]) -> np.ndarray:
+@_kernel
+def gather_dot(base: np.ndarray, partials: Sequence[np.ndarray],
+               code_rows: Sequence[np.ndarray]) -> np.ndarray:
+    """Serving score assembly: *base* plus one partial-row gather per table."""
     out = np.array(base, dtype=np.float64)
     for partial, rows in zip(partials, code_rows):
-        out += partial[rows, :]
+        out += partial.take(np.asarray(rows, dtype=np.intp), axis=0)
     return out
 
 
-def _ref_partial_scores(attribute: MatrixLike, weight_slice: np.ndarray) -> np.ndarray:
+@_kernel
+def partial_scores(attribute: MatrixLike, weight_slice: np.ndarray) -> np.ndarray:
+    """One table's read-only partial-score block ``R_k @ W_k`` (``n_Rk x m``)."""
     partial = np.asarray(to_dense(attribute @ weight_slice), dtype=np.float64)
     if partial.ndim == 1:
         partial = partial.reshape(-1, 1)
@@ -247,15 +298,19 @@ def _ref_partial_scores(attribute: MatrixLike, weight_slice: np.ndarray) -> np.n
     return partial
 
 
-def _ref_sgd_step(data, y: np.ndarray, w: np.ndarray,
-                  step_size: float) -> Tuple[np.ndarray, float]:
+@_kernel
+def sgd_step(data, y: np.ndarray, w: np.ndarray,
+             step_size: float) -> Tuple[np.ndarray, float]:
+    """One fused least-squares mini-batch step; returns ``(w_new, batch_sse)``."""
     residual = _dense_result(data @ w) - y
     gradient = _dense_result(data.T @ residual)
     return w - step_size * gradient, float(np.sum(residual ** 2))
 
 
-def _ref_logistic_sgd_step(data, y: np.ndarray, w: np.ndarray, step_size: float,
-                           update: str) -> Tuple[np.ndarray, np.ndarray]:
+@_kernel
+def logistic_sgd_step(data, y: np.ndarray, w: np.ndarray, step_size: float,
+                      update: str) -> Tuple[np.ndarray, np.ndarray]:
+    """One fused logistic mini-batch step; returns ``(w_new, batch_scores)``."""
     scores = _dense_result(data @ w)
     if update == "paper":
         p = y / (1.0 + np.exp(_clip(scores)))
@@ -265,112 +320,11 @@ def _ref_logistic_sgd_step(data, y: np.ndarray, w: np.ndarray, step_size: float,
     return w, scores
 
 
-def _ref_take_indicator_rows(indicator: MatrixLike, indices: np.ndarray) -> MatrixLike:
-    return indicator[indices, :]
-
-
-# ---------------------------------------------------------------------------
-# Fused NumPy implementations: single passes over indicator codes
-# ---------------------------------------------------------------------------
-
-def _np_gather_add(out: np.ndarray, indicator: MatrixLike,
-                   attribute: MatrixLike, block: np.ndarray) -> np.ndarray:
-    small = np.ascontiguousarray(to_dense(matmul(attribute, block)))
-    # ndarray.take on a contiguous array is the fast gather path -- it beats
-    # both generic fancy indexing and the one-nnz-per-row CSR matmul.
-    out += small.take(_codes(indicator), axis=0)
-    return out
-
-
-def _scatter_columns(x: np.ndarray, codes: np.ndarray, n_cols: int) -> np.ndarray:
-    """``X @ K`` without the CSR product: bin columns of ``x`` by code."""
-    out = np.empty((x.shape[0], n_cols))
-    for r in range(x.shape[0]):
-        out[r] = np.bincount(codes, weights=x[r], minlength=n_cols)
-    return out
-
-
-def _np_scatter_right(x: MatrixLike, indicator: MatrixLike,
-                      attribute: MatrixLike, dtype: np.dtype) -> np.ndarray:
-    if not isinstance(x, np.ndarray):
-        return _ref_scatter_right(x, indicator, attribute, dtype)
-    xk = _scatter_columns(np.ascontiguousarray(x, dtype=np.float64),
-                          _codes(indicator), indicator.shape[1])
-    return np.asarray(to_dense(matmul(xk, attribute)), dtype=dtype)
-
-
-def _np_scatter_crossprod(indicator: MatrixLike, attribute: MatrixLike,
-                          dtype: np.dtype) -> np.ndarray:
-    counts = np.bincount(_codes(indicator), minlength=indicator.shape[1])
-    if isinstance(attribute, np.ndarray):
-        weights = counts.astype(dtype)
-        return np.asarray((attribute * weights[:, None]).T @ attribute, dtype=dtype)
-    scaled = diag_scale_rows(counts.astype(np.float64), attribute)
-    return np.asarray(to_dense(matmul(transpose(attribute), scaled)), dtype=dtype)
-
-
-def _np_cross_block(indicator_i: MatrixLike, indicator_j: MatrixLike,
-                    attribute_i: MatrixLike, attribute_j: MatrixLike,
-                    dtype: np.dtype) -> np.ndarray:
-    ci, cj = _codes(indicator_i), _codes(indicator_j)
-    ni, nj = indicator_i.shape[1], indicator_j.shape[1]
-    if ni * nj > _CROSSING_DENSITY_LIMIT * max(ci.size, 1):
-        # The dense code-pair histogram would dwarf the data; let the sparse
-        # K_i^T K_j product exploit its own structure instead.
-        return _ref_cross_block(indicator_i, indicator_j, attribute_i,
-                                attribute_j, dtype)
-    crossing = np.bincount(ci * nj + cj, minlength=ni * nj)
-    crossing = crossing.astype(np.float64).reshape(ni, nj)
-    inner = to_dense(matmul(crossing, attribute_j))
-    block = to_dense(matmul(transpose(attribute_i), inner))
-    return np.asarray(block, dtype=dtype)
-
-
-def _np_entity_cross_block(entity: MatrixLike, indicator: MatrixLike,
-                           attribute: MatrixLike, dtype: np.dtype) -> np.ndarray:
-    if not isinstance(entity, np.ndarray):
-        return _ref_entity_cross_block(entity, indicator, attribute, dtype)
-    sk = _scatter_columns(np.ascontiguousarray(entity.T, dtype=np.float64),
-                          _codes(indicator), indicator.shape[1])
-    return np.asarray(to_dense(matmul(sk, attribute)), dtype=dtype)
-
-
-def _np_gather_gram(out: np.ndarray, indicator: MatrixLike,
-                    attribute: MatrixLike) -> np.ndarray:
-    inner = np.ascontiguousarray(to_dense(matmul(attribute, transpose(attribute))))
-    codes = _codes(indicator)
-    out += inner.take(codes, axis=0).take(codes, axis=1)
-    return out
-
-
-def _np_gather_rows(indicator: MatrixLike, attribute: MatrixLike) -> np.ndarray:
-    rs = np.ascontiguousarray(rowsums(attribute), dtype=np.float64)
-    return rs.take(_codes(indicator), axis=0)
-
-
-def _np_scatter_colsums(indicator: MatrixLike, attribute: MatrixLike) -> np.ndarray:
-    counts = np.bincount(_codes(indicator), minlength=indicator.shape[1])
-    counts = counts.astype(np.float64).reshape(1, -1)
-    return np.asarray(to_dense(matmul(counts, attribute)), dtype=np.float64)
-
-
-def _np_scatter_total(indicator: MatrixLike, attribute: MatrixLike) -> float:
-    counts = np.bincount(_codes(indicator), minlength=indicator.shape[1])
-    rs = np.asarray(rowsums(attribute), dtype=np.float64).ravel()
-    return float(counts.astype(np.float64) @ rs)
-
-
-def _np_gather_dot(base: np.ndarray, partials: Sequence[np.ndarray],
-                   code_rows: Sequence[np.ndarray]) -> np.ndarray:
-    out = np.array(base, dtype=np.float64)
-    for partial, rows in zip(partials, code_rows):
-        out += partial.take(np.asarray(rows, dtype=np.intp), axis=0)
-    return out
-
-
-def _np_take_indicator_rows(indicator: MatrixLike, indices: np.ndarray) -> MatrixLike:
+@_kernel
+def take_indicator_rows(indicator: MatrixLike, indices: np.ndarray) -> MatrixLike:
+    """Row-take of an indicator; CSR indicators rebuild straight from codes."""
     if isinstance(indicator, ChainedIndicator) or not sp.issparse(indicator):
-        return _ref_take_indicator_rows(indicator, indices)
+        return indicator[indices, :]
     # One non-zero per row: the sliced CSR is fully determined by the gathered
     # codes, so build it directly instead of running generic fancy indexing.
     taken = np.ascontiguousarray(_codes(indicator)[indices], dtype=np.int64)
@@ -379,311 +333,3 @@ def _np_take_indicator_rows(indicator: MatrixLike, indices: np.ndarray) -> Matri
         (np.ones(n, dtype=indicator.dtype), taken, np.arange(n + 1, dtype=np.int64)),
         shape=(n, indicator.shape[1]),
     )
-
-
-# ---------------------------------------------------------------------------
-# Numba-backed implementations (optional [kernels] extra)
-# ---------------------------------------------------------------------------
-
-_NUMBA_MODULE = False  # unresolved sentinel; None after a failed import
-
-
-def _numba():
-    global _NUMBA_MODULE
-    if _NUMBA_MODULE is False:
-        try:
-            from repro.la import _numba_kernels
-            _NUMBA_MODULE = _numba_kernels if _numba_kernels.AVAILABLE else None
-        except Exception:  # pragma: no cover - defensive import guard
-            _NUMBA_MODULE = None
-    return _NUMBA_MODULE
-
-
-def compiled_available() -> bool:
-    """Whether the Numba-compiled kernel set can be activated."""
-    return _numba() is not None
-
-
-def _f64(x: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(x, dtype=np.float64)
-
-
-def _nb_gather_add(out: np.ndarray, indicator: MatrixLike,
-                   attribute: MatrixLike, block: np.ndarray) -> np.ndarray:
-    small = to_dense(matmul(attribute, block))
-    if out.dtype != np.float64 or not out.flags.c_contiguous:
-        out += small[_codes(indicator), :]
-        return out
-    _numba().gather_add_rows(out, _f64(small), _codes(indicator))
-    return out
-
-
-def _nb_scatter_right(x: MatrixLike, indicator: MatrixLike,
-                      attribute: MatrixLike, dtype: np.dtype) -> np.ndarray:
-    if not isinstance(x, np.ndarray):
-        return _ref_scatter_right(x, indicator, attribute, dtype)
-    xk = _numba().scatter_columns(_f64(x), _codes(indicator), indicator.shape[1])
-    return np.asarray(to_dense(matmul(xk, attribute)), dtype=dtype)
-
-
-def _nb_entity_cross_block(entity: MatrixLike, indicator: MatrixLike,
-                           attribute: MatrixLike, dtype: np.dtype) -> np.ndarray:
-    if not isinstance(entity, np.ndarray):
-        return _ref_entity_cross_block(entity, indicator, attribute, dtype)
-    sk = _numba().scatter_columns(_f64(entity.T), _codes(indicator),
-                                  indicator.shape[1])
-    return np.asarray(to_dense(matmul(sk, attribute)), dtype=dtype)
-
-
-def _nb_gather_dot(base: np.ndarray, partials: Sequence[np.ndarray],
-                   code_rows: Sequence[np.ndarray]) -> np.ndarray:
-    out = np.ascontiguousarray(np.array(base, dtype=np.float64))
-    for partial, rows in zip(partials, code_rows):
-        _numba().gather_add_rows(out, _f64(partial),
-                                 np.ascontiguousarray(rows, dtype=np.int64))
-    return out
-
-
-def _nb_sgd_step(data, y: np.ndarray, w: np.ndarray,
-                 step_size: float) -> Tuple[np.ndarray, float]:
-    predicted = _dense_result(data @ w)
-    residual, sse = _numba().residual_sse(_f64(predicted), _f64(y))
-    gradient = _dense_result(data.T @ residual)
-    return w - step_size * gradient, float(sse)
-
-
-def _nb_logistic_sgd_step(data, y: np.ndarray, w: np.ndarray, step_size: float,
-                          update: str) -> Tuple[np.ndarray, np.ndarray]:
-    from repro.ml.metrics import SCORE_CLIP
-
-    scores = _dense_result(data @ w)
-    p = _numba().logistic_response(_f64(scores), _f64(y),
-                                   update == "exact", float(SCORE_CLIP))
-    w = w + step_size * _dense_result(data.T @ p)
-    return w, scores
-
-
-# ---------------------------------------------------------------------------
-# Registry and dispatch
-# ---------------------------------------------------------------------------
-
-_IMPLS: Dict[str, Dict[str, Callable]] = {
-    "reference": {
-        "gather_add": _ref_gather_add,
-        "scatter_right": _ref_scatter_right,
-        "scatter_crossprod": _ref_scatter_crossprod,
-        "cross_block": _ref_cross_block,
-        "entity_cross_block": _ref_entity_cross_block,
-        "gather_gram": _ref_gather_gram,
-        "gather_rows": _ref_gather_rows,
-        "scatter_colsums": _ref_scatter_colsums,
-        "scatter_total": _ref_scatter_total,
-        "gather_dot": _ref_gather_dot,
-        "partial_scores": _ref_partial_scores,
-        "sgd_step": _ref_sgd_step,
-        "logistic_sgd_step": _ref_logistic_sgd_step,
-        "take_indicator_rows": _ref_take_indicator_rows,
-    },
-    "numpy": {
-        "gather_add": _np_gather_add,
-        "scatter_right": _np_scatter_right,
-        "scatter_crossprod": _np_scatter_crossprod,
-        "cross_block": _np_cross_block,
-        "entity_cross_block": _np_entity_cross_block,
-        "gather_gram": _np_gather_gram,
-        "gather_rows": _np_gather_rows,
-        "scatter_colsums": _np_scatter_colsums,
-        "scatter_total": _np_scatter_total,
-        "gather_dot": _np_gather_dot,
-        "take_indicator_rows": _np_take_indicator_rows,
-    },
-    "numba": {
-        "gather_add": _nb_gather_add,
-        "scatter_right": _nb_scatter_right,
-        "entity_cross_block": _nb_entity_cross_block,
-        "gather_dot": _nb_gather_dot,
-        "sgd_step": _nb_sgd_step,
-        "logistic_sgd_step": _nb_logistic_sgd_step,
-    },
-}
-
-_active: Optional[str] = None
-
-
-def available_sets() -> Tuple[str, ...]:
-    """The kernel sets that can be activated in this process."""
-    sets: List[str] = ["reference", "numpy"]
-    if compiled_available():
-        sets.append("numba")
-    return tuple(sets)
-
-
-def best_available() -> str:
-    """The fastest installed set: ``"numba"`` when importable, else ``"numpy"``."""
-    return "numba" if compiled_available() else "numpy"
-
-
-def _validate_set(name: str) -> str:
-    if name not in _IMPLS:
-        raise ValueError(
-            f"unknown kernel set {name!r}; expected one of {sorted(_IMPLS)}"
-        )
-    if name == "numba" and not compiled_available():
-        raise RuntimeError(
-            "the numba kernel set needs the optional [kernels] extra "
-            "(pip install 'repro-morpheus[kernels]')"
-        )
-    return name
-
-
-def active() -> str:
-    """The currently active kernel set name."""
-    global _active
-    if _active is None:
-        pinned = os.environ.get("REPRO_KERNELS", "").strip()
-        _active = _validate_set(pinned) if pinned else best_available()
-    return _active
-
-
-def set_active(name: str) -> str:
-    """Activate one kernel set process-wide; returns the previous one."""
-    global _active
-    previous = active()
-    _active = _validate_set(name)
-    return previous
-
-
-@contextlib.contextmanager
-def using(name: str):
-    """Temporarily activate one kernel set (test/benchmark helper)."""
-    previous = set_active(name)
-    try:
-        yield
-    finally:
-        set_active(previous)
-
-
-_DISPATCH_TOTAL = obs.REGISTRY.counter(
-    "repro_kernel_dispatch_total",
-    "Kernel dispatches by kernel name and resolved implementation set",
-    labels=("kernel", "impl_set"),
-)
-_FALLBACKS_TOTAL = obs.REGISTRY.counter(
-    "repro_kernel_fallback_total",
-    "Dispatches where the active set lacked the kernel and a fallback ran",
-    labels=("kernel", "wanted", "used"),
-)
-
-
-def _impl(name: str) -> Callable:
-    if _tracing():
-        return _IMPLS["reference"][name]
-    active_set = active()
-    impls = _IMPLS[active_set]
-    fn = impls.get(name)
-    resolved_set = active_set
-    if fn is None:
-        fn = _IMPLS["numpy"].get(name)
-        resolved_set = "numpy"
-        if fn is None:
-            fn = _IMPLS["reference"][name]
-            resolved_set = "reference"
-        if obs.enabled():
-            _FALLBACKS_TOTAL.labels(
-                kernel=name, wanted=active_set, used=resolved_set
-            ).inc()
-    if obs.enabled():
-        _DISPATCH_TOTAL.labels(kernel=name, impl_set=resolved_set).inc()
-    return fn
-
-
-def kernel_inventory() -> Dict[str, Tuple[str, ...]]:
-    """Which sets implement each kernel (docs/diagnostics helper)."""
-    return {name: tuple(s for s in ("reference", "numpy", "numba")
-                        if name in _IMPLS[s])
-            for name in KERNEL_NAMES}
-
-
-# ---------------------------------------------------------------------------
-# Public kernel entry points
-# ---------------------------------------------------------------------------
-
-def gather_add(out: np.ndarray, indicator: MatrixLike, attribute: MatrixLike,
-               block: np.ndarray) -> np.ndarray:
-    """Accumulate ``K (R @ block)`` into *out* (the LMM per-table term)."""
-    return _impl("gather_add")(out, indicator, attribute, block)
-
-
-def scatter_right(x: MatrixLike, indicator: MatrixLike, attribute: MatrixLike,
-                  dtype: np.dtype) -> np.ndarray:
-    """``(X K) R``: one RMM output block, cast to the operator result dtype."""
-    return _impl("scatter_right")(x, indicator, attribute, dtype)
-
-
-def scatter_crossprod(indicator: MatrixLike, attribute: MatrixLike,
-                      dtype: np.dtype) -> np.ndarray:
-    """``R^T (K^T K) R`` via the fan-out counts (diagonal cross-product block)."""
-    return _impl("scatter_crossprod")(indicator, attribute, dtype)
-
-
-def cross_block(indicator_i: MatrixLike, indicator_j: MatrixLike,
-                attribute_i: MatrixLike, attribute_j: MatrixLike,
-                dtype: np.dtype) -> np.ndarray:
-    """``R_i^T (K_i^T K_j) R_j``: one off-diagonal cross-product block."""
-    return _impl("cross_block")(indicator_i, indicator_j, attribute_i,
-                                attribute_j, dtype)
-
-
-def entity_cross_block(entity: MatrixLike, indicator: MatrixLike,
-                       attribute: MatrixLike, dtype: np.dtype) -> np.ndarray:
-    """``(S^T K) R``: the entity/table cross-product block."""
-    return _impl("entity_cross_block")(entity, indicator, attribute, dtype)
-
-
-def gather_gram(out: np.ndarray, indicator: MatrixLike,
-                attribute: MatrixLike) -> np.ndarray:
-    """Accumulate ``K (R R^T) K^T`` into *out* (the Gramian per-table term)."""
-    return _impl("gather_gram")(out, indicator, attribute)
-
-
-def gather_rows(indicator: MatrixLike, attribute: MatrixLike) -> np.ndarray:
-    """``K rowSums(R)`` as an ``(n, 1)`` column (rowSums per-table term)."""
-    return _impl("gather_rows")(indicator, attribute)
-
-
-def scatter_colsums(indicator: MatrixLike, attribute: MatrixLike) -> np.ndarray:
-    """``colSums(K) R`` as a ``(1, d_R)`` row (colSums per-table term)."""
-    return _impl("scatter_colsums")(indicator, attribute)
-
-
-def scatter_total(indicator: MatrixLike, attribute: MatrixLike) -> float:
-    """``colSums(K) rowSums(R)`` as a float (sum per-table term)."""
-    return _impl("scatter_total")(indicator, attribute)
-
-
-def gather_dot(base: np.ndarray, partials: Sequence[np.ndarray],
-               code_rows: Sequence[np.ndarray]) -> np.ndarray:
-    """Serving score assembly: *base* plus one partial-row gather per table."""
-    return _impl("gather_dot")(base, partials, code_rows)
-
-
-def partial_scores(attribute: MatrixLike, weight_slice: np.ndarray) -> np.ndarray:
-    """One table's read-only partial-score block ``R_k @ W_k`` (``n_Rk x m``)."""
-    return _impl("partial_scores")(attribute, weight_slice)
-
-
-def sgd_step(data, y: np.ndarray, w: np.ndarray,
-             step_size: float) -> Tuple[np.ndarray, float]:
-    """One fused least-squares mini-batch step; returns ``(w_new, batch_sse)``."""
-    return _impl("sgd_step")(data, y, w, step_size)
-
-
-def logistic_sgd_step(data, y: np.ndarray, w: np.ndarray, step_size: float,
-                      update: str) -> Tuple[np.ndarray, np.ndarray]:
-    """One fused logistic mini-batch step; returns ``(w_new, batch_scores)``."""
-    return _impl("logistic_sgd_step")(data, y, w, step_size, update)
-
-
-def take_indicator_rows(indicator: MatrixLike, indices: np.ndarray) -> MatrixLike:
-    """Row-take of an indicator; CSR indicators rebuild straight from codes."""
-    return _impl("take_indicator_rows")(indicator, indices)

@@ -54,8 +54,8 @@ def compute_partial(attribute: MatrixLike, weight_slice: np.ndarray) -> np.ndarr
 
     The result is dense (partials are gathered per request, and ``m`` is
     small) and marked read-only, since it is shared by every snapshot that
-    carries it and by every in-flight request.  Routed through the
-    :mod:`repro.la.kernels` registry so the compiled set applies when active.
+    carries it and by every in-flight request.  Runs the
+    :func:`repro.la.kernels.partial_scores` kernel.
     """
     return kernels.partial_scores(attribute, weight_slice)
 

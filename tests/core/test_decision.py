@@ -8,10 +8,8 @@ from repro.core.cost import Dimensions
 from repro.core.decision import (
     DEFAULT_FEATURE_RATIO_THRESHOLD,
     DEFAULT_TUPLE_RATIO_THRESHOLD,
-    CostBasedStrategy,
     DecisionRule,
-    ThresholdStrategy,
-    get_strategy,
+    decide,
     morpheus,
     morpheus_mn,
     should_factorize,
@@ -124,69 +122,80 @@ class TestBoundaryAndDegenerateInputs:
         assert DecisionRule().explain(4.999, 1.0).endswith("materialize")
 
 
+@pytest.fixture
+def redundant():
+    """TR = 10, FR = 2 at 1000x30: large enough that the planner's default
+    calibration factorizes (at the 240x15 scale of ``single_join_dense`` it
+    materializes, because dispatch overhead dominates)."""
+    from repro.datasets.synthetic import SyntheticPKFKConfig, generate_pk_fk
+
+    config = SyntheticPKFKConfig.from_ratios(
+        tuple_ratio=10, feature_ratio=2, num_attribute_rows=100,
+        num_entity_features=10, seed=0)
+    return generate_pk_fk(config)
+
+
 class TestStrategies:
-    """The threshold rule and the cost-based planner behind one interface."""
+    """The threshold rule and the cost-based planner behind one function."""
 
-    def test_get_strategy_by_name(self):
-        assert isinstance(get_strategy("threshold"), ThresholdStrategy)
-        assert isinstance(get_strategy("cost"), CostBasedStrategy)
+    def test_decide_by_strategy_name(self, single_join_dense):
+        _, normalized, _ = single_join_dense
+        assert decide(normalized) == decide(normalized, "threshold")
+        assert "chosen:" in decide(normalized, "cost")[1]
 
-    def test_get_strategy_passthrough_and_unknown(self):
-        strategy = ThresholdStrategy()
-        assert get_strategy(strategy) is strategy
+    def test_unknown_strategy_rejected(self, single_join_dense):
+        dataset, normalized, _ = single_join_dense
         with pytest.raises(ValueError, match="unknown execution strategy"):
-            get_strategy("oracle")
+            decide(normalized, "oracle")
+        with pytest.raises(ValueError, match="unknown execution strategy"):
+            morpheus(dataset.entity, dataset.indicators, dataset.attributes,
+                     strategy="oracle")
 
     def test_threshold_strategy_matches_rule(self, single_join_dense):
         _, normalized, _ = single_join_dense
-        strategy = ThresholdStrategy()
-        assert strategy.should_factorize(normalized) == DecisionRule().predict(
+        factorize, text = decide(normalized, "threshold")
+        assert factorize == DecisionRule().predict(
             normalized.tuple_ratio, normalized.feature_ratio
         )
-        assert "tuple_ratio" in strategy.explain(normalized)
+        assert "tuple_ratio" in text
+        strict = DecisionRule(tuple_ratio_threshold=100.0)
+        assert decide(normalized, "threshold", rule=strict)[0] is False
 
-    @staticmethod
-    def _arithmetic_only_planner():
-        """A planner whose profile has negligible overheads, so the decision is
-        driven purely by the Table-3 arithmetic (deterministic for plumbing
-        tests regardless of the fixture's small scale)."""
-        from dataclasses import replace
+    def test_cost_strategy_factorizes_redundant_data(self, redundant):
+        factorize, text = decide(redundant.normalized, "cost")
+        assert factorize
+        assert "chosen:" in text
 
-        from repro.core.planner import CalibrationProfile, Planner
-
-        profile = replace(CalibrationProfile.default(),
-                          dispatch_overhead_s=1e-9, sparse_dispatch_overhead_s=1e-9,
-                          shard_overhead_s=1e-9, lazy_node_overhead_s=1e-9)
-        return Planner(calibration=profile)
-
-    def test_cost_strategy_factorizes_redundant_data(self, single_join_dense):
-        _, normalized, _ = single_join_dense
-        strategy = CostBasedStrategy(planner=self._arithmetic_only_planner())
-        assert strategy.should_factorize(normalized)
-        assert "chosen:" in strategy.explain(normalized)
-
-    def test_morpheus_accepts_strategy_argument(self, single_join_dense):
-        dataset, _, _ = single_join_dense
-        strategy = CostBasedStrategy(planner=self._arithmetic_only_planner())
-        out = morpheus(dataset.entity, dataset.indicators, dataset.attributes,
-                       strategy=strategy)
+    def test_morpheus_accepts_strategy_argument(self, redundant, single_join_dense):
+        out = morpheus(redundant.entity, redundant.indicators, redundant.attributes,
+                       strategy="cost")
         assert isinstance(out, NormalizedMatrix)
+        # The small fixture factorizes under the threshold rule but not under
+        # the planner, so the result shows which strategy ran.
+        small, _, _ = single_join_dense
+        out = morpheus(small.entity, small.indicators, small.attributes, strategy="cost")
+        assert isinstance(out, np.ndarray)
 
     def test_morpheus_rejects_rule_and_strategy_together(self, single_join_dense):
-        # A custom rule silently ignored because strategy= was also given
-        # would be a trap; the conflict raises instead.
+        # A custom rule silently ignored because strategy="cost" was also
+        # given would be a trap; the conflict raises instead.
         dataset, _, _ = single_join_dense
         with pytest.raises(ValueError, match="not both"):
             morpheus(dataset.entity, dataset.indicators, dataset.attributes,
                      rule=DecisionRule(tuple_ratio_threshold=2.0),
-                     strategy="threshold")
+                     strategy="cost")
 
-    def test_cost_strategy_memoizes_decide_then_explain(self, single_join_dense):
-        _, normalized, _ = single_join_dense
-        strategy = CostBasedStrategy(planner=self._arithmetic_only_planner())
-        strategy.should_factorize(normalized)
-        first = strategy.plan(normalized)
-        assert strategy.plan(normalized) is first  # no second scoring pass
+    def test_cost_strategy_plans_once_per_decision(self, redundant, monkeypatch):
+        """Decision and explanation come from one plan: no second scoring pass."""
+        from repro.core.planner import Planner
+
+        calls = []
+        plan = Planner.plan
+        monkeypatch.setattr(Planner, "plan",
+                            lambda self, data: calls.append(data) or plan(self, data))
+        factorize, text = decide(redundant.normalized, "cost")
+        assert len(calls) == 1
+        assert factorize and "chosen:" in text
 
 
 class TestMorpheusFactory:

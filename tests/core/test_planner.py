@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -113,6 +114,43 @@ class TestCalibrationProfile:
             assert CalibrationProfile.load(cache) == probed  # cache repaired
         finally:
             reset_profile_cache()
+
+    def test_v3_cache_triggers_reprobe(self, monkeypatch, tmp_path):
+        # Caches written before the fused planner candidate was removed carry
+        # format version 3 and its gather-rate field; auto mode re-probes them.
+        from repro.core.planner import get_profile, reset_profile_cache
+        from repro.core.planner import calibration as calibration_module
+
+        cache = tmp_path / "calibration.json"
+        stale = {**CalibrationProfile.default().to_json(), "version": 3,
+                 "fused_gather_rows": 2e9}
+        cache.write_text(json.dumps(stale))
+        monkeypatch.setenv("REPRO_CALIBRATION", "auto")
+        monkeypatch.setenv("REPRO_CALIBRATION_CACHE", str(cache))
+        probed = replace(CalibrationProfile.default(), dense_flops=1e9, source="probe")
+        monkeypatch.setattr(calibration_module, "probe", lambda: probed)
+        reset_profile_cache()
+        try:
+            assert get_profile("auto") == probed
+            assert CalibrationProfile.load(cache) == probed  # cache rewritten as v4
+        finally:
+            reset_profile_cache()
+
+    def test_default_constants_unchanged(self):
+        """Plans price with the same constants as before the v4 format."""
+        assert CalibrationProfile.default().to_json() == {
+            "version": 4,
+            "dense_flops": 2.5e9,
+            "sparse_flops": 1e9,
+            "indicator_flops": 5e8,
+            "dispatch_overhead_s": 5e-6,
+            "sparse_dispatch_overhead_s": 1e-5,
+            "shard_overhead_s": 5e-5,
+            "lazy_node_overhead_s": 3e-6,
+            "materialize_bandwidth": 2e8,
+            "parallel_efficiency": 0.6,
+            "source": "default",
+        }
 
     def test_probe_produces_positive_constants(self):
         from repro.core.planner import probe
@@ -264,7 +302,6 @@ class TestPlannerChoices:
     def test_sharding_wins_when_parallelism_is_cheap(self, redundant, monkeypatch):
         # Free fan-out, four workers, perfectly efficient: the cost model must
         # rank the 4-shard candidate first.
-        from dataclasses import replace
 
         import repro.la.parallel as parallel
 
@@ -359,14 +396,10 @@ class TestSurfaceIntegration:
 
     def test_backend_capabilities_registry(self):
         caps = backend_capabilities()
-        assert set(caps) == {"dense", "sparse", "fused", "chunked", "sharded"}
+        assert set(caps) == {"dense", "sparse", "chunked", "sharded"}
         assert caps["sharded"]["parallel"] is True
         assert caps["chunked"]["out_of_core"] is True
         assert caps["dense"]["parallel"] is False
-        # The fused backend advertises whether the compiled set can run and
-        # which kernel set best_available() resolves to.
-        assert caps["fused"]["kernel_set"] in ("numba", "numpy")
-        assert caps["fused"]["compiled"] == (caps["fused"]["kernel_set"] == "numba")
 
     def test_backend_partitions_for(self):
         from repro.la.backend import ChunkedBackend, DenseBackend, ShardedBackend
@@ -402,7 +435,6 @@ class TestSurfaceIntegration:
     def test_auto_engine_explicit_n_jobs_1_pins_serial(self, redundant, monkeypatch):
         # n_jobs=1 must guarantee serial execution even when the planner would
         # otherwise shard (cheap-parallelism profile, 4 workers).
-        from dataclasses import replace
 
         import repro.la.parallel as parallel
         from repro.ml.logistic_regression import LogisticRegressionGD

@@ -1,7 +1,8 @@
 """Golden-file regression tests for the factorized rewrite layer.
 
-Each file under ``tests/goldens/`` pins the SSA-style primitive-call trace of
-one Table-1 operator on the canonical schemas of
+Each file under ``tests/goldens/`` pins the SSA-style trace of one Table-1
+operator -- every :mod:`repro.la.ops` primitive call and every named kernel
+call (:mod:`repro.la.kernels`) it makes -- on the canonical schemas of
 :mod:`repro.core.rewrite.trace`.  The tests assert *exact structural
 equality*: a refactor of the planner or the rewrite rules that changes the
 factorized algebra -- a different multiplication order, a dropped
@@ -30,6 +31,7 @@ from repro.core.rewrite.trace import (
     table1_traces,
     trace_rewrites,
 )
+from repro.la.kernels import KERNEL_NAMES
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent.parent / "goldens"
 REGEN = bool(os.environ.get("REPRO_REGEN_GOLDENS"))
@@ -89,18 +91,34 @@ def test_traces_are_deterministic():
 
 
 def test_lmm_preserves_factorized_multiplication_order():
-    """The crucial rewrite decision: ``K (R X)``, never ``(K R) X`` (Section 3.3.3)."""
-    steps = traces()["star_lmm"]["steps"]
-    by_id = {s.get("id"): s for s in steps}
-    k_products = [s for s in steps if s["op"] == "matmul"
-                  and s["args"][0] in ("K1", "K2")]
-    assert k_products, "LMM trace lost its indicator products"
-    for step in k_products:
-        inner = by_id[step["args"][1]]
-        assert inner["op"] == "matmul" and inner["args"][0] in ("R1", "R2"), (
-            "LMM no longer computes the small R-block product before scattering "
-            "through K -- this is the materialized order the paper warns about"
-        )
+    """The crucial rewrite decision: ``K (R X)``, never ``(K R) X`` (Section 3.3.3).
+
+    Each indicator's ``gather_add`` step comes right after the small
+    ``R @ X`` product of its own attribute table.
+    """
+    for name, indicators in (("star_lmm", ["K1", "K2"]),
+                             ("snowflake_lmm", ["K1", "C1"]),
+                             ("mn_lmm", ["I1", "I2"])):
+        steps = traces()[name]["steps"]
+        gathers = [i for i, s in enumerate(steps) if s["op"] == "gather_add"]
+        assert [steps[i]["args"][1] for i in gathers] == indicators, name
+        for i, attribute in zip(gathers, ("R1", "R2")):
+            inner = steps[i - 1]
+            assert inner["op"] == "matmul" and inner["args"][0] == attribute, (
+                f"{name}: LMM no longer computes the small R-block product before "
+                f"scattering through K -- the materialized order the paper warns about"
+            )
+            assert steps[i]["args"][2] == attribute
+
+
+def test_no_golden_multiplies_an_indicator_into_its_table():
+    """No trace expands ``K R`` (part of the join output) with a matmul."""
+    indicators = {"K1", "K2", "C1", "H1", "H2", "I1", "I2"}
+    for name, tree in traces().items():
+        for step in tree["steps"]:
+            if step["op"] == "matmul":
+                left, right = (str(a) for a in step["args"])
+                assert not (left in indicators and right.startswith("R")), (name, step)
 
 
 def test_tracer_restores_primitives():
@@ -117,7 +135,7 @@ def test_tracer_restores_primitives():
 
 
 def test_primitive_set_is_closed():
-    """Traced steps only use the declared primitive vocabulary (closure property)."""
+    """Traced steps only use the primitive and kernel vocabulary (closure property)."""
     for tree in traces().values():
         for step in tree["steps"]:
-            assert step["op"] in PRIMITIVES
+            assert step["op"] in PRIMITIVES | set(KERNEL_NAMES)

@@ -1,14 +1,15 @@
-"""Equivalence and registry tests for the fused kernel layer.
+"""Oracle and behaviour tests for the fused kernel layer.
 
 The fused kernels (:mod:`repro.la.kernels`) are the execution layer behind
 every factorized rewrite, so their contract is strict:
 
-* every implementation set (``reference`` primitive chains, vectorized
-  ``numpy``, compiled ``numba`` when installed) computes the same values on
-  star, M:N and snowflake schemas, dense and sparse bases, float32 and
-  float64, empty attribute tables and zero-row batches;
-* the golden operator traces are byte-identical whichever set is active --
-  tracing always routes through the reference primitive chains;
+* every kernel computes what its primitive-chain oracle
+  (``tests/la/kernel_oracles.py``) computes, on star, M:N and snowflake
+  schemas, dense and sparse bases, float32 and float64, empty attribute
+  tables and zero-row batches -- including both sides of every path a kernel
+  chooses by its input;
+* every call counts in ``repro_kernel_dispatch_total{kernel}`` while
+  observability is enabled;
 * operand dtypes survive the rewrite layer (the float32 round-trip pin);
 * ``indicator_codes`` is memoized per indicator object and invalidated when
   the indicator dies.
@@ -16,24 +17,23 @@ every factorized rewrite, so their contract is strict:
 
 from __future__ import annotations
 
+import contextlib
 import gc
-import json
-import pathlib
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro import obs
 from repro.core.indicator import indicator_codes, reset_codes_cache
 from repro.core.mn_matrix import MNNormalizedMatrix
 from repro.core.normalized_matrix import NormalizedMatrix
 from repro.la import kernels
 from repro.la.chain import ChainedIndicator
 from repro.la.ops import indicator_from_labels
+from tests.la.kernel_oracles import ORACLES, oracle_kernels, swap_kernels
 
 ATOL = 1e-10
-
-GOLDEN_DIR = pathlib.Path(__file__).resolve().parent.parent / "goldens"
 
 
 def _labels(rng, n_rows: int, n_ref: int) -> np.ndarray:
@@ -92,94 +92,146 @@ MATRICES = {
 }
 
 
-# -- set-vs-set operator equivalence ------------------------------------------
+# -- kernel-vs-oracle equivalence ---------------------------------------------
+
+def _as_array(value) -> np.ndarray:
+    if hasattr(value, "toarray"):  # sparse and chained indicators
+        return value.toarray()
+    return np.asarray(value, dtype=np.float64)
+
+
+def _assert_close(actual, expected, where: str) -> None:
+    if isinstance(expected, tuple):
+        for a, e in zip(actual, expected):
+            _assert_close(a, e, where)
+        return
+    actual, expected = _as_array(actual), _as_array(expected)
+    assert actual.shape == expected.shape, where
+    assert np.allclose(actual, expected, atol=ATOL), (
+        f"{where}: max abs diff {np.abs(actual - expected).max():.3e}")
+
+
+def _copies(args) -> list:
+    """Inputs for the oracle: the accumulating kernels write into ndarrays."""
+    return [a.copy() if isinstance(a, np.ndarray) else a for a in args]
+
+
+@contextlib.contextmanager
+def checked_kernels(where: str):
+    """Run every kernel call against its oracle on copies of the same inputs.
+
+    Yields the set of kernel names called inside the block.
+    """
+    called = set()
+
+    def checked(name, kernel):
+        def run(*args):
+            expected = ORACLES[name](*_copies(args))
+            actual = kernel(*args)
+            _assert_close(actual, expected, f"{where}/{name}")
+            called.add(name)
+            return actual
+        return run
+
+    with swap_kernels(checked):
+        yield called
+
+
+def _operator_snapshot(matrix, x, w, y, w0, rows, weight_slices) -> dict:
+    """Every Table-1 operator plus the streaming and serving kernel calls."""
+    labels = np.sign(y) + (y == 0)
+    partials = [kernels.partial_scores(r, ws)
+                for r, ws in zip(matrix.attributes, weight_slices)]
+    codes = [indicator_codes(k) for k in matrix.indicators]
+    step_w, sse = kernels.sgd_step(matrix, y, w0.copy(), 1e-3)
+    logistic_w, scores = kernels.logistic_sgd_step(matrix, labels, w0.copy(), 1e-3, "exact")
+    return {
+        "lmm": np.asarray(matrix @ x, dtype=np.float64),
+        "rmm": np.asarray(w @ matrix, dtype=np.float64),
+        "tlmm": np.asarray(matrix.T @ y, dtype=np.float64),
+        "crossprod": np.asarray(matrix.crossprod(), dtype=np.float64),
+        "gram": np.asarray(matrix.T.crossprod(), dtype=np.float64),
+        "rowsums": np.asarray(matrix.rowsums(), dtype=np.float64),
+        "colsums": np.asarray(matrix.colsums(), dtype=np.float64),
+        "total": np.asarray(matrix.total_sum(), dtype=np.float64),
+        "take_rows": np.asarray(matrix.take_rows(rows) @ x, dtype=np.float64),
+        "sgd": (step_w, sse),
+        "logistic": (logistic_w, scores),
+        "serve": kernels.gather_dot(np.zeros((matrix.shape[0], 2)), partials, codes),
+    }
+
 
 @pytest.mark.parametrize("schema", sorted(MATRICES))
 @pytest.mark.parametrize("seed", range(5))
 def test_fused_sets_agree_on_table1_operators(schema, seed):
-    """Every available kernel set produces identical operator results."""
+    """Every kernel call matches its oracle, and so does every operator result."""
     matrix = MATRICES[schema](seed)
     dense = np.asarray(matrix.to_dense(), dtype=np.float64)
     n, d = dense.shape
     rng = np.random.default_rng(seed + 99)
-    x = rng.standard_normal((d, 2))
-    w = rng.standard_normal((2, n))
-    y = rng.standard_normal((n, 1))
+    inputs = dict(
+        x=rng.standard_normal((d, 2)),
+        w=rng.standard_normal((2, n)),
+        y=rng.standard_normal((n, 1)),
+        w0=rng.standard_normal((d, 1)),
+        rows=rng.integers(0, n, size=7),
+        weight_slices=[rng.standard_normal((r.shape[1], 2)) for r in matrix.attributes],
+    )
 
-    def snapshot():
-        return {
-            "lmm": np.asarray(matrix @ x, dtype=np.float64),
-            "rmm": np.asarray(w @ matrix, dtype=np.float64),
-            "tlmm": np.asarray(matrix.T @ y, dtype=np.float64),
-            "crossprod": np.asarray(matrix.crossprod(), dtype=np.float64),
-            "rowsums": np.asarray(matrix.rowsums(), dtype=np.float64),
-            "colsums": np.asarray(matrix.colsums(), dtype=np.float64),
-            "total": np.asarray(matrix.total_sum(), dtype=np.float64),
-        }
-
-    with kernels.using("reference"):
-        reference = snapshot()
-    # Reference chains must match the materialized dense computation.
-    assert np.allclose(reference["lmm"], dense @ x, atol=1e-6)
+    with oracle_kernels():
+        reference = _operator_snapshot(matrix, **inputs)
+    # The oracles must match the materialized dense computation.
+    assert np.allclose(reference["lmm"], dense @ inputs["x"], atol=1e-6)
     assert np.allclose(reference["crossprod"], dense.T @ dense, atol=1e-5)
-    for name in kernels.available_sets():
-        with kernels.using(name):
-            result = snapshot()
-        for op, expected in reference.items():
-            assert np.allclose(result[op], expected, atol=ATOL), (
-                f"[seed={seed}] kernel set {name!r} diverged from reference on "
-                f"{schema}/{op}: max abs diff "
-                f"{np.abs(np.asarray(result[op]) - expected).max():.3e}"
-            )
+    with checked_kernels(f"[seed={seed}] {schema}") as called:
+        result = _operator_snapshot(matrix, **inputs)
+    expected_calls = set(kernels.KERNEL_NAMES)
+    if len(matrix.attributes) < 2:
+        expected_calls.discard("cross_block")  # one table: no off-diagonal block
+    if isinstance(matrix, MNNormalizedMatrix):
+        expected_calls.discard("entity_cross_block")  # M:N has no entity table
+    assert called == expected_calls
+    for op, expected in reference.items():
+        _assert_close(result[op], expected, f"[seed={seed}] {schema}/{op}")
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_fused_sets_agree_on_zero_row_batches(seed):
-    """take_rows with an empty index set works identically in every set."""
+    """take_rows with an empty index set yields an empty factorized batch."""
     matrix = _star(seed)
     empty = np.array([], dtype=np.int64)
-    for name in kernels.available_sets():
-        with kernels.using(name):
-            batch = matrix.take_rows(empty)
-            assert batch.shape[0] == 0
-            result = np.asarray(batch @ np.ones((matrix.shape[1], 1)))
-            assert result.shape == (0, 1)
+    with checked_kernels(f"[seed={seed}] empty batch"):
+        batch = matrix.take_rows(empty)
+        assert batch.shape[0] == 0
+        result = np.asarray(batch @ np.ones((matrix.shape[1], 1)))
+    assert result.shape == (0, 1)
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_take_indicator_rows_matches_fancy_indexing(seed):
-    """The fused CSR slice equals the generic CSR fancy-indexing slice."""
+    """The CSR slice rebuilt from codes equals the generic fancy-indexing slice."""
     rng = np.random.default_rng(seed)
     indicator = indicator_from_labels(_labels(rng, 31, 9), num_columns=9)
     indices = rng.integers(0, 31, size=12)
-    expected = indicator[indices, :].toarray()
-    for name in kernels.available_sets():
-        with kernels.using(name):
-            sliced = kernels.take_indicator_rows(indicator, indices)
-        assert np.array_equal(np.asarray(sp.csr_matrix(sliced).toarray()), expected)
+    sliced = kernels.take_indicator_rows(indicator, indices)
+    assert sp.isspmatrix_csr(sliced)
+    assert np.array_equal(sliced.toarray(), indicator[indices, :].toarray())
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_sgd_kernels_agree_across_sets(seed):
-    """The fused SGD steps match the reference primitive chains bit for bit
-    (float64) on both linear and logistic updates."""
+    """The fused SGD steps match the dense oracle on linear and logistic updates."""
     matrix = _star(seed)
     rng = np.random.default_rng(seed + 7)
     y = rng.standard_normal((matrix.shape[0], 1))
+    labels = np.sign(y) + (y == 0)
     w0 = rng.standard_normal((matrix.shape[1], 1))
-    with kernels.using("reference"):
-        ref_w, ref_sse = kernels.sgd_step(matrix, y, w0.copy(), 1e-3)
-        ref_lw, ref_scores = kernels.logistic_sgd_step(
-            matrix, np.sign(y) + (y == 0), w0.copy(), 1e-3, "exact")
-    for name in kernels.available_sets():
-        with kernels.using(name):
-            new_w, sse = kernels.sgd_step(matrix, y, w0.copy(), 1e-3)
-            lw, scores = kernels.logistic_sgd_step(
-                matrix, np.sign(y) + (y == 0), w0.copy(), 1e-3, "exact")
-        assert np.allclose(new_w, ref_w, atol=ATOL)
-        assert np.isclose(sse, ref_sse, atol=ATOL)
-        assert np.allclose(lw, ref_lw, atol=ATOL)
-        assert np.allclose(scores, ref_scores, atol=ATOL)
+    for update in ("exact", "paper"):
+        _assert_close(kernels.logistic_sgd_step(matrix, labels, w0.copy(), 1e-3, update),
+                      ORACLES["logistic_sgd_step"](matrix, labels, w0.copy(), 1e-3, update),
+                      f"logistic/{update}")
+    _assert_close(kernels.sgd_step(matrix, y, w0.copy(), 1e-3),
+                  ORACLES["sgd_step"](matrix, y, w0.copy(), 1e-3), "sgd")
 
 
 def test_gather_dot_matches_reference():
@@ -188,29 +240,89 @@ def test_gather_dot_matches_reference():
     base = rng.standard_normal((11, 2))
     partials = [rng.standard_normal((5, 2)), rng.standard_normal((3, 2))]
     code_rows = [rng.integers(0, 5, size=11), rng.integers(0, 3, size=11)]
-    with kernels.using("reference"):
-        expected = kernels.gather_dot(base, partials, code_rows)
-    for name in kernels.available_sets():
-        with kernels.using(name):
-            assert np.allclose(kernels.gather_dot(base, partials, code_rows),
-                               expected, atol=ATOL)
+    _assert_close(kernels.gather_dot(base, partials, code_rows),
+                  ORACLES["gather_dot"](base, partials, code_rows), "gather_dot")
 
 
-# -- golden traces stay byte-identical under the fused sets -------------------
+# -- both sides of every input-dependent kernel path --------------------------
 
-def test_golden_traces_unchanged_with_fused_set_active():
-    """Tracing forces the reference chains, so the committed goldens match
-    byte for byte even while the fused kernel set is globally active."""
-    from repro.core.rewrite.trace import table1_traces
+def _check(name: str, *args) -> None:
+    expected = ORACLES[name](*_copies(args))
+    _assert_close(getattr(kernels, name)(*args), expected, name)
 
-    with kernels.using(kernels.best_available()):
-        actual = table1_traces()
-    for name, tree in actual.items():
-        committed = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
-        assert tree == committed, (
-            f"golden trace {name!r} changed while the fused kernel set was "
-            f"active -- the tracing dispatcher must route to the reference set"
-        )
+
+class TestKernelPaths:
+    @pytest.mark.parametrize("n_rows, n_i, n_j", [(60, 5, 4), (10, 10, 20)])
+    @pytest.mark.parametrize("sparse_attributes", [False, True])
+    def test_cross_block_both_sides_of_density_limit(self, n_rows, n_i, n_j,
+                                                     sparse_attributes):
+        rng = np.random.default_rng(n_rows)
+        k_i = indicator_from_labels(_labels(rng, n_rows, n_i), num_columns=n_i)
+        k_j = indicator_from_labels(rng.integers(0, n_j, size=n_rows), num_columns=n_j)
+        r_i, r_j = rng.standard_normal((n_i, 3)), rng.standard_normal((n_j, 2))
+        if sparse_attributes:
+            r_i, r_j = sp.csr_matrix(r_i), sp.csr_matrix(r_j)
+        sparse_path = n_i * n_j > kernels._CROSSING_DENSITY_LIMIT * n_rows
+        assert sparse_path == (n_rows == 10)
+        _check("cross_block", k_i, k_j, r_i, r_j, np.dtype(np.float64))
+
+    @pytest.mark.parametrize("sparse_x", [False, True])
+    def test_scatter_right_dense_and_sparse_x(self, sparse_x):
+        rng = np.random.default_rng(1)
+        indicator = indicator_from_labels(_labels(rng, 17, 6), num_columns=6)
+        attribute = rng.standard_normal((6, 3))
+        x = rng.standard_normal((2, 17))
+        if sparse_x:
+            x[x < 0.5] = 0.0
+            x = sp.csr_matrix(x)
+        _check("scatter_right", x, indicator, attribute, np.dtype(np.float64))
+
+    @pytest.mark.parametrize("sparse_entity", [False, True])
+    def test_entity_cross_block_dense_and_sparse_entity(self, sparse_entity):
+        rng = np.random.default_rng(2)
+        indicator = indicator_from_labels(_labels(rng, 19, 5), num_columns=5)
+        attribute = rng.standard_normal((5, 3))
+        entity = rng.standard_normal((19, 4))
+        if sparse_entity:
+            entity[entity < 0.5] = 0.0
+            entity = sp.csr_matrix(entity)
+        _check("entity_cross_block", entity, indicator, attribute, np.dtype(np.float64))
+
+    @pytest.mark.parametrize("kind", ["chain", "dense"])
+    def test_take_indicator_rows_chain_and_dense_indicators(self, kind):
+        rng = np.random.default_rng(3)
+        indicator = indicator_from_labels(_labels(rng, 23, 8), num_columns=8)
+        if kind == "chain":
+            hop = indicator_from_labels(_labels(rng, 8, 3), num_columns=3)
+            indicator = ChainedIndicator([indicator, hop])
+        elif kind == "dense":
+            indicator = indicator.toarray()
+        indices = rng.integers(0, 23, size=9)
+        _check("take_indicator_rows", indicator, indices)
+
+
+# -- dispatch counter ---------------------------------------------------------
+
+def test_every_kernel_call_is_counted_by_name():
+    family = obs.REGISTRY.get("repro_kernel_dispatch_total")
+    assert family.label_names == ("kernel",)
+
+    def count() -> float:
+        return sum(s.value for key, s in family.series() if key == ("gather_rows",))
+
+    rng = np.random.default_rng(4)
+    indicator = indicator_from_labels(_labels(rng, 9, 4), num_columns=4)
+    attribute = rng.standard_normal((4, 2))
+    assert not obs.enabled()
+    before = count()
+    kernels.gather_rows(indicator, attribute)  # observability off: not counted
+    obs.enable()
+    try:
+        kernels.gather_rows(indicator, attribute)
+        kernels.gather_rows(indicator, attribute)
+    finally:
+        obs.disable()
+    assert count() - before == 2
 
 
 # -- dtype preservation (float32 round trip) ----------------------------------
@@ -257,55 +369,6 @@ class TestDtypePreservation:
         assert kernels.result_dtype(i64) == np.float64  # non-float promotes
         assert kernels.result_dtype() == np.float64
         assert kernels.result_dtype(None, f32) == np.float32
-
-
-# -- registry machinery -------------------------------------------------------
-
-class TestRegistry:
-    def test_available_sets(self):
-        sets = kernels.available_sets()
-        assert "reference" in sets and "numpy" in sets
-        assert ("numba" in sets) == kernels.compiled_available()
-
-    def test_best_available_prefers_compiled(self):
-        best = kernels.best_available()
-        assert best == ("numba" if kernels.compiled_available() else "numpy")
-
-    def test_set_active_returns_previous_and_restores(self):
-        previous = kernels.set_active("reference")
-        try:
-            assert kernels.active() == "reference"
-        finally:
-            kernels.set_active(previous)
-
-    def test_using_restores_on_exception(self):
-        before = kernels.active()
-        with pytest.raises(RuntimeError):
-            with kernels.using("reference"):
-                raise RuntimeError("boom")
-        assert kernels.active() == before
-
-    def test_unknown_set_rejected(self):
-        with pytest.raises(Exception):
-            kernels.set_active("fortran")
-
-    @pytest.mark.skipif(kernels.compiled_available(), reason="numba installed")
-    def test_numba_set_unavailable_mentions_extra(self):
-        with pytest.raises(RuntimeError, match=r"\[kernels\]"):
-            kernels.set_active("numba")
-
-    def test_env_override_selects_set(self, monkeypatch):
-        # The env pin is read once, on first resolution -- clear the resolved
-        # set (and restore it afterwards) to exercise that path.
-        monkeypatch.setenv("REPRO_KERNELS", "reference")
-        monkeypatch.setattr(kernels, "_active", None)
-        assert kernels.active() == "reference"
-
-    def test_inventory_covers_every_kernel(self):
-        inventory = kernels.kernel_inventory()
-        assert set(inventory) == set(kernels.KERNEL_NAMES)
-        for name, sets in inventory.items():
-            assert "reference" in sets, f"{name} lacks a reference implementation"
 
 
 # -- indicator-code memoization -----------------------------------------------

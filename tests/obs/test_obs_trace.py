@@ -7,7 +7,6 @@ import threading
 import numpy as np
 
 from repro import obs
-from repro.la import kernels
 from repro.la.parallel import ParallelExecutor
 from repro.obs.trace import _NULL_SPAN
 
@@ -82,18 +81,6 @@ class TestNesting:
         d = root.to_dict()
         assert d["name"] == "root"
         assert d["children"][0]["name"] == "child"
-
-
-class TestKernelSetBoundary:
-    def test_span_survives_using_context(self):
-        """Nesting across kernels.using(): spans and kernel-set switches compose."""
-        obs.enable()
-        with obs.span("fit"):
-            with kernels.using("reference"):
-                with obs.span("step"):
-                    assert kernels.active() == "reference"
-        (root,) = obs.recent_spans()
-        assert [c.name for c in root.children] == ["step"]
 
 
 class TestWorkerPoolBoundary:

@@ -15,12 +15,7 @@ reference computed on the materialized ``T`` to within ``1e-8``:
 * ``sharded-matrix``      -- the parallel plain :class:`ShardedMatrix`;
 * ``streamed``            -- the out-of-core :class:`StreamedMatrix`
   (random batch size), whose operators visit the factorized operand one
-  ``take_rows`` batch at a time;
-* ``fused``               -- the factorized rewrites executed with the best
-  available fused kernel set forced active (:mod:`repro.la.kernels`): the
-  compiled Numba set when the ``[kernels]`` extra is installed, the
-  vectorized NumPy set otherwise.  Either way the run proves the fused
-  dispatch path end to end.
+  ``take_rows`` batch at a time.
 
 Each backend sees ``CASES_PER_BACKEND`` generated cases (>= 200), split into
 batches so a failure pinpoints its seed range; the failing seed is embedded
@@ -48,7 +43,7 @@ ATOL = 1e-8
 RTOL = 1e-8
 
 BACKENDS = ("normalized-dense", "normalized-sparse", "chunked", "sharded",
-            "sharded-matrix", "streamed", "fused")
+            "sharded-matrix", "streamed")
 BATCHES = 20
 CASES_PER_BATCH = 10
 CASES_PER_BACKEND = BATCHES * CASES_PER_BATCH  # 200 generated cases per backend
@@ -198,8 +193,6 @@ def build_view(backend: str, case: Case, rng: np.random.Generator):
     if backend == "streamed":
         batch_rows = int(rng.integers(1, case.dense.shape[0] + 1))
         return StreamedMatrix(case.normalized, batch_rows=batch_rows)
-    if backend == "fused":
-        return case.normalized
     raise AssertionError(f"unknown backend {backend!r}")
 
 
@@ -251,18 +244,11 @@ def operator_checks(view, dense: np.ndarray, rng: np.random.Generator,
 
 
 def run_case(backend: str, seed: int) -> None:
-    import contextlib
-
-    from repro.la import kernels
-
     force = {"normalized-dense": "dense", "normalized-sparse": "sparse"}.get(backend, "random")
     case = generate_case(seed, force_density=force)
     rng = np.random.default_rng(seed + 1_000_003)
     view = build_view(backend, case, rng)
-    context = (kernels.using(kernels.best_available()) if backend == "fused"
-               else contextlib.nullcontext())
-    with context:
-        _run_checks(backend, seed, case, view, rng)
+    _run_checks(backend, seed, case, view, rng)
 
 
 def _run_checks(backend: str, seed: int, case: Case, view, rng) -> None:
