@@ -1,7 +1,7 @@
 """Parallel sharded execution: speedup vs. shard count for factorized logreg GD.
 
 No direct figure in the paper: this module measures the sharded execution
-backend (``repro.core.shard``) that parallelizes the paper's serial chunked
+backend (``repro.core.partitioned``) that parallelizes the paper's serial chunked
 scalability setup (Section 5.2.4, Tables 9/10).  The workload is the paper's
 scalability workload -- logistic regression with batch gradient descent --
 at laptop benchmark scale, and three execution strategies are compared:
@@ -12,7 +12,7 @@ at laptop benchmark scale, and three execution strategies are compared:
   acceptance criterion names: factorized logistic-regression GD under serial
   chunked execution.
 * ``serial-chunked materialized`` -- the materialized join output streamed
-  through :class:`repro.la.chunked.ChunkedMatrix` (the Table-9 "M" setup),
+  through ``Partitioned.chunked`` (the Table-9 "M" setup),
   reported for context.
 * ``sharded(k) factorized``      -- ``TN.shard(k, pool="thread")`` for
   ``k`` in ``SHARD_COUNTS``: few large shards dispatched through a thread
@@ -35,7 +35,7 @@ import pytest
 from _common import pkfk_dataset
 from repro.bench.harness import SpeedupResult, measure
 from repro.bench.reporting import format_table, print_report
-from repro.la.chunked import ChunkedMatrix
+from repro.core.partitioned import Partitioned
 from repro.ml import LogisticRegressionGD
 
 TUPLE_RATIO = 20
@@ -73,7 +73,7 @@ def timings(workload):
             normalized.shard(n_chunks, pool="serial"), target
         ),
         "serial-chunked materialized": _fit_time(
-            ChunkedMatrix.from_matrix(dataset.materialized, CHUNK_ROWS), target
+            Partitioned.chunked(dataset.materialized, CHUNK_ROWS), target
         ),
     }
     for shards in SHARD_COUNTS:

@@ -2,9 +2,9 @@
 
 The paper's scalability study runs logistic regression on Oracle R Enterprise,
 where every pass over the data is streamed through ``ore.rowapply``.  This
-example uses the library's :class:`~repro.la.ChunkedMatrix` substitute (see
-docs/paper_map.md): the materialized version streams the wide join output one row
-chunk at a time, while the factorized version works on the base-table matrices
+example uses the library's chunked :class:`~repro.core.partitioned.Partitioned`
+substitute (see docs/paper_map.md): the materialized version streams the wide
+join output one row chunk at a time, while the factorized version works on the base-table matrices
 directly, so its runtime barely moves as the feature ratio or the join fan-out
 grows.
 
@@ -26,7 +26,7 @@ from repro.datasets.synthetic import (
     generate_mn,
     generate_pk_fk,
 )
-from repro.la.chunked import ChunkedMatrix
+from repro.core.partitioned import Partitioned
 from repro.ml import LogisticRegressionGD
 
 CHUNK_ROWS = 2_048
@@ -47,7 +47,7 @@ def pk_fk_study(feature_ratios=(0.5, 1, 2, 4)) -> list:
             tuple_ratio=10, feature_ratio=feature_ratio,
             num_attribute_rows=2_000, num_entity_features=20, seed=0)
         dataset = generate_pk_fk(config)
-        chunked = ChunkedMatrix.from_matrix(dataset.materialized, CHUNK_ROWS)
+        chunked = Partitioned.chunked(dataset.materialized, CHUNK_ROWS)
         materialized_seconds = timed_fit(chunked, dataset.target)
         factorized_seconds = timed_fit(dataset.normalized, dataset.target)
         rows.append([f"{feature_ratio:g}", f"{materialized_seconds:.3f}",
@@ -63,7 +63,7 @@ def mn_study(uniqueness_degrees=(0.5, 0.1, 0.02)) -> list:
         config = SyntheticMNConfig(num_rows=num_rows, num_features=30,
                                    domain_size=max(1, int(round(degree * num_rows))), seed=0)
         dataset = generate_mn(config)
-        chunked = ChunkedMatrix.from_matrix(dataset.materialized, CHUNK_ROWS)
+        chunked = Partitioned.chunked(dataset.materialized, CHUNK_ROWS)
         materialized_seconds = timed_fit(chunked, dataset.target)
         factorized_seconds = timed_fit(dataset.normalized, dataset.target)
         rows.append([f"{degree:g}", f"{dataset.output_rows}", f"{materialized_seconds:.3f}",

@@ -30,7 +30,7 @@ from repro.core import (
     Planner,
     WorkloadDescriptor,
     NormalizedBatchIterator,
-    StreamedMatrix,
+    Partitioned,
 )
 from repro.core.decision import morpheus_mn
 from repro.ml import (
@@ -42,10 +42,9 @@ from repro.ml import (
     GNMF,
 )
 from repro.relational import Table, read_csv, read_csv_chunks, stream_normalized_batches
-from repro.la import ChunkedMatrix
 from repro.serve import FactorizedScorer, ModelRegistry, ScoringService
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "obs",
@@ -69,7 +68,7 @@ __all__ = [
     "KMeans",
     "GNMF",
     "NormalizedBatchIterator",
-    "StreamedMatrix",
+    "Partitioned",
     "FactorizedScorer",
     "ModelRegistry",
     "ScoringService",
@@ -77,6 +76,5 @@ __all__ = [
     "read_csv",
     "read_csv_chunks",
     "stream_normalized_batches",
-    "ChunkedMatrix",
     "__version__",
 ]

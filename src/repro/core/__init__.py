@@ -24,10 +24,11 @@ This package implements the paper's primary contribution:
 * :mod:`repro.core.lazy` -- deferred-evaluation expression graphs over
   normalized matrices with cross-iteration memoization of join-invariant
   subexpressions (``NormalizedMatrix.lazy()``, :class:`FactorizedCache`).
-* :mod:`repro.core.shard` -- row-sharded parallel execution
-  (``NormalizedMatrix.shard()``, :class:`ShardedMatrix`,
-  :class:`ShardedNormalizedMatrix`) fanning the Table-1 operators out over
-  the worker pools of :mod:`repro.la.parallel`.
+* :mod:`repro.core.partitioned` -- :class:`Partitioned`, the one
+  row-partitioned operand: chunked (ORE ``ore.rowapply``), sharded
+  (``NormalizedMatrix.shard()``, fanning the Table-1 operators out over the
+  worker pools of :mod:`repro.la.parallel`) and streamed
+  (``NormalizedMatrix.stream()``, one batch resident at a time).
 """
 
 from repro.core.indicator import (
@@ -60,20 +61,18 @@ from repro.core.planner import (
     Planner,
     WorkloadDescriptor,
 )
-from repro.core.shard import ShardedMatrix, ShardedNormalizedMatrix, shard_bounds
-from repro.core.stream import Batch, NormalizedBatchIterator, StreamedMatrix
+from repro.core.partitioned import Partitioned, shard_bounds
+from repro.core.stream import Batch, NormalizedBatchIterator
 
 __all__ = [
     "CalibrationProfile",
     "Plan",
     "Planner",
     "WorkloadDescriptor",
-    "ShardedMatrix",
-    "ShardedNormalizedMatrix",
+    "Partitioned",
     "shard_bounds",
     "Batch",
     "NormalizedBatchIterator",
-    "StreamedMatrix",
     "FactorizedCache",
     "LazyExpr",
     "as_lazy",

@@ -3,7 +3,7 @@
 The evaluator is intentionally thin: every operator node is computed by
 handing the evaluated child operands to the *same* code the eager path uses --
 the operator overloads of ``NormalizedMatrix`` / ``MNNormalizedMatrix`` /
-``ChunkedMatrix``, the generic dispatchers of :mod:`repro.la.generic` and the
+``Partitioned``, the generic dispatchers of :mod:`repro.la.generic` and the
 plain-matrix primitives of :mod:`repro.la.ops`.  The factorized rewrite rules
 of Section 3.3/3.5/3.6 and the closure property therefore apply at graph
 level without being reimplemented, and any backend whose operands implement

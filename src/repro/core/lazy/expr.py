@@ -399,7 +399,7 @@ def as_operand(value):
     if is_matrix_like(value):
         return wrap(value)
     if hasattr(value, "shape") and hasattr(value, "__matmul__"):
-        # Normalized / chunked matrices entering someone else's graph.
+        # Normalized / partitioned matrices entering someone else's graph.
         return LeafExpr(value, invariant=True)
     return NotImplemented
 
@@ -408,8 +408,9 @@ def as_lazy(data, cache=None) -> LazyExpr:
     """Entry point: the lazy view of a data matrix of any supported family.
 
     * Already-lazy expressions pass through.
-    * Normalized matrices delegate to their ``lazy()`` method, which attaches
-      the per-matrix :class:`~repro.core.lazy.cache.FactorizedCache`.
+    * Normalized and partitioned matrices delegate to their ``lazy()``
+      method, which attaches the per-matrix
+      :class:`~repro.core.lazy.cache.FactorizedCache`.
     * Plain dense/sparse matrices become invariant leaves (a data matrix is
       immutable by the same convention as the base matrices) with a fresh
       cache, so the lazy ML paths work on materialized inputs too.
@@ -420,10 +421,6 @@ def as_lazy(data, cache=None) -> LazyExpr:
         return data
     if hasattr(data, "lazy"):
         return data.lazy(cache=cache)
-    if not is_matrix_like(data) and hasattr(data, "shape") and hasattr(data, "__matmul__"):
-        # Logical matrices without a .lazy() method (e.g. ChunkedMatrix) get
-        # the same per-object persistent cache as normalized matrices.
-        return lazy_view(data, cache=cache)
     data = _as_plain_2d(data)
     # NB: an empty FactorizedCache is falsy (it has __len__), so test identity.
     if cache is None:

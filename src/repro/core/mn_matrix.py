@@ -237,9 +237,9 @@ class MNNormalizedMatrix:
     def stream(self, batch_rows: Optional[int] = None,
                memory_budget: Optional[float] = None):
         """Out-of-core streamed view; see :meth:`NormalizedMatrix.stream`."""
-        from repro.core.stream import StreamedMatrix
+        from repro.core.partitioned import Partitioned
 
-        return StreamedMatrix(self, batch_rows=batch_rows, memory_budget=memory_budget)
+        return Partitioned.streamed(self, batch_rows=batch_rows, memory_budget=memory_budget)
 
     # -- sharded parallel execution --------------------------------------------------
 
@@ -249,9 +249,9 @@ class MNNormalizedMatrix:
         Slices every indicator matrix by rows while sharing the component
         matrices; see :meth:`NormalizedMatrix.shard` for the pool options.
         """
-        from repro.core.shard import ShardedNormalizedMatrix
+        from repro.core.partitioned import Partitioned
 
-        return ShardedNormalizedMatrix.from_normalized(self, n_shards, pool=pool)
+        return Partitioned.sharded(self, n_shards, pool=pool)
 
     # -- lazy evaluation -----------------------------------------------------------
 

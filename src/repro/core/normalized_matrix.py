@@ -305,34 +305,36 @@ class NormalizedMatrix:
                                        memory_budget=memory_budget)
 
     def stream(self, batch_rows: Optional[int] = None,
-               memory_budget: Optional[float] = None) -> "StreamedMatrix":
+               memory_budget: Optional[float] = None) -> "Partitioned":
         """Out-of-core streamed view: Table-1 operators run one row batch at a time.
 
-        Returns a :class:`~repro.core.stream.StreamedMatrix` whose operators
-        never hold more than one batch's intermediates resident; pass
+        Returns the streamed preset of
+        :class:`~repro.core.partitioned.Partitioned`, whose operators never
+        hold more than one batch's intermediates resident; pass
         *memory_budget* (bytes) to derive the batch size from the planner's
         memory model.
         """
-        from repro.core.stream import StreamedMatrix
+        from repro.core.partitioned import Partitioned
 
-        return StreamedMatrix(self, batch_rows=batch_rows, memory_budget=memory_budget)
+        return Partitioned.streamed(self, batch_rows=batch_rows, memory_budget=memory_budget)
 
     # -- sharded parallel execution ----------------------------------------------
 
-    def shard(self, n_shards: int, pool=None) -> "ShardedNormalizedMatrix":
+    def shard(self, n_shards: int, pool=None) -> "Partitioned":
         """Row-shard this matrix for parallel factorized execution.
 
-        Returns a :class:`~repro.core.shard.ShardedNormalizedMatrix` whose
-        pieces slice the entity and indicator matrices (the attribute
-        matrices are shared by reference) and whose Table-1 operators fan out
+        Returns the sharded preset of
+        :class:`~repro.core.partitioned.Partitioned`, whose pieces slice the
+        entity and indicator matrices (the attribute matrices are shared by
+        reference) and whose Table-1 operators fan out
         over *pool* -- ``"serial"``, ``"thread"`` (default), ``"process"``, a
         worker count, a :class:`~repro.la.parallel.WorkerPool`, or any
         ``concurrent.futures`` executor.  The shard count is clamped to the
         row count; ``n_shards=1`` executes bit-for-bit like this matrix.
         """
-        from repro.core.shard import ShardedNormalizedMatrix
+        from repro.core.partitioned import Partitioned
 
-        return ShardedNormalizedMatrix.from_normalized(self, n_shards, pool=pool)
+        return Partitioned.sharded(self, n_shards, pool=pool)
 
     # -- lazy evaluation ---------------------------------------------------------
 

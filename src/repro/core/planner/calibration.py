@@ -188,11 +188,11 @@ def probe(repeats: int = 3) -> CalibrationProfile:
 
     # Per-shard fan-out overhead: serial sharded LMM minus the plain LMM,
     # divided by the shard count.
-    from repro.core.shard import ShardedMatrix
+    from repro.core.partitioned import Partitioned
 
     small = rng.standard_normal((64, 8))
     vec = rng.standard_normal((8, 1))
-    sharded = ShardedMatrix.from_matrix(small, 4, pool="serial")
+    sharded = Partitioned.sharded(small, 4, pool="serial")
     sharded @ vec
     t_sharded = _best_seconds(lambda: sharded @ vec, repeats)
     t_plain = _best_seconds(lambda: small @ vec, repeats)
@@ -227,7 +227,7 @@ def probe(repeats: int = 3) -> CalibrationProfile:
     # Marginal efficiency of extra thread workers: 2-shard thread LMM vs
     # serial.  The serial operand is concatenated outside the timed lambda so
     # the baseline times only the matmul, not a data copy.
-    pooled = ShardedMatrix.from_matrix(rng.standard_normal((8192, 32)), 2, pool="thread")
+    pooled = Partitioned.sharded(rng.standard_normal((8192, 32)), 2, pool="thread")
     unsharded = pooled.to_dense()
     wide = rng.standard_normal((32, 16))
     pooled @ wide

@@ -75,23 +75,20 @@ def _logical_dims(data) -> Tuple[int, int]:
 def materialized_nbytes(data) -> int:
     """Bytes of the dense join output a materialized plan keeps resident.
 
-    For operands that *are* already materialized (plain, chunked, plain
-    sharded) this is their actual storage size; for normalized operands it is
-    the dense ``n_S x d`` the join would produce.
+    For operands that *are* already materialized (plain, or partitioned into
+    plain pieces) this is their actual storage size; for normalized operands
+    it is the dense ``n_S x d`` the join would produce.
     """
     from repro.core.mn_matrix import MNNormalizedMatrix
     from repro.core.normalized_matrix import NormalizedMatrix
+    from repro.core.partitioned import Partitioned
 
-    if isinstance(data, (NormalizedMatrix, MNNormalizedMatrix)):
+    if isinstance(data, (NormalizedMatrix, MNNormalizedMatrix)) or (
+            isinstance(data, Partitioned) and data.factorized):
         rows, cols = _logical_dims(data)
         return rows * cols * DENSE_ELEMENT_BYTES
-    pieces = getattr(data, "pieces", None)
-    if pieces is not None:  # ShardedNormalizedMatrix
-        rows, cols = _logical_dims(data)
-        return rows * cols * DENSE_ELEMENT_BYTES
-    chunks = getattr(data, "chunks", None) or getattr(data, "shards", None)
-    if chunks is not None:
-        return sum(matrix_nbytes(c) for c in chunks)
+    if isinstance(data, Partitioned):
+        return sum(matrix_nbytes(p) for p in data.parts)
     return matrix_nbytes(data)
 
 
@@ -99,6 +96,7 @@ def factorized_nbytes(data) -> int:
     """Bytes the factorized representation keeps resident (bases + indicators)."""
     from repro.core.mn_matrix import MNNormalizedMatrix
     from repro.core.normalized_matrix import NormalizedMatrix
+    from repro.core.partitioned import Partitioned
 
     if isinstance(data, NormalizedMatrix):
         total = matrix_nbytes(data.entity)
@@ -109,11 +107,10 @@ def factorized_nbytes(data) -> int:
         total = sum(matrix_nbytes(i) for i in data.indicators)
         total += sum(matrix_nbytes(r) for r in data.attributes)
         return total
-    pieces = getattr(data, "pieces", None)
-    if pieces is not None:  # ShardedNormalizedMatrix: attributes are shared
-        total = sum(factorized_nbytes(p) for p in pieces)
-        shared = sum(matrix_nbytes(r) for r in pieces[0].attributes)
-        return total - shared * (len(pieces) - 1)
+    if isinstance(data, Partitioned) and data.factorized:  # the attributes are shared
+        total = sum(factorized_nbytes(p) for p in data.parts)
+        shared = sum(matrix_nbytes(r) for r in data.parts[0].attributes)
+        return total - shared * (len(data.parts) - 1)
     return materialized_nbytes(data)
 
 
@@ -129,14 +126,14 @@ def entity_stream_nbytes(data) -> int:
     """
     from repro.core.mn_matrix import MNNormalizedMatrix
     from repro.core.normalized_matrix import NormalizedMatrix
+    from repro.core.partitioned import Partitioned
 
     if isinstance(data, NormalizedMatrix):
         return matrix_nbytes(data.entity) + sum(matrix_nbytes(k) for k in data.indicators)
     if isinstance(data, MNNormalizedMatrix):
         return sum(matrix_nbytes(i) for i in data.indicators)
-    pieces = getattr(data, "pieces", None)
-    if pieces is not None:  # ShardedNormalizedMatrix
-        return sum(entity_stream_nbytes(p) for p in pieces)
+    if isinstance(data, Partitioned) and data.factorized:
+        return sum(entity_stream_nbytes(p) for p in data.parts)
     return materialized_nbytes(data)
 
 

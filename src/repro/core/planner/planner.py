@@ -119,66 +119,39 @@ def describe_data(data) -> _DataProfile:
         # evaluated (a data-sized computation; the ML auto path evaluates
         # before planning for exactly this reason and reuses the result).
         data = data.evaluate()
-    from repro.core.shard import (
-        ShardedMatrix,
-        ShardedNormalizedMatrix,
-        TransposedShardedView,
-    )
-    from repro.la.chunked import ChunkedMatrix, TransposedChunkedView
+    from repro.core.partitioned import Partitioned
 
-    if isinstance(data, (TransposedChunkedView, TransposedShardedView)):
-        data = data._parent
     mem = dict(
         materialized_bytes=memory_model.materialized_nbytes(data),
         factorized_bytes=memory_model.factorized_nbytes(data),
         stream_bytes=memory_model.entity_stream_nbytes(data),
     )
-    if isinstance(data, ShardedMatrix):
-        # A plain matrix stored row-sharded: materialized layout and shard
-        # fan-out are fixed; only the engine is free, priced at the operand's
-        # own partition count (and pool parallelism).
-        n_rows, n_cols = int(data.shape[0]), int(data.shape[1])
-        pool_name = getattr(getattr(data.executor, "pool", None), "name", "serial")
+    if isinstance(data, Partitioned):
+        # A row-partitioned operand: the layout and the partition fan-out are
+        # fixed by the operand, only the engine is free -- priced at its own
+        # partition count (and pool parallelism).  Factorized pieces share
+        # the attribute matrices, so one piece (or the streamed source)
+        # carries the per-join dimensions and the costs stay factorized.
+        sample = data.parts[0]
+        n_rows, n_cols = data.logical_rows, data.logical_cols
+        parallel = data.executor.pool.name != "serial"
+        if data.factorized:
+            attribute_dims = [(r.shape[0], r.shape[1]) for r in sample.attributes]
+            is_star = isinstance(sample, NormalizedMatrix)
+            bases = list(sample.attributes)
+            if is_star and sample.entity is not None:
+                bases.append(sample.entity)
+            kind = "sharded-normalized"
+            model = CostModel(n_rows, sample.entity_width if is_star else 0, attribute_dims)
+        else:
+            attribute_dims, bases = [], data.parts
+            kind = "sharded" if parallel else "chunked"
+            model = CostModel(n_rows, n_cols, [])
         return _DataProfile(
-            kind="sharded", model=CostModel(n_rows, n_cols, []),
-            sparse=any(is_sparse(s) for s in data.shards),
-            n_rows=n_rows, n_cols=n_cols, num_joins=0,
-            can_factorize=False, partitions=data.num_shards,
-            parallel_partitions=pool_name != "serial", **mem,
-        )
-    if isinstance(data, ChunkedMatrix):
-        # Chunked operands hold the already-materialized matrix row-partitioned:
-        # the layout and the chunk fan-out are fixed, only the engine is free,
-        # and every primitive call is multiplied by the chunk count.
-        n_rows, n_cols = int(data.shape[0]), int(data.shape[1])
-        return _DataProfile(
-            kind="chunked", model=CostModel(n_rows, n_cols, []),
-            sparse=any(is_sparse(c) for c in data.chunks),
-            n_rows=n_rows, n_cols=n_cols, num_joins=0,
-            can_factorize=False, partitions=data.num_chunks, **mem,
-        )
-    if isinstance(data, ShardedNormalizedMatrix):
-        # Pre-sharded factorized operand: the layout and shard count are
-        # fixed by the user, only the engine remains to be chosen -- but the
-        # operator costs must still be the *factorized* ones.  The pieces
-        # share the attribute matrices, so the first piece carries the
-        # per-join dimensions; entity rows are summed across shards.
-        piece = data.pieces[0]
-        d_s = piece.entity_width if isinstance(piece, NormalizedMatrix) else 0
-        attribute_dims = [(r.shape[0], r.shape[1]) for r in piece.attributes]
-        n_rows = data.logical_rows
-        bases = list(piece.attributes)
-        if isinstance(piece, NormalizedMatrix) and piece.entity is not None:
-            bases.append(piece.entity)
-        pool_name = getattr(getattr(data.executor, "pool", None), "name", "serial")
-        return _DataProfile(
-            kind="sharded-normalized",
-            model=CostModel(n_rows, d_s, attribute_dims),
-            sparse=any(is_sparse(b) for b in bases),
-            n_rows=n_rows, n_cols=piece.shape[1],
-            num_joins=len(attribute_dims), can_factorize=False,
-            fixed_factorized=True, partitions=data.num_shards,
-            parallel_partitions=pool_name != "serial", **mem,
+            kind=kind, model=model, sparse=any(is_sparse(b) for b in bases),
+            n_rows=n_rows, n_cols=n_cols, num_joins=len(attribute_dims),
+            can_factorize=False, fixed_factorized=data.factorized,
+            partitions=data.num_pieces, parallel_partitions=parallel, **mem,
         )
     if isinstance(data, NormalizedMatrix):
         plain = data.T if data.transposed else data
@@ -204,7 +177,7 @@ def describe_data(data) -> _DataProfile:
             num_joins=plain.num_components, can_factorize=True,
             redundancy_ratio=plain.redundancy_ratio(), **mem,
         )
-    # Plain dense/sparse/chunked/sharded operands: the layout is fixed, only
+    # Plain dense/sparse operands: the layout is fixed, only
     # the engine and the shard count remain to be chosen.
     n_rows, n_cols = int(data.shape[0]), int(data.shape[1])
     return _DataProfile(

@@ -3,9 +3,11 @@
 Factorization makes mini-batching nearly free: a row batch of the logical
 join output ``T`` is just a ``take_rows`` slice of the entity matrix and the
 indicator matrices, while the attribute tables ``R_k`` are shared untouched
-across every batch (and across epochs).  This module provides the two pieces
+across every batch (and across epochs).  This module provides the pieces
 the streaming execution layer is built on:
 
+* :func:`take_rows` / :func:`slice_rows` -- row selection across operand
+  families, the one place batches are cut.
 * :class:`NormalizedBatchIterator` -- yields factorized row batches of a data
   matrix (plus aligned target slices) with a configurable ``batch_size``,
   seeded shuffling, and a ``memory_budget`` mode that derives the batch size
@@ -13,44 +15,27 @@ the streaming execution layer is built on:
   (:func:`repro.core.planner.memory.batch_rows_for_budget`).  The ML
   estimators' ``solver="sgd"`` / ``partial_fit`` paths consume it, as does
   the chunk-wise CSV ingestion in :mod:`repro.relational.csv_io`.
-* :class:`StreamedMatrix` -- an out-of-core execution backend for the Table-1
-  operator surface: every operator visits the source one row batch at a time
-  and reduces the partials (concatenate for row-shaped results, sum for
-  column/Gram-shaped ones), so no operator ever materializes an intermediate
-  larger than one batch.  Scalar operators stay closed -- they transform the
-  *source* (a normalized source stays normalized), so chained expressions
-  like ``(2 * T) @ w`` still stream factorized batches.
 
-Both accept any operand with a ``take_rows`` row-selection method
-(:class:`~repro.core.normalized_matrix.NormalizedMatrix`,
-:class:`~repro.core.mn_matrix.MNNormalizedMatrix`) as well as plain
-dense/sparse matrices (sliced directly), so factorized and materialized
-streaming runs share one code path -- which is what the equivalence tests and
-the streaming benchmark compare.
+All three accept the normalized matrices (anything with ``take_rows``) as
+well as plain dense/sparse matrices (sliced directly), so factorized and
+materialized streaming share one code path -- which is what the equivalence
+tests and the streaming benchmark compare.  Out-of-core execution of the
+Table-1 operator surface is the ``streamed`` preset of
+:class:`repro.core.partitioned.Partitioned` (``TN.stream()``), which cuts
+one batch at a time through :func:`slice_rows`.
 """
 
 from __future__ import annotations
 
-import operator
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Union
+from typing import Iterator, Optional
 
 import numpy as np
 
 from repro import obs
 from repro.exceptions import NotSupportedError, ShapeError
-from repro.la import generic
-from repro.la import ops as la_ops
-from repro.la.types import (
-    MatrixLike,
-    ensure_2d,
-    is_matrix_like,
-    normalize_row_indices,
-    to_dense,
-)
-
-Scalar = Union[int, float, np.floating, np.integer]
+from repro.la.types import ensure_2d, is_matrix_like, normalize_row_indices
 
 _STREAM_EPOCHS = obs.REGISTRY.counter(
     "repro_stream_epochs_total", "Full passes started over a streamed source"
@@ -67,21 +52,6 @@ _STREAM_EPOCH_SECONDS = obs.REGISTRY.histogram(
 _STREAM_ROWS_PER_SEC = obs.REGISTRY.gauge(
     "repro_stream_rows_per_second", "Throughput of the most recent epoch pass"
 )
-
-_PY_OPS = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": operator.truediv,
-    "**": operator.pow,
-}
-
-_EW_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
-
-
-def _is_scalar(value: object) -> bool:
-    return isinstance(value, (int, float, np.floating, np.integer)) and not isinstance(value, bool)
-
 
 def take_rows(data, indices) -> object:
     """Row selection across operand families.
@@ -107,14 +77,29 @@ def slice_rows(data, start: int, stop: int) -> object:
     gather -- the difference is most of the per-batch overhead of an
     unshuffled epoch.
     """
-    if hasattr(data, "take_rows"):
-        from repro.core.shard import _slice_piece
+    try:
+        return _slice_piece(data, start, stop)
+    except TypeError:  # a row-selectable family _slice_piece does not know
+        return data.take_rows(np.arange(start, stop))
 
-        try:
-            return _slice_piece(data, start, stop)
-        except TypeError:  # an operand family _slice_piece does not know
-            return data.take_rows(np.arange(start, stop))
-    return ensure_2d(data)[start:stop, :]
+
+def _slice_piece(data, start: int, stop: int):
+    """Row slice ``[start, stop)`` of an untransposed normalized or plain matrix."""
+    from repro.core.mn_matrix import MNNormalizedMatrix
+    from repro.core.normalized_matrix import NormalizedMatrix
+
+    if isinstance(data, NormalizedMatrix):
+        entity = data.entity[start:stop, :] if data.entity is not None else None
+        indicators = [k[start:stop, :] for k in data.indicators]
+        return NormalizedMatrix(entity, indicators, data.attributes, transposed=False,
+                                validate=False, crossprod_method=data.crossprod_method)
+    if isinstance(data, MNNormalizedMatrix):
+        indicators = [i[start:stop, :] for i in data.indicators]
+        return MNNormalizedMatrix(indicators, data.attributes, transposed=False,
+                                  validate=False, crossprod_method=data.crossprod_method)
+    if is_matrix_like(data):
+        return ensure_2d(data)[start:stop, :]
+    raise TypeError(f"cannot slice rows of {type(data).__name__}")
 
 
 @dataclass
@@ -242,397 +227,3 @@ class NormalizedBatchIterator:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"NormalizedBatchIterator(rows={self.n_rows}, batch_size={self.batch_size}, "
                 f"batches={self.num_batches}, shuffle={self.shuffle})")
-
-
-def _batch_op(batch, fn_name: str, generic_fn: Callable):
-    """Call a named operator on a batch, falling back to the generic LA surface."""
-    method = getattr(batch, fn_name, None)
-    if method is not None:
-        return method()
-    return generic_fn(batch)
-
-
-class StreamedMatrix:
-    """Out-of-core streamed execution of the Table-1 operator surface.
-
-    Wraps a row-selectable source (normalized or plain) and executes every
-    operator one row batch at a time through a
-    :class:`NormalizedBatchIterator`, reducing the partials exactly like the
-    sharded backend does -- concatenate row-shaped results, sum column- and
-    Gram-shaped ones -- except that only one batch is resident at a time:
-
-    ==================  =========================================
-    operator            reduction over per-batch partials
-    ==================  =========================================
-    ``T @ X`` (LMM)     concatenate rows (dense)
-    ``X @ T`` (RMM)     sum of ``X[:, rows] @ T_b``
-    ``T^T @ Y``         sum of ``T_b^T @ Y_b``
-    ``crossprod(T)``    sum of ``crossprod(T_b)``
-    ``rowSums``         concatenate; ``colSums``/``sum``: sum
-    scalar ops, ``f(T)``  recorded as pending per-batch transforms
-    ==================  =========================================
-
-    Scalar operators and ``apply`` are *deferred*: they record an
-    element-wise transform on the wrapper (no data is touched), and every
-    later operator applies the composed transform to one densified batch at
-    a time -- so even ``(2 * T).exp() @ w`` never holds more than one
-    transformed batch resident, and sparse plain sources work (scipy rejects
-    ``sparse + scalar``; a densified batch does not).
-
-    Transposition flips a flag; the transposed operators route through the
-    Appendix A identities so the batches themselves stay untransposed.  The
-    non-factorizable element-wise matrix ops (Section 3.3.7) densify one
-    batch at a time and return a plain matrix, mirroring the eager classes.
-    """
-
-    __array_ufunc__ = None
-    # Above plain matrices and the normalized classes (1000) so that mixed
-    # expressions resolve to the streamed overloads.
-    __array_priority__ = 1300
-
-    def __init__(self, source, batch_rows: Optional[int] = None,
-                 memory_budget: Optional[float] = None, transposed: bool = False,
-                 transform: Optional[Callable[[np.ndarray], np.ndarray]] = None):
-        if getattr(source, "transposed", False):
-            raise NotSupportedError(
-                "StreamedMatrix wraps an untransposed source; use the wrapper's T"
-            )
-        probe = NormalizedBatchIterator(source, batch_size=batch_rows,
-                                        memory_budget=memory_budget)
-        self.source = source
-        self.batch_rows = probe.batch_size
-        self.transposed = bool(transposed)
-        #: composed pending element-wise transform, applied per batch.
-        self._transform = transform
-
-    # -- construction helpers -------------------------------------------------
-
-    def _iterator(self) -> NormalizedBatchIterator:
-        return NormalizedBatchIterator(self.source, batch_size=self.batch_rows)
-
-    def _clone(self, transposed: Optional[bool] = None,
-               transform: Optional[Callable] = None) -> "StreamedMatrix":
-        return StreamedMatrix(
-            self.source, batch_rows=self.batch_rows,
-            transposed=self.transposed if transposed is None else transposed,
-            transform=self._transform if transform is None else transform,
-        )
-
-    def apply_delta(self, table_index: int, delta, policy=None) -> "StreamedMatrix":
-        """Streamed view over the post-delta source (see the source's method).
-
-        Only meaningful for normalized sources; the delta is applied to the
-        wrapped matrix and the streaming parameters (batch size, transpose
-        flag, pending transform) carry over unchanged.
-        """
-        if not hasattr(self.source, "apply_delta"):
-            raise NotSupportedError(
-                f"cannot delta-patch a streamed {type(self.source).__name__}: "
-                "the source has no apply_delta surface"
-            )
-        patched = self.source.apply_delta(table_index, delta, policy=policy)
-        return StreamedMatrix(
-            patched, batch_rows=self.batch_rows, transposed=self.transposed,
-            transform=self._transform,
-        )
-
-    def _batch_operand(self, data):
-        """One batch's operand with the pending transform applied (if any).
-
-        Without a pending transform the batch stays in its native form -- a
-        factorized slice for normalized sources -- so operators run through
-        the factorized rewrites.  With one, the batch is densified and the
-        composed transform applied; only this one batch-sized array is ever
-        resident.
-        """
-        if self._transform is None:
-            return data
-        dense = to_dense(data.materialize() if hasattr(data, "materialize") else data)
-        return self._transform(dense)
-
-    # -- shape and metadata ---------------------------------------------------
-
-    @property
-    def logical_rows(self) -> int:
-        return int(self.source.shape[0])
-
-    @property
-    def logical_cols(self) -> int:
-        return int(self.source.shape[1])
-
-    @property
-    def num_batches(self) -> int:
-        return self._iterator().num_batches
-
-    @property
-    def shape(self) -> tuple:
-        if self.transposed:
-            return (self.logical_cols, self.logical_rows)
-        return (self.logical_rows, self.logical_cols)
-
-    @property
-    def ndim(self) -> int:
-        return 2
-
-    @property
-    def T(self) -> "StreamedMatrix":
-        return self._clone(transposed=not self.transposed)
-
-    def transpose(self) -> "StreamedMatrix":
-        return self.T
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"StreamedMatrix(shape={self.shape}, batch_rows={self.batch_rows}, "
-                f"batches={self.num_batches}, transposed={self.transposed})")
-
-    # -- materialization ------------------------------------------------------
-
-    def materialize(self) -> np.ndarray:
-        parts = []
-        for batch in self._iterator():
-            operand = self._batch_operand(batch.data)
-            parts.append(to_dense(operand.materialize()
-                                  if hasattr(operand, "materialize") else operand))
-        matrix = np.vstack(parts) if parts else np.zeros(
-            (0, self.logical_cols))
-        return matrix.T if self.transposed else matrix
-
-    def to_dense(self) -> np.ndarray:
-        return to_dense(self.materialize())
-
-    # -- element-wise scalar operators ----------------------------------------
-
-    def _with_elementwise(self, fn: Callable[[np.ndarray], np.ndarray]
-                          ) -> "StreamedMatrix":
-        """Record *fn* as a pending per-batch transform (no data touched now)."""
-        prev = self._transform
-        composed = fn if prev is None else (lambda a: fn(prev(a)))
-        clone = self._clone()
-        clone._transform = composed
-        return clone
-
-    def _scalar_result(self, op: str, scalar: Scalar, reverse: bool) -> "StreamedMatrix":
-        fn = _PY_OPS[op]
-        scalar = float(scalar)
-        if reverse:
-            return self._with_elementwise(lambda a: fn(scalar, a))
-        return self._with_elementwise(lambda a: fn(a, scalar))
-
-    def apply(self, fn: Callable[[np.ndarray], np.ndarray]) -> "StreamedMatrix":
-        """Element-wise scalar function ``f(T)``, deferred to per-batch application."""
-        return self._with_elementwise(fn)
-
-    def exp(self) -> "StreamedMatrix":
-        return self.apply(np.exp)
-
-    def log(self) -> "StreamedMatrix":
-        return self.apply(np.log)
-
-    def sqrt(self) -> "StreamedMatrix":
-        return self.apply(np.sqrt)
-
-    def _elementwise_matrix_op(self, other: MatrixLike, op: str, reverse: bool) -> np.ndarray:
-        """Non-factorizable element-wise matrix arithmetic, one batch at a time."""
-        other = ensure_2d(other)
-        if tuple(other.shape) != self.shape:
-            raise ShapeError(
-                f"element-wise op: shape mismatch {self.shape} vs {tuple(other.shape)}"
-            )
-        if self.transposed:
-            plain = self._clone(transposed=False)
-            return plain._elementwise_matrix_op(to_dense(other).T, op, reverse).T
-        fn = _EW_UFUNCS[op]
-        parts = []
-        for batch in self._iterator():
-            operand = self._batch_operand(batch.data)
-            dense = to_dense(operand.materialize()
-                             if hasattr(operand, "materialize") else operand)
-            other_slice = to_dense(other[batch.indices, :])
-            parts.append(fn(other_slice, dense) if reverse else fn(dense, other_slice))
-        return np.vstack(parts) if parts else np.zeros(self.shape)
-
-    def _binary(self, op: str, other, reverse: bool):
-        if _is_scalar(other):
-            return self._scalar_result(op, other, reverse=reverse)
-        if is_matrix_like(other):
-            return self._elementwise_matrix_op(other, op, reverse=reverse)
-        return NotImplemented
-
-    def __mul__(self, other):
-        return self._binary("*", other, reverse=False)
-
-    def __rmul__(self, other):
-        return self._binary("*", other, reverse=True)
-
-    def __add__(self, other):
-        return self._binary("+", other, reverse=False)
-
-    def __radd__(self, other):
-        return self._binary("+", other, reverse=True)
-
-    def __sub__(self, other):
-        return self._binary("-", other, reverse=False)
-
-    def __rsub__(self, other):
-        return self._binary("-", other, reverse=True)
-
-    def __truediv__(self, other):
-        return self._binary("/", other, reverse=False)
-
-    def __rtruediv__(self, other):
-        return self._binary("/", other, reverse=True)
-
-    def __pow__(self, exponent):
-        if _is_scalar(exponent):
-            return self._scalar_result("**", exponent, reverse=False)
-        return NotImplemented
-
-    def __neg__(self):
-        return self._scalar_result("*", -1.0, reverse=False)
-
-    # -- aggregations ----------------------------------------------------------
-
-    def _rowsums_plain(self) -> np.ndarray:
-        parts = [to_dense(_batch_op(self._batch_operand(b.data), "rowsums",
-                                    generic.rowsums))
-                 for b in self._iterator()]
-        return np.vstack(parts) if parts else np.zeros((0, 1))
-
-    def _colsums_plain(self) -> np.ndarray:
-        total = np.zeros((1, self.logical_cols))
-        for batch in self._iterator():
-            total = total + to_dense(_batch_op(self._batch_operand(batch.data),
-                                               "colsums", generic.colsums))
-        return total
-
-    def rowsums(self) -> np.ndarray:
-        if self.transposed:
-            return self._colsums_plain().T
-        return self._rowsums_plain()
-
-    def colsums(self) -> np.ndarray:
-        if self.transposed:
-            return self._rowsums_plain().T
-        return self._colsums_plain()
-
-    def total_sum(self) -> float:
-        return float(sum(float(_batch_op(self._batch_operand(b.data), "total_sum",
-                                         generic.total_sum))
-                         for b in self._iterator()))
-
-    def sum(self, axis: Optional[int] = None):
-        if axis is None:
-            return self.total_sum()
-        if axis == 0:
-            return self.colsums()
-        if axis == 1:
-            return self.rowsums()
-        raise ValueError("axis must be None, 0 or 1")
-
-    # -- multiplication ---------------------------------------------------------
-
-    def __matmul__(self, other):
-        if isinstance(other, StreamedMatrix):
-            other = other.materialize()
-        if not is_matrix_like(other):
-            return NotImplemented
-        other = ensure_2d(other)
-        if self.transposed:
-            # T^T Y = sum_b T_b^T Y_b (Y row-aligned with the batches).
-            if other.shape[0] != self.logical_rows:
-                raise ShapeError(
-                    f"matmul: inner dimensions do not agree {self.shape} @ {tuple(other.shape)}"
-                )
-            total = np.zeros((self.logical_cols, other.shape[1]))
-            for batch in self._iterator():
-                operand = self._batch_operand(batch.data)
-                total = total + to_dense(operand.T @ other[batch.indices, :])
-            return total
-        if other.shape[0] != self.logical_cols:
-            raise ShapeError(
-                f"matmul: inner dimensions do not agree {self.shape} @ {tuple(other.shape)}"
-            )
-        parts = [to_dense(self._batch_operand(b.data) @ other)
-                 for b in self._iterator()]
-        return np.vstack(parts) if parts else np.zeros((0, other.shape[1]))
-
-    def __rmatmul__(self, other):
-        if not is_matrix_like(other):
-            return NotImplemented
-        other = ensure_2d(other)
-        if self.transposed:
-            # X T^T = (T X^T)^T: a streamed LMM whose parts concatenate.
-            if other.shape[1] != self.logical_cols:
-                raise ShapeError(
-                    f"matmul: inner dimensions do not agree {tuple(other.shape)} @ {self.shape}"
-                )
-            other_t = to_dense(other).T
-            parts = [to_dense(self._batch_operand(b.data) @ other_t)
-                     for b in self._iterator()]
-            stacked = np.vstack(parts) if parts else np.zeros((0, other.shape[0]))
-            return stacked.T
-        if other.shape[1] != self.logical_rows:
-            raise ShapeError(
-                f"matmul: inner dimensions do not agree {tuple(other.shape)} @ {self.shape}"
-            )
-        other = to_dense(other)
-        total = np.zeros((other.shape[0], self.logical_cols))
-        for batch in self._iterator():
-            total = total + to_dense(other[:, batch.indices]
-                                     @ self._batch_operand(batch.data))
-        return total
-
-    def dot(self, other):
-        return self.__matmul__(other)
-
-    # -- cross-product and solve -------------------------------------------------
-
-    def crossprod(self, method: Optional[str] = None) -> np.ndarray:
-        """``crossprod(T) = T^T T`` as a sum of per-batch Gram matrices.
-
-        With the transpose flag set the result is the row-Gram ``T T^T`` --
-        inherently ``n x n``, so it is assembled from streamed LMM columns
-        rather than batch Grams (still never materializing ``T`` itself).
-        """
-        if self.transposed:
-            plain = self._clone(transposed=False)
-            blocks: List[np.ndarray] = []
-            for batch in self._iterator():
-                operand = self._batch_operand(batch.data)
-                right = to_dense(operand.materialize()
-                                 if hasattr(operand, "materialize") else operand)
-                blocks.append(to_dense(plain @ right.T))
-            return np.hstack(blocks) if blocks else np.zeros((0, 0))
-        total = np.zeros((self.logical_cols, self.logical_cols))
-        for batch in self._iterator():
-            operand = self._batch_operand(batch.data)
-            if hasattr(operand, "crossprod"):
-                part = operand.crossprod(method) if method else operand.crossprod()
-            else:
-                part = la_ops.crossprod(operand)
-            total = total + to_dense(part)
-        return total
-
-    def gram(self) -> np.ndarray:
-        return self.crossprod()
-
-    def solve(self, rhs: MatrixLike, ridge: float = 0.0) -> np.ndarray:
-        """Least-squares solve via the streamed, factorized normal equations."""
-        rhs = ensure_2d(rhs)
-        if rhs.shape[0] != self.shape[0]:
-            raise ShapeError(
-                f"solve: right-hand side has {rhs.shape[0]} rows but the matrix has {self.shape[0]}"
-            )
-        gram = self.crossprod()
-        projected = to_dense(self.T @ rhs)
-        return la_ops.solve_regularized(gram, projected, ridge=ridge)
-
-    # -- equality helpers ---------------------------------------------------------
-
-    def equals_materialized(self, other: MatrixLike, rtol: float = 1e-9, atol: float = 1e-9
-                            ) -> bool:
-        mine = self.to_dense()
-        theirs = to_dense(ensure_2d(other))
-        if mine.shape != theirs.shape:
-            return False
-        return bool(np.allclose(mine, theirs, rtol=rtol, atol=atol))

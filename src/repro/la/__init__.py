@@ -10,11 +10,12 @@ It provides:
   expressed exclusively in terms of these primitives, which is what gives the
   framework *closure*: a rewritten operator is just another LA expression.
 * :mod:`repro.la.backend` -- a small backend abstraction
-  (:class:`DenseBackend`, :class:`SparseBackend`, :class:`ChunkedBackend`)
-  mirroring the paper's claim that Morpheus can sit on top of any LA system.
-* :mod:`repro.la.chunked` -- :class:`ChunkedMatrix`, a row-partitioned matrix
-  that emulates Oracle R Enterprise's ``ore.rowapply`` execution model and is
-  used for the scalability experiments (Tables 9 and 10).
+  (:class:`DenseBackend`, :class:`SparseBackend`, :class:`ChunkedBackend`,
+  :class:`ShardedBackend`) mirroring the paper's claim that Morpheus can sit
+  on top of any LA system.
+* :mod:`repro.la.parallel` -- the worker pools and the fan-out executor the
+  row-partitioned operand (:mod:`repro.core.partitioned`) maps its pieces
+  through.
 """
 
 from repro.la.types import (
@@ -53,7 +54,6 @@ from repro.la.backend import (
     ShardedBackend,
     get_backend,
 )
-from repro.la.chunked import ChunkedMatrix, row_apply
 from repro.la.parallel import (
     ExecutorPool,
     ParallelExecutor,
@@ -95,8 +95,6 @@ __all__ = [
     "ChunkedBackend",
     "ShardedBackend",
     "get_backend",
-    "ChunkedMatrix",
-    "row_apply",
     "WorkerPool",
     "SerialPool",
     "ThreadPool",

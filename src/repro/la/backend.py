@@ -11,8 +11,11 @@ small :class:`Backend` interface with three implementations:
 * :class:`SparseBackend` -- SciPy CSR matrices (the analogue of R's ``Matrix``
   package used for the real sparse datasets).
 * :class:`ChunkedBackend` -- the out-of-core, row-partitioned execution model
-  of Oracle R Enterprise's ``ore.rowapply`` (see :mod:`repro.la.chunked`),
-  used by the Table 9 / Table 10 scalability experiments.
+  of Oracle R Enterprise's ``ore.rowapply`` (the chunked preset of
+  :class:`repro.core.partitioned.Partitioned`), used by the Table 9 /
+  Table 10 scalability experiments.
+* :class:`ShardedBackend` -- the same row partitioning mapped over a worker
+  pool (the sharded preset).
 
 The ML algorithms and rewrite rules never import a backend directly; they only
 use the primitives from :mod:`repro.la.ops`, which operate on whatever operand
@@ -130,14 +133,14 @@ class ChunkedBackend(Backend):
         return max(1, -(-int(n_rows) // self.chunk_rows))
 
     def from_dense(self, array: np.ndarray):
-        from repro.la.chunked import ChunkedMatrix
+        from repro.core.partitioned import Partitioned
 
-        return ChunkedMatrix.from_matrix(np.asarray(array, dtype=np.float64), self.chunk_rows)
+        return Partitioned.chunked(np.asarray(array, dtype=np.float64), self.chunk_rows)
 
     def from_sparse(self, matrix: sp.spmatrix):
-        from repro.la.chunked import ChunkedMatrix
+        from repro.core.partitioned import Partitioned
 
-        return ChunkedMatrix.from_matrix(to_sparse(matrix, "csr").astype(np.float64), self.chunk_rows)
+        return Partitioned.chunked(to_sparse(matrix, "csr").astype(np.float64), self.chunk_rows)
 
     def describe(self) -> str:
         return f"chunked backend (chunk_rows={self.chunk_rows})"
@@ -147,8 +150,8 @@ class ShardedBackend(Backend):
     """Store matrices row-sharded with a worker pool (parallel execution).
 
     The parallel counterpart of :class:`ChunkedBackend`: matrices become
-    :class:`~repro.core.shard.ShardedMatrix` instances whose Table-1
-    operators fan out over the configured pool (see
+    sharded :class:`~repro.core.partitioned.Partitioned` operands whose
+    Table-1 operators fan out over the configured pool (see
     :mod:`repro.la.parallel`).
 
     Parameters
@@ -175,16 +178,16 @@ class ShardedBackend(Backend):
         return min(self.n_shards, max(1, int(n_rows)))
 
     def from_dense(self, array: np.ndarray):
-        from repro.core.shard import ShardedMatrix
+        from repro.core.partitioned import Partitioned
 
-        return ShardedMatrix.from_matrix(
+        return Partitioned.sharded(
             np.asarray(array, dtype=np.float64), self.n_shards, pool=self.pool
         )
 
     def from_sparse(self, matrix: sp.spmatrix):
-        from repro.core.shard import ShardedMatrix
+        from repro.core.partitioned import Partitioned
 
-        return ShardedMatrix.from_matrix(
+        return Partitioned.sharded(
             to_sparse(matrix, "csr").astype(np.float64), self.n_shards, pool=self.pool
         )
 

@@ -7,8 +7,8 @@ and therefore run unchanged over:
 * :class:`~repro.core.normalized_matrix.NormalizedMatrix` and
   :class:`~repro.core.mn_matrix.MNNormalizedMatrix` (dispatches to the
   object's factorized methods), and
-* :class:`~repro.la.chunked.ChunkedMatrix` (dispatches to chunk-at-a-time
-  methods).
+* :class:`~repro.core.partitioned.Partitioned` (dispatches to its
+  piece-at-a-time methods).
 
 This is the concrete realization of the paper's automation claim: the ML
 script is the *same* LA script in both the standard and factorized versions;
@@ -61,11 +61,9 @@ def ginv(x) -> np.ndarray:
 
 
 def elementwise(x, fn: Callable[[np.ndarray], np.ndarray]):
-    """Element-wise scalar function, via the operand's ``apply``/``elementwise``."""
+    """Element-wise scalar function, via the operand's ``apply`` when it has one."""
     if hasattr(x, "apply"):
         return x.apply(fn)
-    if hasattr(x, "elementwise"):
-        return x.elementwise(fn)
     return la_ops.elementwise(x, fn)
 
 
@@ -73,10 +71,10 @@ def square(x):
     """Element-wise square of any operand family.
 
     Plain SciPy sparse matrices interpret ``**`` as matrix power, so they are
-    routed through the element-wise primitive instead; normalized and chunked
-    matrices overload ``**`` element-wise already.
+    routed through the element-wise primitive instead; normalized and
+    partitioned matrices overload ``**`` element-wise already.
     """
-    if hasattr(x, "apply") or hasattr(x, "elementwise"):
+    if hasattr(x, "apply"):
         return x ** 2
     return la_ops.scalar_op(x, "**", 2.0)
 

@@ -1,19 +1,20 @@
 """Worker pools and the fan-out/reduce executor behind sharded execution.
 
 The paper's scalability experiments (Section 5.2.4, Tables 9 and 10) stream
-row chunks through a *serial* ORE-style loop; :mod:`repro.la.chunked` emulates
-that faithfully.  This module provides the piece that loop is missing: a small
-pool abstraction (:class:`SerialPool`, :class:`ThreadPool`,
-:class:`ProcessPool`, or any user-supplied ``concurrent.futures`` executor)
-and a :class:`ParallelExecutor` that fans a function out over row shards and
+row chunks through a *serial* ORE-style loop; the chunked preset of
+:class:`repro.core.partitioned.Partitioned` emulates that faithfully.  This
+module provides the piece that loop is missing: a small pool abstraction
+(:class:`SerialPool`, :class:`ThreadPool`, :class:`ProcessPool`, or any
+user-supplied ``concurrent.futures`` executor) and a
+:class:`ParallelExecutor` that fans a function out over row shards and
 collects the partial results in order.
 
 Morpheus-style factorized operators are embarrassingly parallel over row
 shards of the entity and indicator matrices -- every Table-1 operator either
 concatenates per-shard results (LMM, ``rowSums``, element-wise ops) or sums
 them (RMM, ``crossprod``, ``colSums``, ``sum``) -- so the executor only ever
-needs an order-preserving ``map``.  The sharded operand types in
-:mod:`repro.core.shard` build on exactly that.
+needs an order-preserving ``map``.  The row-partitioned operand in
+:mod:`repro.core.partitioned` builds on exactly that.
 
 Pool choice matters because of the GIL (see ``docs/parallelism.md``): NumPy
 and SciPy release the GIL inside their C kernels, so :class:`ThreadPool` is
@@ -137,8 +138,8 @@ class ProcessPool(_ExecutorBackedPool):
 
     Every task's callable *and* operands are pickled to the worker processes,
     so this pool requires module-level shard functions (the ones in
-    :mod:`repro.core.shard` qualify) and pays a per-call serialization cost
-    proportional to the shard size.  Use it only for Python-bound shard work;
+    :mod:`repro.core.partitioned` qualify) and pays a per-call serialization
+    cost proportional to the shard size.  Use it only for Python-bound shard work;
     see ``docs/parallelism.md`` for the tradeoff.
     """
 

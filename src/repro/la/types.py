@@ -4,7 +4,7 @@ The library works with three families of operand:
 
 * dense ``numpy.ndarray`` (2-D, or 1-D vectors that we promote to 2-D),
 * SciPy sparse matrices (any format; CSR is the canonical internal format),
-* the library's own logical types (``NormalizedMatrix``, ``ChunkedMatrix``).
+* the library's own logical types (``NormalizedMatrix``, ``Partitioned``).
 
 The helpers in this module normalize the first two so the rest of the code
 never needs to branch on ``isinstance`` checks scattered around.

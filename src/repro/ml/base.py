@@ -114,10 +114,11 @@ class IterativeEstimator(abc.ABC):
         planner; any explicit value -- including ``1`` -- pins it (so
         ``n_jobs=1`` guarantees serial execution everywhere).  With an
         effective shard count above one the fit wraps the data in the sharded
-        backend of :mod:`repro.core.shard` -- normalized matrices via their
-        ``.shard()`` method (keeping every shard factorized), plain
-        dense/sparse matrices via :class:`~repro.core.shard.ShardedMatrix` --
-        and the same estimator code runs unchanged over the shards.  Composes
+        preset of :class:`~repro.core.partitioned.Partitioned` --
+        normalized matrices via their ``.shard()`` method (keeping every
+        shard factorized), plain dense/sparse matrices via
+        ``Partitioned.sharded`` -- and the same estimator code runs unchanged
+        over the shards.  Composes
         with ``engine="lazy"``: the graphs are built over the sharded operand
         and memoized results are computed shard-parallel once.
     solver:
@@ -341,9 +342,9 @@ def shard_for_jobs(data, n_jobs: int):
     """Wrap *data* in the sharded parallel backend when ``n_jobs != 1``.
 
     Normalized matrices shard through their own ``.shard()`` method so every
-    shard stays factorized; plain dense/sparse matrices become a
-    :class:`~repro.core.shard.ShardedMatrix`; already-sharded and chunked
-    operands (and lazy views over them) pass through unchanged.
+    shard stays factorized; plain dense/sparse matrices are sharded by
+    :meth:`~repro.core.partitioned.Partitioned.sharded`; operands that are
+    already partitioned (and lazy views over them) pass through unchanged.
 
     Two details keep the lazy engine's warm-cache contract intact under
     sharding.  The shard view is memoized per ``(object, shard count)`` on
@@ -366,10 +367,10 @@ def shard_for_jobs(data, n_jobs: int):
         from repro.la.types import is_matrix_like
 
         if not is_matrix_like(concrete):
-            return data  # chunked / already-sharded operands pass through
-        from repro.core.shard import ShardedMatrix
+            return data  # already-partitioned operands pass through
+        from repro.core.partitioned import Partitioned
 
-        sharded = ShardedMatrix.from_matrix(concrete, jobs)
+        sharded = Partitioned.sharded(concrete, jobs)
     if cache is not None:
         return sharded.lazy(cache=cache)
     return sharded

@@ -467,9 +467,9 @@ class TestSurfaceIntegration:
         assert plan.n_jobs == 3  # clamped like shard_bounds itself
 
     def test_describe_data_plain_sharded_operand(self):
-        from repro.core.shard import ShardedMatrix
+        from repro.core.partitioned import Partitioned
 
-        sharded = ShardedMatrix.from_matrix(np.ones((60, 5)), 4, pool="thread")
+        sharded = Partitioned.sharded(np.ones((60, 5)), 4, pool="thread")
         profile = describe_data(sharded)
         assert profile.kind == "sharded"
         assert profile.layouts == (False,)
@@ -488,9 +488,9 @@ class TestSurfaceIntegration:
         assert plan.threshold_rule_choice in ("factorize", "materialize")
 
     def test_describe_data_chunked_operand(self):
-        from repro.la.chunked import ChunkedMatrix
+        from repro.core.partitioned import Partitioned
 
-        chunked = ChunkedMatrix.from_matrix(np.ones((100, 4)), chunk_rows=30)
+        chunked = Partitioned.chunked(np.ones((100, 4)), chunk_rows=30)
         profile = describe_data(chunked)
         assert profile.kind == "chunked"
         assert profile.layouts == (False,)
@@ -498,11 +498,11 @@ class TestSurfaceIntegration:
         assert describe_data(chunked.T).kind == "chunked"  # transposed view
 
     def test_chunked_operand_plan_reports_chunked_backend(self):
-        from repro.la.chunked import ChunkedMatrix
+        from repro.core.partitioned import Partitioned
 
         planner = Planner(calibration=CalibrationProfile.default(),
                           shard_candidates=(2, 4))
-        chunked = ChunkedMatrix.from_matrix(np.ones((100, 4)), chunk_rows=10)
+        chunked = Partitioned.chunked(np.ones((100, 4)), chunk_rows=10)
         plan = planner.plan(chunked, WorkloadDescriptor.logistic_regression(5))
         assert all(c.backend == "chunked" and c.n_shards == 1
                    for c in plan.candidates)
@@ -547,12 +547,12 @@ class TestSurfaceIntegration:
         # Chunked operands pass through shard_for_jobs unchanged, so a sharded
         # plan could never be realized: the resolver pins the shard axis and
         # the reported plan matches what actually runs.
-        from repro.la.chunked import ChunkedMatrix
+        from repro.core.partitioned import Partitioned
         from repro.ml.linear_regression import LinearRegressionGD
 
         rng = np.random.default_rng(4)
         dense = rng.standard_normal((64, 5))
-        chunked = ChunkedMatrix.from_matrix(dense, chunk_rows=16)
+        chunked = Partitioned.chunked(dense, chunk_rows=16)
         y = rng.standard_normal(64)
         model = LinearRegressionGD(max_iter=3, step_size=1e-3, engine="auto")
         model.planner = Planner(calibration=CalibrationProfile.default(),

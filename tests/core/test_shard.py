@@ -7,9 +7,8 @@ import pytest
 import scipy.sparse as sp
 
 from repro.core.normalized_matrix import NormalizedMatrix
-from repro.core.shard import ShardedMatrix, ShardedNormalizedMatrix, shard_bounds
+from repro.core.partitioned import Partitioned, row_apply, shard_bounds
 from repro.exceptions import ShapeError
-from repro.la.chunked import ChunkedMatrix, row_apply
 from repro.la.backend import ShardedBackend, get_backend
 from repro.la.parallel import (
     ParallelExecutor,
@@ -59,7 +58,7 @@ class TestShardBounds:
 
     def test_zero_row_sharded_matrix(self):
         empty = np.zeros((0, 4))
-        sharded = ShardedMatrix.from_matrix(empty, 3)
+        sharded = Partitioned.sharded(empty, 3)
         assert sharded.shape == (0, 4)
         assert sharded.num_shards == 1
         assert sharded.colsums().shape == (1, 4)
@@ -124,13 +123,13 @@ def dense_matrix(rng):
 
 class TestShardedMatrix:
     def test_from_matrix_roundtrip(self, dense_matrix):
-        sharded = ShardedMatrix.from_matrix(dense_matrix, 4, pool="serial")
+        sharded = Partitioned.sharded(dense_matrix, 4, pool="serial")
         assert sharded.shape == dense_matrix.shape
         assert sharded.num_shards == 4
         assert np.array_equal(sharded.to_dense(), dense_matrix)
 
     def test_operators_match_dense(self, dense_matrix, rng):
-        sharded = ShardedMatrix.from_matrix(dense_matrix, 3, pool="thread")
+        sharded = Partitioned.sharded(dense_matrix, 3, pool="thread")
         x = rng.standard_normal((5, 2))
         w = rng.standard_normal((2, 23))
         y = rng.standard_normal((23, 4))
@@ -144,10 +143,10 @@ class TestShardedMatrix:
         assert np.allclose((2 * sharded - 1).to_dense(), 2 * dense_matrix - 1)
         assert np.allclose((sharded ** 2).to_dense(), dense_matrix ** 2)
         assert np.allclose((-sharded).to_dense(), -dense_matrix)
-        assert np.allclose(sharded.elementwise(np.exp).to_dense(), np.exp(dense_matrix))
+        assert np.allclose(sharded.apply(np.exp).to_dense(), np.exp(dense_matrix))
 
     def test_elementwise_matrix_operands(self, dense_matrix):
-        sharded = ShardedMatrix.from_matrix(dense_matrix, 4, pool="serial")
+        sharded = Partitioned.sharded(dense_matrix, 4, pool="serial")
         other = dense_matrix + 3.0
         assert np.allclose((sharded * other).to_dense(), dense_matrix * other)
         assert np.allclose((sharded - other).to_dense(), dense_matrix - other)
@@ -157,25 +156,26 @@ class TestShardedMatrix:
 
     def test_sparse_shards_stay_sparse(self):
         matrix = sp.random(40, 6, density=0.3, random_state=0, format="csr")
-        sharded = ShardedMatrix.from_matrix(matrix, 3, pool="serial")
+        sharded = Partitioned.sharded(matrix, 3, pool="serial")
         assert sp.issparse(sharded.to_matrix())
         assert np.allclose(sharded.to_dense(), matrix.toarray())
         assert np.allclose(sharded.crossprod(), (matrix.T @ matrix).toarray())
 
     def test_transposed_view(self, dense_matrix):
-        sharded = ShardedMatrix.from_matrix(dense_matrix, 3)
+        sharded = Partitioned.sharded(dense_matrix, 3)
         view = sharded.T
         assert view.shape == (5, 23)
-        assert view.T is sharded
+        assert view.T.shape == sharded.shape
+        assert np.array_equal(view.T.to_dense(), sharded.to_dense())
         assert np.array_equal(view.to_dense(), dense_matrix.T)
 
     def test_results_share_executor(self, dense_matrix):
-        sharded = ShardedMatrix.from_matrix(dense_matrix, 3, pool="serial")
+        sharded = Partitioned.sharded(dense_matrix, 3, pool="serial")
         product = sharded @ np.eye(5)
         assert product.executor is sharded.executor
 
     def test_sum_axis_dispatch(self, dense_matrix):
-        sharded = ShardedMatrix.from_matrix(dense_matrix, 2, pool="serial")
+        sharded = Partitioned.sharded(dense_matrix, 2, pool="serial")
         assert sharded.sum() == pytest.approx(dense_matrix.sum())
         assert np.allclose(sharded.sum(axis=0), dense_matrix.sum(axis=0, keepdims=True))
         assert np.allclose(sharded.sum(axis=1), dense_matrix.sum(axis=1, keepdims=True))
@@ -183,15 +183,15 @@ class TestShardedMatrix:
             sharded.sum(axis=2)
 
     def test_shape_validation(self, dense_matrix, rng):
-        sharded = ShardedMatrix.from_matrix(dense_matrix, 2)
+        sharded = Partitioned.sharded(dense_matrix, 2)
         with pytest.raises(ShapeError):
             sharded @ rng.standard_normal((4, 2))
         with pytest.raises(ShapeError):
             rng.standard_normal((2, 9)) @ sharded
         with pytest.raises(ShapeError):
-            ShardedMatrix([])
+            Partitioned([])
         with pytest.raises(ShapeError):
-            ShardedMatrix([np.ones((2, 3)), np.ones((2, 4))])
+            Partitioned([np.ones((2, 3)), np.ones((2, 4))])
 
 
 class TestShardedNormalizedMatrix:
@@ -214,18 +214,18 @@ class TestShardedNormalizedMatrix:
         _, normalized, materialized = single_join_dense
         sharded = normalized.shard(3, pool="serial")
         doubled = 2.0 * sharded + 1.0
-        assert isinstance(doubled, ShardedNormalizedMatrix)
+        assert isinstance(doubled, Partitioned)
         assert doubled.num_shards == sharded.num_shards
         assert np.allclose(doubled.to_dense(), 2.0 * materialized + 1.0)
         squared = sharded ** 2
-        assert isinstance(squared, ShardedNormalizedMatrix)
+        assert isinstance(squared, Partitioned)
         assert np.allclose(squared.to_dense(), materialized ** 2)
 
     def test_apply_is_closed(self, single_join_dense):
         _, normalized, materialized = single_join_dense
         sharded = normalized.shard(3, pool="serial")
         result = sharded.apply(np.exp)
-        assert isinstance(result, ShardedNormalizedMatrix)
+        assert isinstance(result, Partitioned)
         assert np.allclose(result.to_dense(), np.exp(materialized))
 
     def test_transposed_operators(self, single_join_dense, rng):
@@ -358,7 +358,7 @@ class TestShardedNormalizedMatrix:
         sharded = normalized.shard(3, pool="serial")
         assert np.allclose(sharded.crossprod("naive"), materialized.T @ materialized,
                            atol=1e-8)
-        plain = ShardedMatrix.from_matrix(materialized, 3, pool="serial")
+        plain = Partitioned.sharded(materialized, 3, pool="serial")
         assert np.allclose(plain.crossprod("naive"), materialized.T @ materialized,
                            atol=1e-8)
 
@@ -402,26 +402,26 @@ class TestShardedNormalizedMatrix:
     def test_rejects_transposed_pieces(self, single_join_dense):
         _, normalized, _ = single_join_dense
         with pytest.raises(ShapeError):
-            ShardedNormalizedMatrix([normalized.T])
+            Partitioned([normalized.T])
         with pytest.raises(ShapeError):
-            ShardedNormalizedMatrix([])
+            Partitioned([])
 
 
 class TestRowApplyParallel:
     def test_serial_default_unchanged(self, rng):
-        chunked = ChunkedMatrix.from_matrix(rng.standard_normal((20, 3)), 6)
+        chunked = Partitioned.chunked(rng.standard_normal((20, 3)), 6)
         results = row_apply(chunked, lambda c: c.sum())
         assert len(results) == chunked.num_chunks
 
     def test_parallel_pool_matches_serial(self, rng):
         matrix = rng.standard_normal((20, 3))
-        chunked = ChunkedMatrix.from_matrix(matrix, 6)
+        chunked = Partitioned.chunked(matrix, 6)
         serial = row_apply(chunked, lambda c: float(c.sum()))
         threaded = row_apply(chunked, lambda c: float(c.sum()), pool="thread")
         assert serial == threaded
 
     def test_bound_method(self, rng):
-        chunked = ChunkedMatrix.from_matrix(rng.standard_normal((9, 2)), 3)
+        chunked = Partitioned.chunked(rng.standard_normal((9, 2)), 3)
         assert chunked.row_apply(lambda c: c.shape[0], pool=2) == [3, 3, 3]
 
 
@@ -434,9 +434,9 @@ class TestShardedBackend:
     def test_from_dense_and_sparse(self, rng):
         backend = ShardedBackend(n_shards=2, pool="serial")
         dense = backend.from_dense(rng.standard_normal((10, 3)))
-        assert isinstance(dense, ShardedMatrix) and dense.num_shards == 2
+        assert isinstance(dense, Partitioned) and dense.num_shards == 2
         sparse = backend.from_sparse(sp.random(10, 3, density=0.4, random_state=1))
-        assert isinstance(sparse, ShardedMatrix)
+        assert isinstance(sparse, Partitioned)
 
     def test_invalid_shard_count(self):
         with pytest.raises(ValueError):
@@ -447,9 +447,9 @@ class TestShardedOperandComposition:
     """Sharded results feeding straight back into transposed products.
 
     ``T.T @ (T @ w)`` is the textbook gradient composition: the inner LMM
-    returns a ShardedMatrix, which must be accepted as the row-aligned right
-    operand of the transposed product (regression test -- this used to raise
-    ShapeError through ensure_2d(np.asarray(ShardedMatrix))).
+    returns a partitioned result, which must be accepted as the row-aligned
+    right operand of the transposed product (regression test -- this used to
+    raise ShapeError through ensure_2d(np.asarray(...)) of that result).
     """
 
     def test_normalized_gradient_composition(self, single_join_dense):
@@ -457,22 +457,22 @@ class TestShardedOperandComposition:
         w = np.random.default_rng(0).standard_normal((materialized.shape[1], 1))
         sharded = normalized.shard(3, pool="serial")
         product = sharded @ w
-        assert isinstance(product, ShardedMatrix)
+        assert isinstance(product, Partitioned)
         gradient = sharded.T @ product
         assert np.allclose(np.asarray(gradient), materialized.T @ (materialized @ w))
 
     def test_plain_gradient_composition(self, rng):
         matrix = rng.standard_normal((31, 4))
         w = rng.standard_normal((4, 1))
-        sharded = ShardedMatrix.from_matrix(matrix, 4)
+        sharded = Partitioned.sharded(matrix, 4)
         gradient = sharded.T @ (sharded @ w)
         assert np.allclose(np.asarray(gradient), matrix.T @ (matrix @ w))
 
     def test_mismatched_bounds_are_concretized(self, rng):
         matrix = rng.standard_normal((30, 4))
         w = rng.standard_normal((4, 2))
-        sharded = ShardedMatrix.from_matrix(matrix, 3)
-        other = ShardedMatrix.from_matrix(matrix @ w, 5)  # different bounds
+        sharded = Partitioned.sharded(matrix, 3)
+        other = Partitioned.sharded(matrix @ w, 5)  # different bounds
         gradient = sharded.T @ other
         assert np.allclose(np.asarray(gradient), matrix.T @ (matrix @ w))
 

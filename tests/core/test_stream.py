@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.core import NormalizedBatchIterator, StreamedMatrix
+from repro.core import NormalizedBatchIterator, Partitioned
 from repro.core.normalized_matrix import NormalizedMatrix
 from repro.core.planner import CalibrationProfile, Planner
 from repro.core.planner.memory import (
@@ -127,12 +127,12 @@ class TestStreamedMatrix:
     def view_and_dense(self, request, multi_join_dense, mn_dataset, rng):
         if request.param == "star":
             _, normalized, dense = multi_join_dense
-            return StreamedMatrix(normalized, batch_rows=23), np.asarray(dense)
+            return Partitioned.streamed(normalized, batch_rows=23), np.asarray(dense)
         if request.param == "mn":
             _, normalized, dense = mn_dataset
-            return StreamedMatrix(normalized, batch_rows=11), np.asarray(dense)
+            return Partitioned.streamed(normalized, batch_rows=11), np.asarray(dense)
         dense = rng.standard_normal((37, 6))
-        return StreamedMatrix(dense, batch_rows=10), dense
+        return Partitioned.streamed(dense, batch_rows=10), dense
 
     def test_operator_surface_matches_dense(self, view_and_dense, rng):
         view, dense = view_and_dense
@@ -155,7 +155,7 @@ class TestStreamedMatrix:
         view, dense = view_and_dense
         x = rng.standard_normal((dense.shape[1], 2))
         scaled = 2.5 * view
-        assert isinstance(scaled, StreamedMatrix)
+        assert isinstance(scaled, Partitioned)
         assert np.allclose(scaled @ x, (2.5 * dense) @ x)
         assert np.allclose((view + 1.0).rowsums(), (dense + 1.0).sum(axis=1, keepdims=True))
         assert np.allclose((1.0 - view).colsums(), (1.0 - dense).sum(axis=0, keepdims=True))
@@ -173,7 +173,7 @@ class TestStreamedMatrix:
 
     def test_solve_matches_lstsq(self, multi_join_dense, rng):
         _, normalized, dense = multi_join_dense
-        view = StreamedMatrix(normalized, batch_rows=19)
+        view = Partitioned.streamed(normalized, batch_rows=19)
         rhs = rng.standard_normal((dense.shape[0], 1))
         expected = np.linalg.lstsq(np.asarray(dense), rhs, rcond=None)[0]
         assert np.allclose(view.solve(rhs), expected, atol=1e-6)
@@ -198,7 +198,7 @@ class TestStreamedMatrix:
         # sources (scipy rejects sparse + nonzero scalar).
         matrix = sp.random(12, 4, density=0.5, random_state=0, format="csr")
         dense = np.asarray(matrix.todense())
-        view = StreamedMatrix(matrix, batch_rows=5)
+        view = Partitioned.streamed(matrix, batch_rows=5)
         shifted = view + 2.0
         assert shifted.source is view.source  # deferred: no transformed copy
         assert np.allclose(shifted.rowsums(), (dense + 2.0).sum(axis=1, keepdims=True))
@@ -214,7 +214,7 @@ class TestStreamedMatrix:
         _, normalized, materialized = single_join_dense
         n, d = materialized.shape
         view = normalized.stream(memory_budget=29 * d * 8)
-        assert isinstance(view, StreamedMatrix)
+        assert isinstance(view, Partitioned)
         assert 1 <= view.batch_rows < n
         assert view.num_batches > 1
         assert np.allclose(view.crossprod(), materialized.T @ materialized)
@@ -297,10 +297,8 @@ class TestPlannerMemoryDimension:
     def test_unstreamable_operand_over_budget_raises(self, rng):
         dense = rng.standard_normal((64, 8))
         chunked_planner = self._planner(8)  # 1 element worth of budget
-        from repro.la.chunked import ChunkedMatrix
-
         with pytest.raises(PlanningError):
-            chunked_planner.plan(ChunkedMatrix.from_matrix(dense, 16))
+            chunked_planner.plan(Partitioned.chunked(dense, 16))
 
     def test_plan_json_round_trips_batch_rows(self, single_join_dense):
         import json
@@ -328,7 +326,18 @@ class TestZeroRowStreaming:
         indicator = sp.csr_matrix((0, 3))
         normalized = NormalizedMatrix(np.zeros((0, 1)), [indicator], [attribute],
                                       validate=False)
-        view = StreamedMatrix(normalized, batch_rows=4)
+        view = Partitioned.streamed(normalized, batch_rows=4)
         assert view.shape == (0, 3)
         assert view.colsums().shape == (1, 3)
         assert view.total_sum() == 0.0
+
+    def test_empty_chunked_matrix_aggregates(self):
+        view = Partitioned.chunked(np.zeros((0, 3)), 4)
+        assert view.shape == (0, 3)
+        assert view.num_chunks == 1
+        assert view.colsums().shape == (1, 3)
+        assert view.rowsums().shape == (0, 1)
+        assert view.total_sum() == 0.0
+        assert np.array_equal(view.crossprod(), np.zeros((3, 3)))
+        assert np.array_equal(view.T @ np.zeros((0, 2)), np.zeros((3, 2)))
+        assert view.to_dense().shape == (0, 3)

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 from repro.exceptions import NotSupportedError
 from repro.la.backend import ChunkedBackend, DenseBackend, SparseBackend, get_backend
-from repro.la.chunked import ChunkedMatrix
+from repro.core.partitioned import Partitioned
 
 
 class TestDenseBackend:
@@ -45,13 +45,13 @@ class TestChunkedBackend:
     def test_from_dense_returns_chunked(self):
         backend = ChunkedBackend(chunk_rows=4)
         out = backend.from_dense(np.ones((10, 2)))
-        assert isinstance(out, ChunkedMatrix)
+        assert isinstance(out, Partitioned)
         assert out.num_chunks == 3
 
     def test_from_sparse_returns_chunked(self):
         backend = ChunkedBackend(chunk_rows=5)
         out = backend.from_sparse(sp.eye(12, format="csr"))
-        assert isinstance(out, ChunkedMatrix)
+        assert isinstance(out, Partitioned)
         assert out.shape == (12, 12)
 
     def test_invalid_chunk_rows(self):

@@ -1,11 +1,11 @@
-"""Tests for the ORE-style chunked matrix in :mod:`repro.la.chunked`."""
+"""Tests for the ORE-style chunked preset of :class:`repro.core.partitioned.Partitioned`."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from repro.exceptions import ShapeError
-from repro.la.chunked import ChunkedMatrix, row_apply
+from repro.core.partitioned import Partitioned, row_apply
 
 
 @pytest.fixture
@@ -15,7 +15,7 @@ def dense_matrix():
 
 @pytest.fixture
 def chunked(dense_matrix):
-    return ChunkedMatrix.from_matrix(dense_matrix, chunk_rows=6)
+    return Partitioned.chunked(dense_matrix, chunk_rows=6)
 
 
 class TestConstruction:
@@ -33,21 +33,21 @@ class TestConstruction:
 
     def test_sparse_chunks(self):
         x = sp.random(20, 4, density=0.3, random_state=1, format="csr")
-        chunked = ChunkedMatrix.from_matrix(x, 7)
+        chunked = Partitioned.chunked(x, 7)
         assert sp.issparse(chunked.to_matrix())
         assert np.allclose(chunked.to_dense(), x.toarray())
 
     def test_empty_chunk_list_rejected(self):
         with pytest.raises(ShapeError):
-            ChunkedMatrix([])
+            Partitioned([])
 
     def test_inconsistent_widths_rejected(self):
         with pytest.raises(ShapeError):
-            ChunkedMatrix([np.ones((2, 3)), np.ones((2, 4))])
+            Partitioned([np.ones((2, 3)), np.ones((2, 4))])
 
     def test_invalid_chunk_rows(self, dense_matrix):
         with pytest.raises(ValueError):
-            ChunkedMatrix.from_matrix(dense_matrix, 0)
+            Partitioned.chunked(dense_matrix, 0)
 
     def test_iteration_yields_chunks(self, chunked):
         assert sum(c.shape[0] for c in chunked) == 23
@@ -71,7 +71,7 @@ class TestProducts:
 
     def test_matmul_result_stays_chunked(self, chunked):
         out = chunked @ np.ones((5, 2))
-        assert isinstance(out, ChunkedMatrix)
+        assert isinstance(out, Partitioned)
 
     def test_matmul_shape_mismatch(self, chunked):
         with pytest.raises(ShapeError):
@@ -120,7 +120,7 @@ class TestElementwise:
         assert np.allclose((chunked ** 2).to_dense(), dense_matrix ** 2)
 
     def test_elementwise_function(self, chunked, dense_matrix):
-        assert np.allclose(chunked.elementwise(np.exp).to_dense(), np.exp(dense_matrix))
+        assert np.allclose(chunked.apply(np.exp).to_dense(), np.exp(dense_matrix))
 
 
 class TestRowApply:

@@ -4,7 +4,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.la import generic
-from repro.la.chunked import ChunkedMatrix
+from repro.core.partitioned import Partitioned
 
 
 class TestDispatchOnPlainMatrices:
@@ -80,7 +80,7 @@ class TestDispatchOnNormalizedMatrix:
 class TestDispatchOnChunkedMatrix:
     def setup_method(self):
         self.dense = np.random.default_rng(6).standard_normal((17, 3))
-        self.chunked = ChunkedMatrix.from_matrix(self.dense, 5)
+        self.chunked = Partitioned.chunked(self.dense, 5)
 
     def test_rowsums(self):
         assert np.allclose(generic.rowsums(self.chunked).ravel(), self.dense.sum(axis=1))

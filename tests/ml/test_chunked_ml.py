@@ -1,14 +1,14 @@
 """ML algorithms over the chunked (ORE-style) backend.
 
 These tests pin down the closure claim used by the scalability experiments
-(Tables 9 and 10): the same estimator code runs over a ChunkedMatrix and
+(Tables 9 and 10): the same estimator code runs over a chunked operand and
 produces the same model as over the in-memory matrix.
 """
 
 import numpy as np
 import pytest
 
-from repro.la.chunked import ChunkedMatrix
+from repro.core.partitioned import Partitioned
 from repro.ml.linear_regression import LinearRegressionGD, LinearRegressionNE
 from repro.ml.logistic_regression import LogisticRegressionGD
 
@@ -17,7 +17,7 @@ from repro.ml.logistic_regression import LogisticRegressionGD
 def chunked_pair(rng):
     dense = rng.standard_normal((64, 6))
     target = np.where(dense @ rng.standard_normal((6, 1)) > 0, 1.0, -1.0)
-    return dense, ChunkedMatrix.from_matrix(dense, 10), target
+    return dense, Partitioned.chunked(dense, 10), target
 
 
 class TestLogisticOverChunked:

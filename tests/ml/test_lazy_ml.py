@@ -126,12 +126,12 @@ class TestEagerLazyEquivalence:
 class TestLazyEngineBehaviour:
     def test_lazy_on_chunked_backend(self):
         # The chunked (out-of-core) backend runs through the lazy layer too:
-        # as_lazy attaches a per-object cache to the ChunkedMatrix itself.
+        # as_lazy attaches a per-object cache to the chunked operand itself.
         from repro.core.lazy import as_lazy
-        from repro.la.chunked import ChunkedMatrix
+        from repro.core.partitioned import Partitioned
 
         normalized, target = make_pkfk()
-        chunked = ChunkedMatrix.from_matrix(np.asarray(normalized.materialize()), 32)
+        chunked = Partitioned.chunked(np.asarray(normalized.materialize()), 32)
         eager = LinearRegressionGD(max_iter=ITERS, step_size=1e-4).fit(chunked, target)
         lazy = LinearRegressionGD(max_iter=ITERS, step_size=1e-4, engine="lazy").fit(
             chunked, target)

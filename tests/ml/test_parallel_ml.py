@@ -1,15 +1,14 @@
 """ML algorithms with ``n_jobs``: sharded parallel fits match serial fits.
 
 All four algorithms accept ``n_jobs``; a parallel fit shards the data matrix
-through :mod:`repro.core.shard` and must reproduce the serial coefficients to
+through :mod:`repro.core.partitioned` and must reproduce the serial coefficients to
 within floating-point reassociation (and bit-for-bit when ``n_jobs=1``).
 """
 
 import numpy as np
 import pytest
 
-from repro.core.shard import ShardedNormalizedMatrix
-from repro.la.chunked import ChunkedMatrix
+from repro.core.partitioned import Partitioned
 from repro.ml.base import effective_n_jobs, shard_for_jobs, validate_n_jobs
 from repro.ml.gnmf import GNMF
 from repro.ml.kmeans import KMeans
@@ -62,7 +61,7 @@ class TestShardForJobs:
     def test_normalized_matrix_shards_factorized(self, regression_problem):
         normalized, _, _ = regression_problem
         sharded = shard_for_jobs(normalized, 3)
-        assert isinstance(sharded, ShardedNormalizedMatrix)
+        assert isinstance(sharded, Partitioned)
         assert sharded.num_shards == 3
 
     def test_plain_matrix_becomes_sharded_matrix(self, regression_problem):
@@ -73,7 +72,7 @@ class TestShardForJobs:
 
     def test_chunked_operand_passes_through(self, regression_problem):
         _, materialized, _ = regression_problem
-        chunked = ChunkedMatrix.from_matrix(materialized, 16)
+        chunked = Partitioned.chunked(materialized, 16)
         assert shard_for_jobs(chunked, 4) is chunked
 
     def test_lazy_view_is_resharded_keeping_its_cache(self, regression_problem):
@@ -86,7 +85,7 @@ class TestShardForJobs:
         view = normalized.lazy(cache=cache)
         dispatched = shard_for_jobs(view, 2)
         assert isinstance(dispatched, LeafExpr)
-        assert isinstance(dispatched.value, ShardedNormalizedMatrix)
+        assert isinstance(dispatched.value, Partitioned)
         assert dispatched.cache is cache
 
     def test_shard_view_is_memoized_per_matrix_and_count(self, regression_problem):

@@ -12,7 +12,7 @@ recompute** to within ``1e-8`` at every level of the stack:
   :mod:`repro.core.rewrite.delta` equals the freshly computed term -- and is
   genuinely served from the cache (hits observed, no recompute);
 * every execution backend view of the successor (chunked, sharded, plain
-  sharded, streamed -- including the ``StreamedMatrix.apply_delta``
+  sharded, streamed -- including the streamed ``Partitioned.apply_delta``
   passthrough) agrees with the post-delta dense reference;
 * a serving partial patched by :func:`repro.serve.snapshot.patch_partial`
   is bit-compatible with :func:`~repro.serve.snapshot.compute_partial` on
@@ -33,7 +33,7 @@ from repro.core.lazy.expr import constant
 from repro.core.mn_matrix import MNNormalizedMatrix
 from repro.core.normalized_matrix import NormalizedMatrix
 from repro.core.planner import DeltaPolicy
-from repro.core.stream import StreamedMatrix
+from repro.core.partitioned import Partitioned
 from repro.exceptions import DeltaError
 from repro.serve.snapshot import compute_partial, patch_partial
 
@@ -156,7 +156,7 @@ def run_delta_case(seed: int) -> None:
     for backend in SUCCESSOR_BACKENDS:
         if backend == "streamed":
             batch_rows = int(rng.integers(1, n + 1))
-            streamed = StreamedMatrix(case.normalized, batch_rows=batch_rows)
+            streamed = Partitioned.streamed(case.normalized, batch_rows=batch_rows)
             view = streamed.apply_delta(table_index, delta, policy=ALWAYS_PATCH)
         else:
             view = build_view(backend, _SuccessorCase, rng)

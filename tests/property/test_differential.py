@@ -8,14 +8,15 @@ reference computed on the materialized ``T`` to within ``1e-8``:
 
 * ``normalized-dense`` / ``normalized-sparse`` -- the eager factorized
   rewrites of :class:`NormalizedMatrix` / :class:`MNNormalizedMatrix`;
-* ``chunked``             -- the serial ORE-style :class:`ChunkedMatrix`;
-* ``sharded``             -- the parallel factorized
-  :class:`ShardedNormalizedMatrix` (random shard count, serial and thread
-  pools);
-* ``sharded-matrix``      -- the parallel plain :class:`ShardedMatrix`;
-* ``streamed``            -- the out-of-core :class:`StreamedMatrix`
-  (random batch size), whose operators visit the factorized operand one
-  ``take_rows`` batch at a time.
+* ``chunked``             -- the serial ORE-style chunked preset of
+  :class:`Partitioned`;
+* ``sharded``             -- the parallel factorized sharded preset
+  (random shard count, serial and thread pools);
+* ``sharded-matrix``      -- the sharded preset over the plain matrix;
+* ``streamed``            -- the out-of-core streamed preset (random batch
+  size), whose operators visit the factorized operand one batch at a time.
+
+Every backend runs every check, transposed operators included.
 
 Each backend sees ``CASES_PER_BACKEND`` generated cases (>= 200), split into
 batches so a failure pinpoints its seed range; the failing seed is embedded
@@ -34,9 +35,7 @@ import scipy.sparse as sp
 
 from repro.core.mn_matrix import MNNormalizedMatrix
 from repro.core.normalized_matrix import NormalizedMatrix
-from repro.core.shard import ShardedMatrix
-from repro.core.stream import StreamedMatrix
-from repro.la.chunked import ChunkedMatrix
+from repro.core.partitioned import Partitioned
 from repro.la.ops import indicator_from_labels
 
 ATOL = 1e-8
@@ -47,11 +46,6 @@ BACKENDS = ("normalized-dense", "normalized-sparse", "chunked", "sharded",
 BATCHES = 20
 CASES_PER_BATCH = 10
 CASES_PER_BACKEND = BATCHES * CASES_PER_BATCH  # 200 generated cases per backend
-
-#: Operators the chunked / plain-sharded backends do not implement (they hold
-#: the already-materialized matrix, so element-wise matrix arithmetic against
-#: a second full-size operand is the only hole; chunked also lacks it).
-_MATRIX_ELEMWISE = "elementwise-matrix"
 
 
 @dataclass
@@ -182,17 +176,17 @@ def build_view(backend: str, case: Case, rng: np.random.Generator):
         return case.normalized
     if backend == "chunked":
         chunk_rows = int(rng.integers(1, case.dense.shape[0] + 1))
-        return ChunkedMatrix.from_matrix(case.dense, chunk_rows)
+        return Partitioned.chunked(case.dense, chunk_rows)
     if backend == "sharded":
         n_shards = int(rng.integers(1, 7))
         pool = "thread" if rng.random() < 0.3 else "serial"
         return case.normalized.shard(n_shards, pool=pool)
     if backend == "sharded-matrix":
         n_shards = int(rng.integers(1, 7))
-        return ShardedMatrix.from_matrix(case.dense, n_shards, pool="serial")
+        return Partitioned.sharded(case.dense, n_shards, pool="serial")
     if backend == "streamed":
         batch_rows = int(rng.integers(1, case.dense.shape[0] + 1))
-        return StreamedMatrix(case.normalized, batch_rows=batch_rows)
+        return Partitioned.streamed(case.normalized, batch_rows=batch_rows)
     raise AssertionError(f"unknown backend {backend!r}")
 
 
@@ -228,18 +222,19 @@ def operator_checks(view, dense: np.ndarray, rng: np.random.Generator,
         ("scalar-div", lambda: (view / scalar).rowsums(),
          (dense / scalar).sum(axis=1, keepdims=True)),
         ("square", lambda: (view ** 2).colsums(), (dense ** 2).sum(axis=0, keepdims=True)),
+        ("negate", lambda: (-view).rowsums(), -dense.sum(axis=1, keepdims=True)),
+        ("apply-exp", lambda: view.apply(np.exp).colsums(),
+         np.exp(dense).sum(axis=0, keepdims=True)),
+        ("gradient", lambda: view.T @ (view @ x), dense.T @ (dense @ x)),
+        ("transposed-crossprod", lambda: view.T.crossprod(), dense @ dense.T),
+        ("transposed-rowsums", lambda: view.T.rowsums(), dense.T.sum(axis=1, keepdims=True)),
     ]
-    if hasattr(view, "__neg__"):  # ChunkedMatrix spells negation as * -1 only
-        checks.append(("negate", lambda: (-view).rowsums(), -dense.sum(axis=1, keepdims=True)))
-    if hasattr(view, "apply"):
-        checks.append(("apply-exp", lambda: view.apply(np.exp).colsums(),
-                       np.exp(dense).sum(axis=0, keepdims=True)))
-    elif hasattr(view, "elementwise"):
-        checks.append(("elementwise-exp", lambda: view.elementwise(np.exp).colsums(),
-                       np.exp(dense).sum(axis=0, keepdims=True)))
-    if backend != "chunked":
-        other = rng.standard_normal((n, d))
-        checks.append((_MATRIX_ELEMWISE, lambda: view * other, dense * other))
+    other = rng.standard_normal((n, d))
+    w2 = rng.standard_normal((int(rng.integers(1, 4)), d))
+    checks += [
+        ("elementwise-matrix", lambda: view * other, dense * other),
+        ("rmm-transposed", lambda: w2 @ view.T, w2 @ dense.T),
+    ]
     return checks
 
 

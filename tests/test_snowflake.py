@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.normalized_matrix import NormalizedMatrix
 from repro.core.planner import CalibrationProfile, Planner
-from repro.core.stream import StreamedMatrix
+from repro.core.partitioned import Partitioned
 from repro.la.chain import ChainedIndicator
 from repro.ml import (
     GNMF,
@@ -99,7 +99,7 @@ def _fit(estimator_cls, engine, data, *fit_args, **kwargs):
         est = estimator_cls(n_jobs=2, **kwargs)
     elif engine == "streamed":
         est = estimator_cls(**kwargs)
-        data = StreamedMatrix(data, batch_rows=16)
+        data = Partitioned.streamed(data, batch_rows=16)
     elif engine == "auto":
         est = estimator_cls(engine="auto", **kwargs)
         est.planner = _deterministic_planner()
