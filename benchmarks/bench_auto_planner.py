@@ -3,7 +3,7 @@
 Over the same (tuple ratio, feature ratio) sweep grid as the Section 5.1
 decision-rule benchmark, this module measures a logistic-regression GD fit
 under every hand-picked configuration -- materialized vs. factorized layout x
-eager vs. lazy engine x serial vs. 2-shard execution -- then asks the planner
+serial vs. 2-shard execution -- then asks the planner
 to choose.  The acceptance bar: at every grid point the configuration
 ``engine="auto"`` selects must run within 1.5x of the fastest hand-picked
 configuration (selection quality is what is scored; the planner's own
@@ -41,9 +41,7 @@ ACCEPTANCE_FACTOR = 1.5
 Config = Tuple[bool, str, int]
 HAND_PICKED: Tuple[Config, ...] = (
     (False, "eager", 1),
-    (False, "lazy", 1),
     (True, "eager", 1),
-    (True, "lazy", 1),
     (False, "eager", 2),
     (True, "eager", 2),
 )
@@ -86,7 +84,7 @@ def evaluate_point(tuple_ratio: float, feature_ratio: float, attribute_rows: int
                              ).fit(data, y)
 
     # One untimed pass over every configuration first: the very first fits of
-    # a process pay one-time costs (lazy-engine imports, BLAS threading
+    # a process pay one-time costs (first-use imports, BLAS threading
     # warm-up) that would otherwise land on whichever config is measured
     # first and masquerade as a planner miss on cold CI runners.
     for config in HAND_PICKED:

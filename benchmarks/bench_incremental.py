@@ -15,9 +15,6 @@ module measures that claim at the two places deltas land:
   writer thread must not disturb the lock-free reader path: scoring
   throughput with concurrent patching stays within 10% of the no-writes
   baseline (readers take no lock; a swap is one reference store).
-* **Lazy cache terms** (secondary diagnostic, no gate) -- patching a warmed
-  ``crossprod`` through ``NormalizedMatrix.apply_delta`` versus recomputing
-  it from scratch on the post-delta matrix.
 
 Run styles:
 
@@ -43,7 +40,6 @@ from scipy import sparse
 from repro.bench.harness import SpeedupResult, compare
 from repro.core.delta import MatrixDelta
 from repro.core.normalized_matrix import NormalizedMatrix
-from repro.core.planner import DeltaPolicy
 from repro.ml import ServingExport
 from repro.serve import FactorizedScorer
 from repro.serve.snapshot import compute_partial, patch_partial
@@ -107,7 +103,7 @@ def evaluate_point(table_rows: int, delta_fraction: float, table_width: int,
                    outputs: int, entity_rows: int,
                    repeats: int) -> Tuple[SpeedupResult, dict]:
     """Time delta patching vs. full-partial rebuild at one grid point."""
-    scorer, normalized, table, rng = _build_serving(
+    scorer, _, table, rng = _build_serving(
         table_rows, table_width, outputs, entity_rows
     )
     delta = _make_delta(rng, table, delta_fraction)
@@ -123,22 +119,6 @@ def evaluate_point(table_rows: int, delta_fraction: float, table_width: int,
         repeats=repeats,
     )
 
-    # Secondary diagnostic: cache-term patching vs. recompute (fresh state
-    # per measurement because apply_delta migrates the cache to a successor).
-    start = time.perf_counter()
-    lazy = normalized.lazy()
-    lazy.crossprod().evaluate()
-    warmed = time.perf_counter() - start
-    start = time.perf_counter()
-    successor = normalized.apply_delta(0, delta, policy=DeltaPolicy(threshold=1.0))
-    cache_patch = time.perf_counter() - start
-    start = time.perf_counter()
-    rebuilt = NormalizedMatrix(normalized.entity, normalized.indicators,
-                               [table_after])
-    rebuilt.lazy().crossprod().evaluate()
-    cache_recompute = time.perf_counter() - start
-    assert successor._lazy_cache.patched >= 1  # the patch path actually ran
-
     record = {
         "table_rows": table_rows,
         "delta_fraction": delta_fraction,
@@ -148,9 +128,6 @@ def evaluate_point(table_rows: int, delta_fraction: float, table_width: int,
         "rebuild_seconds": result.materialized_seconds,
         "patch_seconds": result.factorized_seconds,
         "speedup": result.speedup,
-        "cache_warm_seconds": warmed,
-        "cache_patch_seconds": cache_patch,
-        "cache_recompute_seconds": cache_recompute,
     }
     scorer.close()
     return result, record
@@ -314,11 +291,6 @@ def main(argv=None) -> int:
     path = write_results(records, throughput)
     print(f"wrote {path}")
     print(_format(results))
-    for record in records:
-        print(f"rows={record['table_rows']:>7g} "
-              f"frac={record['delta_fraction']:>6g}  cache: "
-              f"patch {record['cache_patch_seconds'] * 1e3:7.2f} ms vs "
-              f"recompute {record['cache_recompute_seconds'] * 1e3:7.2f} ms")
     print(f"reader throughput under writes: "
           f"{throughput['under_writes_qps']:,.0f} scores/s vs "
           f"{throughput['baseline_qps']:,.0f} baseline "

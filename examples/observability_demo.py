@@ -1,9 +1,9 @@
 """Observability demo: one instrumented fit / delta / serve run, exported.
 
 Turns the obs layer on, runs a small end-to-end workload -- an auto-planned
-gradient-descent fit on a normalized star schema, a lazy fit that warms the
-memoization cache, a row delta absorbed by both the cache and the serving
-partials, micro-batched scoring and a top-k query -- and then prints the
+gradient-descent fit on a normalized star schema, a row delta absorbed by a
+held ``crossprod`` (via ``patch_term``) and by the serving partials,
+micro-batched scoring and a top-k query -- and then prints the
 span tree, the plan's predicted-vs-measured line and the metrics summary,
 and writes the JSON-lines and Prometheus exports next to the benchmark
 results (CI uploads them as artifacts).
@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from repro import LinearRegressionGD, NormalizedMatrix, obs
-from repro.core.delta import MatrixDelta
+from repro.core.delta import MatrixDelta, patch_term
 from repro.la.ops import indicator_from_labels
 from repro.ml import ServingExport
 from repro.serve import FactorizedScorer, ScoringService
@@ -56,18 +56,17 @@ def main(argv=None) -> int:
     print(model.plan_.explain())
     print()
 
-    # 2. Lazy fit: the join-invariant terms hit the memoization cache.
-    LinearRegressionGD(engine="lazy", max_iter=5).fit(normalized, target)
-
-    # 3. A row delta, absorbed incrementally by the lazy cache...
+    # 2. A row delta: the held crossprod is patched by the rank-|delta|
+    # rules instead of recomputed...
     delta = MatrixDelta.upsert(
         rng.choice(normalized.attributes[0].shape[0], size=3, replace=False),
         rng.standard_normal((3, normalized.attributes[0].shape[1])),
         normalized.attributes[0])
-    normalized.lazy().crossprod().evaluate()
-    normalized.apply_delta(0, delta)
+    gram = normalized.crossprod()
+    successor = normalized.apply_delta(0, delta)
+    patch_term("crossprod", gram, successor, 0, delta)
 
-    # 4. ... and by the serving partials, between scoring traffic.
+    # 3. ... and the serving partials absorb it, between scoring traffic.
     export = ServingExport("linear_regression",
                            rng.standard_normal((normalized.logical_cols, 2)))
     service = ScoringService(

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import LogisticRegressionGD, NormalizedMatrix, read_csv
+from repro import LinearRegressionGD, LogisticRegressionGD, NormalizedMatrix, read_csv
 from repro.ml import accuracy, binarize_labels, standardize
 from repro.relational import pk_fk_indicator, write_csv
 from repro.relational.table import Table
@@ -93,20 +93,16 @@ def main() -> None:
         print("factorized == materialized coefficients:",
               bool(np.allclose(model.coef_, standard.coef_)))
 
-        # 6. Lazy evaluation: build operator graphs instead of executing
-        #    immediately; join-invariant subexpressions are memoized across
-        #    iterations in a per-matrix FactorizedCache.
-        lazy = NormalizedMatrix(entity_features, [indicator], [attribute_features]).lazy()
-        lazy.crossprod().evaluate()       # computed via the factorized rewrite ...
-        lazy.crossprod().evaluate()       # ... then served from the cache
-        stats = lazy.cache.stats()
-        print(f"lazy crossprod cache: hits={stats.hits}, misses={stats.misses}")
-        lazy_model = LogisticRegressionGD(max_iter=100, step_size=1e-2,
-                                          update="exact", engine="lazy")
-        lazy_model.fit(lazy, target)
-        print("lazy == eager coefficients:",
-              bool(np.allclose(lazy_model.coef_, model.coef_, rtol=1e-8, atol=1e-10)))
-
+        # 6. Let the cost-based planner choose how to run a fit: layout,
+        #    shard count and -- for GD linear regression -- the eager loop or
+        #    the co-factor form (crossprod(T) and T^T Y once, then d x d steps).
+        y = np.asarray(normalized @ true_weights)
+        auto = LinearRegressionGD(max_iter=50, step_size=1e-4, engine="auto")
+        auto.fit(normalized, y)
+        eager = LinearRegressionGD(max_iter=50, step_size=1e-4).fit(normalized, y)
+        print(f"planner's choice for linear regression: {auto.plan_.chosen.label}")
+        print("auto == eager coefficients:",
+              bool(np.allclose(auto.coef_, eager.coef_, rtol=1e-8, atol=1e-10)))
 
 if __name__ == "__main__":
     main()

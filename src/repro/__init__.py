@@ -23,9 +23,6 @@ from repro.core import (
     morpheus,
     should_factorize,
     DecisionRule,
-    FactorizedCache,
-    LazyExpr,
-    as_lazy,
     Plan,
     Planner,
     WorkloadDescriptor,
@@ -44,7 +41,7 @@ from repro.ml import (
 from repro.relational import Table, read_csv, read_csv_chunks, stream_normalized_batches
 from repro.serve import FactorizedScorer, ModelRegistry, ScoringService
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "obs",
@@ -55,9 +52,6 @@ __all__ = [
     "morpheus_mn",
     "should_factorize",
     "DecisionRule",
-    "FactorizedCache",
-    "LazyExpr",
-    "as_lazy",
     "Plan",
     "Planner",
     "WorkloadDescriptor",

@@ -21,9 +21,6 @@ This package implements the paper's primary contribution:
   behind ``engine="auto"`` and ``NormalizedMatrix.plan()``: machine
   calibration + workload descriptors + Table-3 arithmetic, scored into
   explainable :class:`~repro.core.planner.plan.Plan` objects.
-* :mod:`repro.core.lazy` -- deferred-evaluation expression graphs over
-  normalized matrices with cross-iteration memoization of join-invariant
-  subexpressions (``NormalizedMatrix.lazy()``, :class:`FactorizedCache`).
 * :mod:`repro.core.partitioned` -- :class:`Partitioned`, the one
   row-partitioned operand: chunked (ORE ``ore.rowapply``), sharded
   (``NormalizedMatrix.shard()``, fanning the Table-1 operators out over the
@@ -54,7 +51,6 @@ from repro.core.decision import (
     morpheus,
     should_factorize,
 )
-from repro.core.lazy import FactorizedCache, LazyExpr, as_lazy, constant, evaluate
 from repro.core.planner import (
     CalibrationProfile,
     Plan,
@@ -73,11 +69,6 @@ __all__ = [
     "shard_bounds",
     "Batch",
     "NormalizedBatchIterator",
-    "FactorizedCache",
-    "LazyExpr",
-    "as_lazy",
-    "constant",
-    "evaluate",
     "NormalizedMatrix",
     "MNNormalizedMatrix",
     "materialize",

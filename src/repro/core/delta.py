@@ -8,8 +8,10 @@ produces.  It is the currency of the delta/IVM layer -- captured by
 matrix states), consumed by
 
 * :meth:`NormalizedMatrix.apply_delta` / :meth:`MNNormalizedMatrix.apply_delta`
-  -- producing the successor matrix and patching the attached lazy
-  :class:`~repro.core.lazy.cache.FactorizedCache` in place;
+  -- producing the successor matrix;
+* :func:`patch_term` -- refreshing a join-invariant term (``crossprod(T)``,
+  ``T^T Y``, an aggregate, ...) computed on the predecessor, by the rank-|Δ|
+  rules of :mod:`repro.core.rewrite.delta`;
 * :meth:`repro.serve.scorer.FactorizedScorer.apply_delta` -- patching only
   the changed rows of the table's partial-score matrix before the atomic
   snapshot swap.
@@ -22,8 +24,7 @@ non-patchable -- consumers must rebuild; see ``docs/incremental.md``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -202,7 +203,11 @@ class MatrixDelta:
             patched = attribute.tolil(copy=True)
             patched[self.rows, :] = self.new
             return patched.tocsr()
-        patched = np.array(np.asarray(attribute), dtype=np.float64)
+        dense = np.asarray(attribute)
+        # Keep a floating attribute's dtype (float32 tables stay float32);
+        # anything else widens to float64 like the delta values themselves.
+        dtype = dense.dtype if np.issubdtype(dense.dtype, np.floating) else np.float64
+        patched = np.array(dense, dtype=dtype)
         patched[self.rows, :] = self.new
         patched.setflags(write=False)
         return patched
@@ -214,59 +219,9 @@ class MatrixDelta:
         )
 
 
-def migrate_lazy_state(predecessor, successor, table_index: int,
-                       delta: "MatrixDelta", policy=None):
-    """Move the lazy identity and cache from *predecessor* to *successor*.
-
-    The successor inherits the predecessor's ``_lazy_token``, so the
-    structural cache keys of expressions built over it keep matching, and its
-    :class:`~repro.core.lazy.cache.FactorizedCache` after the cache has
-    absorbed the delta (each entry patched in place or invalidated, per the
-    policy).  The predecessor is stripped of both: entries patched against
-    post-delta state must never be served to expressions over the pre-delta
-    matrix.  Also bumps the successor's monotonic ``version``.
-    """
-    successor.version = getattr(predecessor, "version", 0) + 1
-    token = predecessor.__dict__.pop("_lazy_token", None)
-    cache = predecessor.__dict__.pop("_lazy_cache", None)
-    if token is not None:
-        successor._lazy_token = token
-    if cache is not None:
-        successor._lazy_cache = cache
-        if token is not None:
-            cache.apply_delta(successor, table_index, delta, policy=policy)
-    return successor
-
-
 # ---------------------------------------------------------------------------
-# Cache-entry patching: one rule per recognized join-invariant term
+# Term patching: one rule per join-invariant Table-1 term
 # ---------------------------------------------------------------------------
-
-#: Kinds of cached terms the delta rules can patch in place.
-PATCHABLE_KINDS = frozenset({
-    "crossprod", "lmm", "tlmm", "rowsums", "colsums", "total_sum",
-})
-
-
-@dataclass(frozen=True)
-class CachePatchRule:
-    """How to delta-patch one memoized join-invariant cache entry.
-
-    Captured by the lazy evaluator when it stores a recognized node shape
-    (``crossprod(T)``, ``T @ X``, ``T^T @ Y``, the aggregations) built
-    directly over a normalized-matrix leaf.  *token* pins the rule to that
-    leaf's identity so a shared cache never patches another matrix's entry;
-    *operand* holds the constant co-operand (``X`` / ``Y``) where one exists.
-    """
-
-    kind: str
-    token: str
-    operand: Optional[object] = field(default=None, compare=False)
-
-    def __post_init__(self):
-        if self.kind not in PATCHABLE_KINDS:
-            raise DeltaError(f"no delta patch rule for cached term kind {self.kind!r}")
-
 
 def _segment_offset(matrix, table_index: int) -> tuple:
     """(offset, width) of table *table_index*'s column segment inside ``T``."""
@@ -276,41 +231,47 @@ def _segment_offset(matrix, table_index: int) -> tuple:
     return offset, widths[table_index]
 
 
-def patch_cached_value(rule: CachePatchRule, value, matrix, table_index: int,
-                       delta: MatrixDelta):
-    """Return the post-delta replacement for one cached term.
+def patch_term(kind: str, value, matrix, table_index: int, delta: MatrixDelta,
+               operand=None):
+    """Return the post-delta value of one join-invariant term of ``T``.
 
-    *matrix* is the **successor** normalized matrix (its ``attributes`` are
-    post-delta); *value* is the pre-delta cached result.  Dense results come
-    back as fresh arrays (cached values are frozen, never mutated in place),
-    so in-flight readers of the old entry are unaffected.
+    *kind* names the term -- ``"crossprod"`` (``T^T T``), ``"lmm"``
+    (``T @ X``), ``"tlmm"`` (``T^T @ Y``), ``"rowsums"``, ``"colsums"`` or
+    ``"total_sum"`` -- and *operand* holds its constant co-operand (``X`` /
+    ``Y``) where it has one.  *value* is the term computed on the pre-delta
+    matrix; *matrix* is the **successor** returned by ``apply_delta`` (its
+    ``attributes`` are post-delta).  The patch is the rank-``|Δ|`` rule of
+    :mod:`repro.core.rewrite.delta`, so a caller holding ``crossprod(T)`` and
+    ``T^T Y`` (e.g. ``LinearRegressionCofactor.cofactor_``) refreshes them
+    without another pass over the join.  Dense results come back as fresh
+    arrays; *value* is never mutated.
     """
     indicator = matrix.indicators[table_index]
     rows, dvalues = delta.rows, delta.values
     offset, width = _segment_offset(matrix, table_index)
     segment = slice(offset, offset + width)
 
-    if rule.kind == "crossprod":
+    if kind == "crossprod":
         entity = getattr(matrix, "entity", None)
         return delta_rules.patch_crossprod(
             value, entity, matrix.indicators, matrix.attributes,
             table_index, rows, delta.old, delta.new,
         )
-    if rule.kind == "lmm":
-        x_block = ensure_2d(rule.operand)[segment, :]
+    if kind == "lmm":
+        x_block = ensure_2d(operand)[segment, :]
         return value + delta_rules.delta_lmm(indicator, rows, dvalues, x_block)
-    if rule.kind == "tlmm":
+    if kind == "tlmm":
         patched = np.array(to_dense(value), dtype=np.float64)
         patched[segment, :] += delta_rules.delta_tlmm_block(
-            indicator, rows, dvalues, rule.operand
+            indicator, rows, dvalues, operand
         )
         return patched
-    if rule.kind == "rowsums":
+    if kind == "rowsums":
         return value + delta_rules.delta_rowsums(indicator, rows, dvalues)
-    if rule.kind == "colsums":
+    if kind == "colsums":
         patched = np.array(to_dense(value), dtype=np.float64)
         patched[:, segment] += delta_rules.delta_colsums_block(indicator, rows, dvalues)
         return patched
-    if rule.kind == "total_sum":
+    if kind == "total_sum":
         return float(value) + delta_rules.delta_total_sum(indicator, rows, dvalues)
-    raise DeltaError(f"no delta patch rule for cached term kind {rule.kind!r}")
+    raise DeltaError(f"no delta patch rule for term kind {kind!r}")

@@ -109,16 +109,13 @@ class MNNormalizedMatrix:
     #: Monotonic delta version: 0 at construction, bumped by :meth:`apply_delta`.
     version = 0
 
-    def apply_delta(self, table_index: int, delta, policy=None) -> "MNNormalizedMatrix":
+    def apply_delta(self, table_index: int, delta) -> "MNNormalizedMatrix":
         """Successor matrix with *delta* applied to component table *table_index*.
 
         Semantics as :meth:`NormalizedMatrix.apply_delta
         <repro.core.normalized_matrix.NormalizedMatrix.apply_delta>`: a new
-        matrix sharing unchanged components, lazy cache migrated with each
-        memoized term patched or invalidated, version bumped.
+        matrix sharing unchanged components, version bumped.
         """
-        from repro.core.delta import migrate_lazy_state
-
         if not 0 <= table_index < self.num_components:
             raise IndexError(
                 f"table_index {table_index} out of range for "
@@ -127,7 +124,8 @@ class MNNormalizedMatrix:
         attributes = list(self.attributes)
         attributes[table_index] = delta.apply_to(attributes[table_index])
         successor = self._with_attributes(attributes)
-        return migrate_lazy_state(self, successor, table_index, delta, policy)
+        successor.version = self.version + 1
+        return successor
 
     # -- shape and metadata -------------------------------------------------------
 
@@ -252,14 +250,6 @@ class MNNormalizedMatrix:
         from repro.core.partitioned import Partitioned
 
         return Partitioned.sharded(self, n_shards, pool=pool)
-
-    # -- lazy evaluation -----------------------------------------------------------
-
-    def lazy(self, cache=None):
-        """Lazy expression leaf over this matrix; see :meth:`NormalizedMatrix.lazy`."""
-        from repro.core.lazy import lazy_view
-
-        return lazy_view(self, cache=cache)
 
     # -- cost-based planning ---------------------------------------------------------
 

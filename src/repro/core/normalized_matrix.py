@@ -20,7 +20,7 @@ from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.exceptions import NotSupportedError, RewriteError, ShapeError
+from repro.exceptions import NotSupportedError, ShapeError
 from repro.la import kernels
 from repro.la.types import (
     MatrixLike,
@@ -258,25 +258,19 @@ class NormalizedMatrix:
 
     # -- incremental maintenance ----------------------------------------------
 
-    def apply_delta(self, table_index: int, delta,
-                    policy=None) -> "NormalizedMatrix":
+    def apply_delta(self, table_index: int, delta) -> "NormalizedMatrix":
         """Successor matrix with *delta* applied to attribute table *table_index*.
 
         Base matrices are immutable, so a row delta produces a **new**
         normalized matrix sharing every unchanged component; the predecessor
-        stays valid for in-flight readers.  The attached lazy
-        :class:`~repro.core.lazy.cache.FactorizedCache` (if any) migrates to
-        the successor, with each memoized join-invariant term either patched
-        in place via the rank-``|Δ|`` rules of
-        :mod:`repro.core.rewrite.delta` or invalidated, as the *policy* (a
-        :class:`~repro.core.planner.delta_policy.DeltaPolicy`) decides.  The
-        successor's :attr:`version` is the predecessor's plus one.
+        stays valid for in-flight readers.  The successor's :attr:`version`
+        is the predecessor's plus one.  A term computed on the predecessor
+        (``crossprod``, ``T^T Y``, an aggregate) is refreshed with
+        :func:`repro.core.delta.patch_term` instead of recomputed.
 
         Deltas that append rows are rejected (:class:`~repro.exceptions.DeltaError`)
         -- row growth changes indicator shapes and needs a rebuild.
         """
-        from repro.core.delta import migrate_lazy_state
-
         if not 0 <= table_index < self.num_joins:
             raise IndexError(
                 f"table_index {table_index} out of range for {self.num_joins} joins"
@@ -284,7 +278,8 @@ class NormalizedMatrix:
         attributes = list(self.attributes)
         attributes[table_index] = delta.apply_to(attributes[table_index])
         successor = self._with_components(self.entity, attributes)
-        return migrate_lazy_state(self, successor, table_index, delta, policy)
+        successor.version = self.version + 1
+        return successor
 
     # -- streaming mini-batch execution -------------------------------------------
 
@@ -336,38 +331,14 @@ class NormalizedMatrix:
 
         return Partitioned.sharded(self, n_shards, pool=pool)
 
-    # -- lazy evaluation ---------------------------------------------------------
-
-    def lazy(self, cache=None) -> "LazyExpr":
-        """Return a lazy expression leaf over this matrix (deferred evaluation).
-
-        Operators applied to the result build a :class:`~repro.core.lazy.expr.LazyExpr`
-        graph instead of executing immediately; ``.evaluate()`` runs the graph
-        through the same factorized rewrites as the eager path, memoizing
-        join-invariant subexpressions in a per-matrix
-        :class:`~repro.core.lazy.cache.FactorizedCache` so iterative
-        workloads compute them only once.  Repeated ``lazy()`` calls on the
-        same object share one cache; pass *cache* to share across matrices.
-        The base matrices are treated as immutable, as everywhere else.
-
-        The cache lives as long as this matrix and may hold data-sized
-        entries (e.g. the scaled copy ``2 T`` that a lazy K-Means fit
-        memoizes) -- a deliberate space-time tradeoff that lets later fits
-        start warm.  Call ``TN.lazy().cache.clear()`` to release the entries
-        while keeping the counters.
-        """
-        from repro.core.lazy import lazy_view
-
-        return lazy_view(self, cache=cache)
-
     # -- cost-based planning -----------------------------------------------------
 
     def plan(self, workload=None, planner=None):
         """Score candidate execution strategies for this matrix (cost-based).
 
         Returns a :class:`~repro.core.planner.plan.Plan` ranking materialized
-        vs. factorized layout, eager vs. lazy engine, and serial vs. sharded
-        (vs. chunked) backends for *workload* -- a
+        vs. factorized layout, the eager loop vs. the co-factor form (linear
+        regression GD only), and serial vs. sharded (vs. chunked) backends for *workload* -- a
         :class:`~repro.core.planner.workload.WorkloadDescriptor`, defaulting
         to a generic single pass over the Table-1 operator mix.  Pass a
         configured :class:`~repro.core.planner.planner.Planner` to control

@@ -252,8 +252,8 @@ class Partitioned:
     """
 
     __array_ufunc__ = None
-    # Above plain matrices and the normalized classes (1000), below LazyExpr
-    # (2000), so mixed expressions resolve to the partitioned overloads.
+    # Above plain matrices and the normalized classes (1000), so mixed
+    # expressions resolve to the partitioned overloads.
     __array_priority__ = 1500
 
     def __init__(self, pieces: Optional[Sequence] = None, *, source=None,
@@ -635,20 +635,9 @@ class Partitioned:
     def __neg__(self):
         return self._scalar_op("*", -1.0)
 
-    # -- lazy evaluation and deltas ----------------------------------------------------
+    # -- deltas ------------------------------------------------------------------------
 
-    def lazy(self, cache=None):
-        """Lazy expression leaf over this operand (see ``NormalizedMatrix.lazy``).
-
-        Graphs over the leaf run through the partitioned overloads, and the
-        attached :class:`~repro.core.lazy.cache.FactorizedCache` memoizes
-        join-invariant nodes -- memoization and partitioned execution compose.
-        """
-        from repro.core.lazy import lazy_view
-
-        return lazy_view(self, cache=cache)
-
-    def apply_delta(self, table_index: int, delta, policy=None) -> "Partitioned":
+    def apply_delta(self, table_index: int, delta) -> "Partitioned":
         """The same streamed view over the post-delta source (see its ``apply_delta``).
 
         The batch size, transpose flag and pending scalar ops carry over.
@@ -658,7 +647,7 @@ class Partitioned:
                 f"cannot delta-patch a partitioned {type(self.source).__name__}: "
                 "only streamed normalized sources have an apply_delta surface"
             )
-        patched = self.source.apply_delta(table_index, delta, policy=policy)
+        patched = self.source.apply_delta(table_index, delta)
         return Partitioned(source=patched,
                            bounds=_fixed_bounds(int(patched.shape[0]), self.batch_rows),
                            transposed=self.transposed, ops=self.ops)

@@ -16,11 +16,6 @@ from repro.core.planner.calibration import (
     probe,
     reset_profile_cache,
 )
-from repro.core.planner.delta_policy import (
-    DEFAULT_DELTA_POLICY,
-    DeltaDecision,
-    DeltaPolicy,
-)
 from repro.core.planner.memory import (
     batch_rows_for_budget,
     factorized_nbytes,
@@ -39,9 +34,6 @@ from repro.core.planner.workload import OperatorUse, WorkloadDescriptor
 
 __all__ = [
     "CalibrationProfile",
-    "DEFAULT_DELTA_POLICY",
-    "DeltaDecision",
-    "DeltaPolicy",
     "OperatorUse",
     "Plan",
     "PlanOutcome",

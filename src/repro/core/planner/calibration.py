@@ -5,8 +5,7 @@ turning counts into predicted wall-clock seconds needs a handful of
 machine-dependent constants: the effective FLOP throughput of the dense and
 sparse kernels, the per-primitive-call Python dispatch overhead that every
 rewrite rule pays, the per-shard fan-out overhead of the parallel backend,
-the per-node overhead of the lazy evaluator, and the rate at which a join
-output can be materialized.
+and the rate at which a join output can be materialized.
 
 :func:`probe` measures all of them with a one-time microbenchmark (well under
 a second) and :func:`get_profile` caches the result on disk -- keyed only by
@@ -37,7 +36,7 @@ CACHE_ENV = "REPRO_CALIBRATION_CACHE"
 #: no timing and no disk access -- what CI and the test suite use).
 MODE_ENV = "REPRO_CALIBRATION"
 
-_FORMAT_VERSION = 4
+_FORMAT_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,6 @@ class CalibrationProfile:
     dispatch_overhead_s: float  # per primitive-call (rewrite-rule) overhead
     sparse_dispatch_overhead_s: float  # per sparse primitive-call overhead
     shard_overhead_s: float     # per shard, per operator fan-out overhead
-    lazy_node_overhead_s: float  # per graph node, per evaluation
     materialize_bandwidth: float  # join-output elements materialized per second
     parallel_efficiency: float  # marginal speedup of each extra shard worker
     source: str = "default"
@@ -77,7 +75,6 @@ class CalibrationProfile:
             dispatch_overhead_s=5e-6,
             sparse_dispatch_overhead_s=1e-5,
             shard_overhead_s=5e-5,
-            lazy_node_overhead_s=3e-6,
             materialize_bandwidth=2e8,
             parallel_efficiency=0.6,
             source="default",
@@ -198,20 +195,6 @@ def probe(repeats: int = 3) -> CalibrationProfile:
     t_plain = _best_seconds(lambda: small @ vec, repeats)
     shard_overhead = max((t_sharded - t_plain) / 4.0, 1e-7)
 
-    # Lazy per-node overhead: build + evaluate a 3-node graph over a tiny
-    # operand with a cold cache each time.
-    from repro.core.lazy.cache import FactorizedCache
-    from repro.core.lazy.expr import as_lazy
-
-    def lazy_pass():
-        leaf = as_lazy(small, cache=FactorizedCache())
-        ((leaf * 2.0) @ vec).evaluate()
-
-    lazy_pass()
-    t_lazy = _best_seconds(lazy_pass, repeats)
-    t_eager = _best_seconds(lambda: (small * 2.0) @ vec, repeats)
-    lazy_node_overhead = max((t_lazy - t_eager) / 3.0, 1e-7)
-
     # Materialization bandwidth: elements of join output assembled per second.
     from repro.core.materialize import materialize_star
 
@@ -243,7 +226,6 @@ def probe(repeats: int = 3) -> CalibrationProfile:
         dispatch_overhead_s=dispatch,
         sparse_dispatch_overhead_s=sparse_dispatch,
         shard_overhead_s=shard_overhead,
-        lazy_node_overhead_s=lazy_node_overhead,
         materialize_bandwidth=materialize_bandwidth,
         parallel_efficiency=parallel_efficiency,
         source="probe",

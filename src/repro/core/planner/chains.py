@@ -147,10 +147,6 @@ def plan_chain_summaries(data, workload=None) -> Optional[List[dict]]:
     decisions for chains still live in ``data.indicators``.  Builder-collapsed
     chains are plain CSR by now, so the two sets never overlap.
     """
-    from repro.core.lazy.expr import LeafExpr
-
-    if isinstance(data, LeafExpr):
-        data = data.value
     summaries: List[dict] = []
     recorded = getattr(data, "chain_decisions", None)
     if recorded:

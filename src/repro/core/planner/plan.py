@@ -21,7 +21,7 @@ class ScoredCandidate:
     """One candidate execution strategy with its predicted wall-clock cost."""
 
     factorized: bool
-    engine: str                 # "eager" or "lazy"
+    engine: str                 # "eager" or "cofactor"
     backend: str                # "dense", "sparse", "chunked", "sharded"
     #                             or "streamed"
     n_shards: int

@@ -2,8 +2,9 @@
 
 Where the paper stops at a static two-threshold heuristic (Section 5.1), the
 repo now has a whole lattice of execution choices -- materialized vs.
-factorized layout, eager vs. lazy engine, serial vs. sharded (vs. chunked)
-backends, shard counts -- and the profitable corner moves with the workload.
+factorized layout, serial vs. sharded (vs. chunked) backends, shard counts,
+and for GD linear regression the eager loop vs. its co-factor form -- and the
+profitable corner moves with the workload.
 :class:`Planner` closes that loop: it combines the paper's Table 3 / Table 11
 arithmetic models (:class:`~repro.core.cost.CostModel`) with the machine
 calibration constants (:mod:`repro.core.planner.calibration`) and a
@@ -11,7 +12,7 @@ calibration constants (:mod:`repro.core.planner.calibration`) and a
 candidate plan in predicted wall-clock seconds, and returns an explainable
 :class:`~repro.core.planner.plan.Plan`.
 
-The predicted cost of a candidate is a sum of four terms:
+The predicted cost of a candidate is a sum of three terms:
 
 * **arithmetic** -- operator flops (standard or factorized counts) divided by
   the calibrated throughput, scaled by the shard-parallel speedup model
@@ -22,16 +23,14 @@ The predicted cost of a candidate is a sum of four terms:
   assembly are additionally priced per row at a calibrated rate, since
   ``K @ (R X)`` behaves nothing like a dense matmul.  Sharded execution
   multiplies every call by the shard count, chunked by the chunk count;
-* **engine** -- the lazy evaluator's per-node bookkeeping (invariant
-  subexpressions are priced once plus a cache-hit per iteration);
 * **one-time** -- materialization of the join output when a materialized plan
   is chosen for normalized input, and shard-construction setup.
 
 Only work that differs between candidates is priced: per-iteration
 regular-matrix work common to all of them (e.g. K-Means' assignment step)
 cancels in the comparison, while engine-specific regular work -- the ``d x d``
-gram-vector product lazy GD performs *instead of* the hoisted data passes --
-is charged via :attr:`WorkloadDescriptor.lazy_gram_applies`.
+gram-vector product the co-factor form performs *instead of* the hoisted data
+passes -- is charged via :attr:`WorkloadDescriptor.gram_applies`.
 """
 
 from __future__ import annotations
@@ -50,10 +49,6 @@ from repro.core.planner.chains import plan_chain_summaries
 from repro.core.planner.plan import Plan, ScoredCandidate
 from repro.core.planner.workload import WorkloadDescriptor
 from repro.la.types import is_sparse
-
-#: Estimated lazy-graph nodes evaluated per Table-1 operator (leaf + op +
-#: result handling); only used to price the lazy engine's bookkeeping.
-_NODES_PER_OP = 3.0
 
 _PLANS_TOTAL = obs.REGISTRY.counter(
     "repro_planner_plans_total",
@@ -107,18 +102,6 @@ class _DataProfile:
 
 def describe_data(data) -> _DataProfile:
     """Build the planner's view of a data matrix of any supported family."""
-    from repro.core.lazy.expr import LazyExpr, LeafExpr
-
-    if isinstance(data, LeafExpr):
-        # A lazy view (TN.lazy()): describe the wrapped operand, not the
-        # graph node -- otherwise a lazy-wrapped normalized matrix would be
-        # misclassified as a fixed-layout plain matrix.
-        data = data.value
-    elif isinstance(data, LazyExpr):
-        # A composite graph only has a concrete operand family once
-        # evaluated (a data-sized computation; the ML auto path evaluates
-        # before planning for exactly this reason and reuses the result).
-        data = data.evaluate()
     from repro.core.partitioned import Partitioned
 
     mem = dict(
@@ -326,7 +309,7 @@ class Planner:
 
         candidates = []
         for factorized in layouts:
-            for engine in ("eager", "lazy"):
+            for engine in workload.engines:
                 for shards in shard_axis:
                     backend = serial_backend if shards == 1 else "sharded"
                     candidates.append(self._score(
@@ -408,7 +391,6 @@ class Planner:
                backend: str, shards: int,
                batch_rows: Optional[int] = None) -> ScoredCandidate:
         uses = workload.uses_for_engine(engine)
-        iterations = workload.iterations
 
         # Arithmetic: Table 3 / Table 11 counts over the calibrated throughput,
         # plus the row-wise overhead passes factorized execution performs on
@@ -443,12 +425,12 @@ class Planner:
         # The scatter/assembly passes fan out across shards exactly like the
         # base-matrix products, so both terms share the parallel speedup.
         arithmetic_s = (flops / throughput + overhead_rows / profile.indicator_flops) / speedup
-        if engine == "lazy" and workload.lazy_gram_applies:
-            # Per-iteration gram-vector products of the hoisted lazy form
-            # (e.g. lazy GD's ``gram @ w``): regular d x d arithmetic that the
-            # eager candidates do NOT perform, so it cannot cancel and must be
-            # priced -- it is what caps lazy's win on wide matrices.
-            arithmetic_s += (iterations * workload.lazy_gram_applies
+        if engine == "cofactor" and workload.gram_applies:
+            # Per-iteration gram-vector products of the co-factor form
+            # (``gram @ w``): regular d x d arithmetic that the eager
+            # candidates do NOT perform, so it cannot cancel and must be
+            # priced -- it is what caps the co-factor win on wide matrices.
+            arithmetic_s += (workload.iterations * workload.gram_applies
                              * float(dp.n_cols) ** 2 / profile.dense_flops)
 
         # Dispatch: primitive calls per operator, multiplied by the fan-out.
@@ -478,15 +460,6 @@ class Planner:
             dispatch_s += (fanout * workload.iterations * (dp.num_joins + 1)
                            * profile.sparse_dispatch_overhead_s)
 
-        # Engine: lazy bookkeeping.  Per-iteration nodes are re-evaluated each
-        # pass; invariant nodes (per_iteration=False) are built once and then
-        # touched as one cache hit per later iteration -- either way every op
-        # node costs one graph traversal per iteration.
-        engine_s = 0.0
-        if engine == "lazy":
-            evaluations = sum(use.count for use in uses) * iterations
-            engine_s = evaluations * _NODES_PER_OP * profile.lazy_node_overhead_s
-
         # One-time costs: materializing the join output, shard construction.
         one_time_s = 0.0
         if dp.can_factorize and not factorized and self.charge_materialization:
@@ -497,7 +470,6 @@ class Planner:
         breakdown = {
             "arithmetic": arithmetic_s,
             "dispatch": dispatch_s,
-            "engine": engine_s,
             "one-time": one_time_s,
         }
         return ScoredCandidate(

@@ -8,11 +8,11 @@ the iteration count, which is all the planner needs to score candidate
 execution plans: the dimensions come from the data matrix itself, the
 calibration constants from :mod:`repro.core.planner.calibration`.
 
-``lazy_uses`` describes what the ``engine="lazy"`` variant of the algorithm
-actually executes when it differs from the eager loop -- e.g. lazy GD linear
-regression replaces the per-iteration LMM/RMM pair with a one-time
-``crossprod(T)`` and ``T^T Y`` (normal-equation form) served from the
-:class:`~repro.core.lazy.cache.FactorizedCache` thereafter.
+``cofactor_uses`` describes the co-factor form of an algorithm, where it has
+one: GD linear regression can replace the per-iteration LMM/RMM pair with a
+one-time ``crossprod(T)`` and ``T^T Y`` (the co-factor terms of Algorithms
+13/14) and then iterate on ``d x d`` arithmetic only.  Only descriptors that
+define it get a second, ``engine="cofactor"``, planner candidate.
 """
 
 from __future__ import annotations
@@ -45,22 +45,27 @@ class WorkloadDescriptor:
     name: str
     iterations: int
     uses: Tuple[OperatorUse, ...]
-    #: Operator mix of the algorithm's ``engine="lazy"`` variant when it
-    #: differs from the eager loop; ``None`` means "same ops, same counts".
-    lazy_uses: Optional[Tuple[OperatorUse, ...]] = field(default=None)
-    #: ``d x d`` gram-vector products the lazy variant performs per iteration
-    #: *instead of* the hoisted data passes (lazy GD's ``gram @ w``); regular
+    #: Operator mix of the algorithm's co-factor form; ``None`` means the
+    #: algorithm has none and is planned with the eager loop only.
+    cofactor_uses: Optional[Tuple[OperatorUse, ...]] = field(default=None)
+    #: ``d x d`` gram-vector products the co-factor form performs per
+    #: iteration *instead of* the hoisted data passes (``gram @ w``); regular
     #: arithmetic, but unlike truly engine-independent work it does not cancel
-    #: against the eager candidates, so the planner must price it.
-    lazy_gram_applies: float = 0.0
+    #: against the eager candidate, so the planner must price it.
+    gram_applies: float = 0.0
 
     def total_count(self, use: OperatorUse) -> float:
         """Total executions of *use* over the whole fit."""
         return use.count * (self.iterations if use.per_iteration else 1)
 
+    @property
+    def engines(self) -> Tuple[str, ...]:
+        """The engine axis of this workload's candidate space."""
+        return ("eager",) if self.cofactor_uses is None else ("eager", "cofactor")
+
     def uses_for_engine(self, engine: str) -> Tuple[OperatorUse, ...]:
-        if engine == "lazy" and self.lazy_uses is not None:
-            return self.lazy_uses
+        if engine == "cofactor" and self.cofactor_uses is not None:
+            return self.cofactor_uses
         return self.uses
 
     # -- per-algorithm footprints ---------------------------------------------
@@ -76,14 +81,14 @@ class WorkloadDescriptor:
 
     @classmethod
     def linear_regression_gd(cls, max_iter: int) -> "WorkloadDescriptor":
-        """Algorithm 11 eager; the lazy variant hoists ``crossprod(T)`` / ``T^T Y``."""
+        """Algorithm 11 eager; the co-factor form hoists ``crossprod(T)`` / ``T^T Y``."""
         return cls(
             name="linreg-gd", iterations=max_iter,
             uses=(OperatorUse(Operator.LMM, x_cols=1),
                   OperatorUse(Operator.RMM, x_cols=1)),
-            lazy_uses=(OperatorUse(Operator.CROSSPROD, per_iteration=False),
-                       OperatorUse(Operator.RMM, x_cols=1, per_iteration=False)),
-            lazy_gram_applies=1.0,  # the per-iteration gram @ w product
+            cofactor_uses=(OperatorUse(Operator.CROSSPROD, per_iteration=False),
+                           OperatorUse(Operator.RMM, x_cols=1, per_iteration=False)),
+            gram_applies=1.0,  # the per-iteration gram @ w product
         )
 
     @classmethod

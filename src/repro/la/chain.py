@@ -13,7 +13,7 @@ folding from the small end first (``K1 @ (K2 @ X)``, never ``(K1 @ K2) @ X``)
 Because every rewrite rule touches indicators only through the primitives of
 :mod:`repro.la.ops` (the closure property), teaching those primitives about
 this one class closes the whole Table-1 operator set -- and therefore every
-engine built on it (lazy, sharded, streamed, serving) -- over multi-hop
+engine built on it (eager, sharded, streamed, serving) -- over multi-hop
 chains.
 
 ``collapse()`` materializes the product as one CSR matrix (nnz equal to the

@@ -90,22 +90,16 @@ class IterativeEstimator(abc.ABC):
         ``history_``; tracking costs extra LA passes, so benchmarks turn it off.
     engine:
         ``"eager"`` (default) executes each LA operator immediately, exactly
-        as the paper's pseudo-code does.  ``"lazy"`` drives the inner loop
-        through :mod:`repro.core.lazy`: the per-iteration expressions are
-        built as :class:`~repro.core.lazy.expr.LazyExpr` graphs and evaluated
-        with cross-iteration memoization, so join-invariant terms
-        (``crossprod(T)``, ``T^T Y``, ``2 * T``, ...) are computed once and
-        served from the data matrix's
-        :class:`~repro.core.lazy.cache.FactorizedCache` on every later
-        iteration.  After a lazy ``fit`` the cache is exposed as
-        ``lazy_cache_`` for inspection.  ``"auto"`` asks the cost-based
+        as the paper's pseudo-code does.  ``"auto"`` asks the cost-based
         planner (:mod:`repro.core.planner`) to choose: it scores materialized
-        vs. factorized layout, eager vs. lazy engine and shard counts against
-        this estimator's Table-1 operator footprint and dispatches the fit
-        accordingly; the chosen :class:`~repro.core.planner.plan.Plan` is
-        exposed as ``plan_`` after the fit.  Any explicit ``n_jobs`` -- even
-        ``1`` -- pins the shard axis and leaves the planner the remaining
-        choices; the default ``None`` leaves it free.
+        vs. factorized layout and shard counts (and, for GD linear
+        regression, the eager loop vs. the co-factor form that computes
+        ``crossprod(T)`` and ``T^T Y`` once) against this estimator's Table-1
+        operator footprint and dispatches the fit accordingly; the chosen
+        :class:`~repro.core.planner.plan.Plan` is exposed as ``plan_`` after
+        the fit.  Any explicit ``n_jobs`` -- even ``1`` -- pins the shard
+        axis and leaves the planner the remaining choices; the default
+        ``None`` leaves it free.
     n_jobs:
         Number of row shards the data matrix is split into for parallel
         execution of the per-iteration LA passes (``-1`` uses the CPU
@@ -118,9 +112,7 @@ class IterativeEstimator(abc.ABC):
         normalized matrices via their ``.shard()`` method (keeping every
         shard factorized), plain dense/sparse matrices via
         ``Partitioned.sharded`` -- and the same estimator code runs unchanged
-        over the shards.  Composes
-        with ``engine="lazy"``: the graphs are built over the sharded operand
-        and memoized results are computed shard-parallel once.
+        over the shards.
     solver:
         ``"batch"`` (default) runs the historical full-batch loop -- one LA
         pass over the whole data matrix per iteration.  ``"sgd"`` runs the
@@ -132,8 +124,7 @@ class IterativeEstimator(abc.ABC):
         materializes the join.  One epoch with ``batch_size >= n_rows`` (and
         ``shuffle=False``) is bit-for-bit identical to one full-batch
         iteration.  Composes with ``n_jobs`` (each batch is sharded for the
-        parallel backend); ``engine="lazy"`` has nothing to memoize across
-        distinct batches, so the sgd loop always executes its batches eagerly.
+        parallel backend).
     batch_size:
         Rows per mini-batch for ``solver="sgd"`` / streamed plans.  ``None``
         derives it from ``memory_budget`` when set, else uses one full-size
@@ -149,7 +140,7 @@ class IterativeEstimator(abc.ABC):
         returns a streamed plan and the fit runs mini-batched automatically.
     """
 
-    ENGINES = ("eager", "lazy", "auto")
+    ENGINES = ("eager", "auto")
     SOLVERS = ("batch", "sgd")
 
     def __init__(self, max_iter: int = 20, step_size: float = 1e-3,
@@ -185,8 +176,6 @@ class IterativeEstimator(abc.ABC):
         #: (calibrated) one on first use.  Tests inject deterministic planners.
         self.planner = None
         self.history_: List[float] = []
-        #: FactorizedCache used by the last lazy fit (None for eager fits).
-        self.lazy_cache_ = None
         #: Plan chosen by the last ``engine="auto"`` fit (None otherwise).
         self.plan_ = None
 
@@ -194,7 +183,7 @@ class IterativeEstimator(abc.ABC):
         return np.random.default_rng(self.seed)
 
     def _dispatch_data(self, data):
-        """Shard the concrete operand behind *data* according to ``n_jobs``."""
+        """Shard *data* according to ``n_jobs``."""
         return shard_for_jobs(data, self.n_jobs)
 
     def _workload_descriptor(self):
@@ -210,37 +199,31 @@ class IterativeEstimator(abc.ABC):
     def _resolve_engine(self, data):
         """Resolve ``engine=`` to a concrete ``(engine, operand)`` pair.
 
-        For ``"eager"``/``"lazy"`` this is exactly the historical
-        ``_dispatch_data`` path.  For ``"auto"`` the planner scores candidate
-        plans for this estimator's workload descriptor and the fit follows the
-        winner: a materialized plan swaps the normalized operand for its
-        (memoized) materialization, a sharded plan wraps the operand in the
-        parallel backend, and the returned engine drives the eager-vs-lazy
-        branch of the subclass's ``fit``.  The plan lands in ``plan_``.
+        For ``"eager"`` this is exactly the ``_dispatch_data`` path.  For
+        ``"auto"`` the planner scores candidate plans for this estimator's
+        workload descriptor and the fit follows the winner: a materialized
+        plan swaps the normalized operand for its (memoized) materialization,
+        a sharded plan wraps the operand in the parallel backend, and the
+        returned engine (``"eager"`` or ``"cofactor"``) selects the
+        subclass's loop.  The plan lands in ``plan_``.
         """
         if self.engine != "auto":
             self.plan_ = None
             if self.solver == "sgd":
-                # The sgd loop batches the concrete operand itself and shards
-                # per batch; wrapping the whole matrix in the sharded backend
+                # The sgd loop batches the operand itself and shards per
+                # batch; wrapping the whole matrix in the sharded backend
                 # here would hide its row-selection surface.
-                return self.engine, unwrap_lazy(data)
+                return self.engine, data
             return self.engine, self._dispatch_data(data)
-        from repro.core.lazy.expr import LazyExpr, LeafExpr
         from repro.core.planner import Planner
         from repro.la.types import is_matrix_like
 
-        concrete = unwrap_lazy(data)
-        if isinstance(data, LazyExpr) and not isinstance(data, LeafExpr):
-            # unwrap_lazy already evaluated the composite graph (a data-sized
-            # computation); fit on the result rather than evaluating it again.
-            data = concrete
         pinned = effective_n_jobs(self.n_jobs) if self._n_jobs_pinned else None
         if self.solver == "sgd":
             # Mini-batch fits shard per batch, not whole-matrix; restrict the
             # planner to the layout/engine axes.
             pinned = 1
-        if not (hasattr(concrete, "shard") or is_matrix_like(concrete)):
+        if not (hasattr(data, "shard") or is_matrix_like(data)):
             # Chunked / already-sharded operands pass through shard_for_jobs
             # unchanged, so a sharded plan could not be realized -- pin the
             # shard axis and let the planner choose only the engine.
@@ -249,7 +232,7 @@ class IterativeEstimator(abc.ABC):
         # one-time setup per matrix, so repeated fits should not re-charge it.
         planner = self.planner or Planner(charge_materialization=False,
                                           memory_budget=self.memory_budget)
-        plan = planner.plan(concrete, self._workload_descriptor(), n_shards=pinned)
+        plan = planner.plan(data, self._workload_descriptor(), n_shards=pinned)
         self.plan_ = plan
         operand = data
         # Only normalized input has a layout choice; fixed-layout operands
@@ -257,12 +240,12 @@ class IterativeEstimator(abc.ABC):
         # if they happen to expose a materialize() method.
         if not plan.factorized \
                 and plan.data_summary.get("kind") in ("normalized", "mn-normalized"):
-            operand = _memoized_materialize(concrete)
+            operand = _memoized_materialize(data)
         if plan.backend == "streamed":
             # A streamed plan dispatches the fit through the mini-batch loop
-            # (see _use_minibatch); the operand stays unwrapped so the batch
+            # (see _use_minibatch); the operand stays unsharded so the batch
             # iterator can slice it.
-            return plan.engine, unwrap_lazy(operand)
+            return plan.engine, operand
         if plan.n_jobs > 1:
             operand = shard_for_jobs(operand, plan.n_jobs)
         return plan.engine, operand
@@ -302,18 +285,6 @@ class IterativeEstimator(abc.ABC):
         """Shard one mini-batch for the parallel backend when ``n_jobs > 1``."""
         return shard_for_jobs(batch_data, self.n_jobs)
 
-    def _lazy_data(self, data):
-        """Lazy view of *data* for the ``engine="lazy"`` paths.
-
-        Also records the attached cache in ``lazy_cache_`` so callers can
-        inspect hit/miss counters after training.
-        """
-        from repro.core.lazy import as_lazy, find_cache
-
-        lazy = as_lazy(data)
-        self.lazy_cache_ = find_cache(lazy)
-        return lazy
-
     @abc.abstractmethod
     def fit(self, data, *args, **kwargs):
         """Train the estimator; must be implemented by subclasses."""
@@ -344,36 +315,23 @@ def shard_for_jobs(data, n_jobs: int):
     Normalized matrices shard through their own ``.shard()`` method so every
     shard stays factorized; plain dense/sparse matrices are sharded by
     :meth:`~repro.core.partitioned.Partitioned.sharded`; operands that are
-    already partitioned (and lazy views over them) pass through unchanged.
-
-    Two details keep the lazy engine's warm-cache contract intact under
-    sharding.  The shard view is memoized per ``(object, shard count)`` on
-    the source matrix (base matrices are immutable by the library-wide
-    convention), so repeated fits reuse one wrapper -- and therefore one
-    :class:`~repro.core.lazy.cache.FactorizedCache`.  And when *data* is a
-    lazy view carrying an explicit cache, that cache is re-attached to the
-    sharded operand instead of being dropped with the unwrapped view.
+    already partitioned pass through unchanged.  The shard view of a
+    normalized matrix is memoized per ``(object, shard count)`` on the matrix
+    (base matrices are immutable by the library-wide convention), so
+    repeated fits reuse one wrapper.
     """
-    from repro.core.lazy.expr import LeafExpr
-
     jobs = effective_n_jobs(validate_n_jobs(n_jobs))
     if jobs == 1:
         return data
-    cache = data.cache if isinstance(data, LeafExpr) else None
-    concrete = unwrap_lazy(data)
-    if hasattr(concrete, "shard"):
-        sharded = _memoized_shard_view(concrete, jobs)
-    else:
-        from repro.la.types import is_matrix_like
+    if hasattr(data, "shard"):
+        return _memoized_shard_view(data, jobs)
+    from repro.la.types import is_matrix_like
 
-        if not is_matrix_like(concrete):
-            return data  # already-partitioned operands pass through
-        from repro.core.partitioned import Partitioned
+    if not is_matrix_like(data):
+        return data  # already-partitioned operands pass through
+    from repro.core.partitioned import Partitioned
 
-        sharded = Partitioned.sharded(concrete, jobs)
-    if cache is not None:
-        return sharded.lazy(cache=cache)
-    return sharded
+    return Partitioned.sharded(data, jobs)
 
 
 def _memoized_materialize(matrix):
@@ -381,9 +339,8 @@ def _memoized_materialize(matrix):
 
     A materialized plan would otherwise re-join on every fit; the memo keeps
     repeated ``engine="auto"`` fits on the same data matrix warm, matching
-    the per-object memoization of the shard views below.  Like the
-    FactorizedCache entries of the lazy engine, this is a deliberate
-    space-time tradeoff: the dense join output (``n_S x d``) lives as long as
+    the per-object memoization of the shard views below.  This is a
+    deliberate space-time tradeoff: the dense join output (``n_S x d``) lives as long as
     the matrix does.  Release it with ``del matrix._materialized_view`` if
     the matrix outlives its auto-engine fits.
     """
@@ -412,31 +369,11 @@ def _memoized_shard_view(matrix, jobs: int):
     return views[jobs]
 
 
-def unwrap_lazy(data):
-    """Accept a lazy view anywhere a *concrete* data matrix is needed.
-
-    A :class:`~repro.core.lazy.expr.LeafExpr` (what ``TN.lazy()`` returns)
-    unwraps to its wrapped operand and a composite graph is evaluated to a
-    concrete matrix.  Eager fit branches and the ``predict`` methods use
-    this; the ``engine="lazy"`` branches instead hand the original view to
-    :func:`~repro.core.lazy.expr.as_lazy`, which preserves the view's
-    attached :class:`~repro.core.lazy.cache.FactorizedCache` (important for
-    plain-matrix views, whose cache lives only on the leaf).
-    """
-    from repro.core.lazy.expr import LazyExpr, LeafExpr
-
-    if isinstance(data, LeafExpr):
-        return data.value
-    if isinstance(data, LazyExpr):
-        return data.evaluate()
-    return data
-
-
 def validate_predict_data(data, n_features: int, context: str):
     """Validate and coerce an inference input to a scorable 2-D operand.
 
     Accepts everything ``fit`` accepts -- plain dense/sparse matrices,
-    normalized matrices, chunked/sharded operands, lazy views -- plus the
+    normalized matrices, chunked/sharded operands -- plus the
     point-request shapes an inference call sees: a 1-D vector of length
     ``n_features`` (one sample) or a nested sequence.  All shape problems
     raise :class:`repro.exceptions.ShapeError` with the estimator context
@@ -446,7 +383,6 @@ def validate_predict_data(data, n_features: int, context: str):
     """
     from repro.la.types import is_matrix_like
 
-    data = unwrap_lazy(data)
     if not is_matrix_like(data) and not hasattr(data, "shape"):
         try:
             data = np.asarray(data, dtype=np.float64)

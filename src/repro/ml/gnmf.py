@@ -24,7 +24,6 @@ from repro.la.generic import to_dense_result
 from repro.ml.base import (
     IterativeEstimator,
     fit_telemetry,
-    unwrap_lazy,
     validate_predict_data,
 )
 from repro.ml.export import ServingExport
@@ -77,7 +76,7 @@ class GNMF(IterativeEstimator):
     def fit(self, data, initial_w: Optional[np.ndarray] = None,
             initial_h: Optional[np.ndarray] = None) -> "GNMF":
         """Run the multiplicative updates; *data* must be element-wise non-negative."""
-        engine, data = self._resolve_engine(data)
+        _, data = self._resolve_engine(data)
         n, d = data.shape
         w, h = self._initial_factors(n, d)
         if initial_w is not None:
@@ -88,41 +87,17 @@ class GNMF(IterativeEstimator):
             raise ValueError("initial factors have incompatible shapes")
 
         self.history_ = []
-        self.lazy_cache_ = None
 
         if self._use_minibatch():
-            return self._fit_sgd(unwrap_lazy(data), w, h)
-
-        if engine == "lazy":
-            # Both numerators run through the lazy layer; the transposed view
-            # of the data matrix is the join-invariant node reused (as a cache
-            # hit) by the H update of every iteration after the first.
-            lazy_t = self._lazy_data(data)
-            transposed_node = lazy_t.T
-            if self.track_history:
-                data = unwrap_lazy(data)  # concrete operand for the objective
-
-            def numerator_h_for(w):
-                return to_dense_result((transposed_node @ w).evaluate())
-
-            def numerator_w_for(h):
-                return to_dense_result((lazy_t @ h).evaluate())
-        else:
-            data = unwrap_lazy(data)
-
-            def numerator_h_for(w):
-                return to_dense_result(data.T @ w)
-
-            def numerator_w_for(h):
-                return to_dense_result(data @ h)
+            return self._fit_sgd(data, w, h)
 
         for _ in range(self.max_iter):
             # H update: numerator T^T W is a factorized transposed LMM.
-            numerator_h = numerator_h_for(w)                             # d x r
+            numerator_h = to_dense_result(data.T @ w)                    # d x r
             denominator_h = h @ la_ops.crossprod(w) + self.epsilon       # d x r
             h = h * numerator_h / denominator_h
             # W update: numerator T H is a factorized LMM.
-            numerator_w = numerator_w_for(h)                             # n x r
+            numerator_w = to_dense_result(data @ h)                      # n x r
             denominator_w = w @ la_ops.crossprod(h) + self.epsilon       # n x r
             w = w * numerator_w / denominator_w
             if self.track_history:
@@ -195,7 +170,7 @@ class GNMF(IterativeEstimator):
         initializes from the seeded RNG on the first call (the feature count
         comes from the batch).
         """
-        data = self._dispatch_batch(unwrap_lazy(data))
+        data = self._dispatch_batch(data)
         n_b, d = data.shape
         if self.h_ is None:
             self._stream_rng = self._rng()

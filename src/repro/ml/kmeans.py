@@ -28,7 +28,6 @@ from repro.la.generic import to_dense_result
 from repro.ml.base import (
     IterativeEstimator,
     fit_telemetry,
-    unwrap_lazy,
     validate_predict_data,
 )
 from repro.ml.export import ServingExport
@@ -81,7 +80,7 @@ class KMeans(IterativeEstimator):
 
     @fit_telemetry
     def fit(self, data, initial_centroids: Optional[np.ndarray] = None) -> "KMeans":
-        engine, data = self._resolve_engine(data)
+        _, data = self._resolve_engine(data)
         n = data.shape[0]
         k = self.num_clusters
         centroids = (np.asarray(initial_centroids, dtype=np.float64)
@@ -92,55 +91,31 @@ class KMeans(IterativeEstimator):
             )
 
         self.history_ = []
-        self.lazy_cache_ = None
 
         if self._use_minibatch():
-            return self._fit_sgd(unwrap_lazy(data), centroids)
+            return self._fit_sgd(data, centroids)
 
-        if engine == "lazy":
-            # The lazy path writes the invariant terms *inside* the loop and
-            # lets the FactorizedCache hoist them: rowSums(T ^ 2), the doubled
-            # matrix 2 T, and the transposed view are each computed once and
-            # served as cache hits on every later iteration.  The two
-            # rank-one products with all-ones vectors are replaced by NumPy
-            # broadcasting, which replicates the exact same values.
-            lazy_t = self._lazy_data(data)
-            norms_node = (lazy_t ** 2).rowsums()
-            twice_node = 2 * lazy_t
-            transposed_node = lazy_t.T
-
-            def distances_for(centroids):
-                centroid_norms = np.sum(centroids ** 2, axis=0, keepdims=True)   # 1 x k
-                cross_term = to_dense_result((twice_node @ centroids).evaluate())  # n x k LMM
-                return to_dense_result(norms_node.evaluate()) + centroid_norms - cross_term
-
-            def sums_for(assignment):
-                return to_dense_result((transposed_node @ assignment).evaluate())
-        else:
-            data = unwrap_lazy(data)
-            ones_row = np.ones((1, k))
-            ones_col = np.ones((n, 1))
-            # Pre-compute the per-point squared norms: rowSums(T ^ 2), factorized.
-            point_norms = generic.rowsums(generic.square(data)) @ ones_row
-            data_twice = 2 * data
-
-            def distances_for(centroids):
-                centroid_norms = np.sum(centroids ** 2, axis=0, keepdims=True)  # 1 x k
-                cross_term = to_dense_result(data_twice @ centroids)            # n x k LMM
-                return point_norms + ones_col @ centroid_norms - cross_term
-
-            def sums_for(assignment):
-                return to_dense_result(data.T @ assignment)
+        ones_row = np.ones((1, k))
+        ones_col = np.ones((n, 1))
+        # Loop-invariant terms, hoisted: the per-point squared norms
+        # rowSums(T ^ 2) and the doubled matrix 2 T, both factorized.
+        point_norms = generic.rowsums(generic.square(data)) @ ones_row
+        data_twice = 2 * data
 
         assignment = None
         distances = None
         for _ in range(self.max_iter):
-            distances = distances_for(centroids)
+            centroid_norms = np.sum(centroids ** 2, axis=0, keepdims=True)  # 1 x k
+            cross_term = to_dense_result(data_twice @ centroids)            # n x k LMM
+            distances = point_norms + ones_col @ centroid_norms - cross_term
+            # Free the n x k block now: alive into the next iteration's LMM it
+            # would raise the fit's peak memory by one n x k array.
+            del cross_term
             labels = np.argmin(distances, axis=1)
             assignment = np.zeros((n, k))
             assignment[np.arange(n), labels] = 1.0
             counts = assignment.sum(axis=0, keepdims=True)                   # 1 x k
-            sums = sums_for(assignment)                                      # d x k, factorized
+            sums = to_dense_result(data.T @ assignment)                      # d x k, factorized
             # Keep the previous centroid for empty clusters instead of dividing by zero.
             safe_counts = np.where(counts > 0, counts, 1.0)
             updated = sums / safe_counts
@@ -186,7 +161,7 @@ class KMeans(IterativeEstimator):
         streams start identically.  With one batch covering every row this
         is exactly one Lloyd iteration.
         """
-        data = self._dispatch_batch(unwrap_lazy(data))
+        data = self._dispatch_batch(data)
         k = self.num_clusters
         n = data.shape[0]
         if self.centroids_ is None:

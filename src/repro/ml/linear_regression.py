@@ -31,11 +31,20 @@ from repro.ml.base import (
     fit_telemetry,
     check_rows_match,
     shard_for_jobs,
-    unwrap_lazy,
     validate_n_jobs,
     validate_predict_data,
 )
 from repro.ml.export import ServingExport
+
+
+def cofactor_terms(data, y: np.ndarray):
+    """The two join-invariant terms ``(crossprod(T), T^T Y)`` of least squares.
+
+    One factorized cross-product and one factorized transposed LMM over
+    *data*; together they are the co-factor matrix of Algorithms 13/14, and
+    ``crossprod(T) w - T^T Y`` is the least-squares gradient for any ``w``.
+    """
+    return generic.crossprod(data), to_dense_result(data.T @ y)
 
 
 def _export_linear(coef: Optional[np.ndarray], context: str) -> ServingExport:
@@ -56,7 +65,7 @@ class LinearRegressionNE:
     @fit_telemetry
     def fit(self, data, target) -> "LinearRegressionNE":
         """Solve ``w = ginv(T^T T) (T^T Y)``."""
-        data = shard_for_jobs(unwrap_lazy(data), self.n_jobs)
+        data = shard_for_jobs(data, self.n_jobs)
         y = as_column(target)
         check_rows_match(data, y, "LinearRegressionNE.fit")
         if self.crossprod_method is not None and hasattr(data, "crossprod"):
@@ -81,12 +90,13 @@ class LinearRegressionNE:
 class LinearRegressionGD(IterativeEstimator):
     """Ordinary least squares via batch gradient descent (Algorithm 11/12).
 
-    With ``engine="lazy"`` the gradient is evaluated through the lazy layer in
-    its normal-equation form ``crossprod(T) w - T^T Y`` (algebraically equal
-    to ``T^T (T w - Y)``; this is the same one-time-LA trick the co-factor
-    hybrid below uses).  Both ``crossprod(T)`` and ``T^T Y`` are join
-    invariant, so after the first iteration every pass costs two cache hits
-    plus ``O(d^2)`` regular arithmetic instead of two LA passes over the data.
+    ``engine="eager"`` runs Algorithm 11 verbatim: two LA passes over the
+    data per iteration.  Under ``engine="auto"`` the planner may instead pick
+    the co-factor form: the gradient ``T^T (T w - Y)`` equals
+    ``crossprod(T) w - T^T Y``, so both data-sized terms are computed once
+    (:func:`cofactor_terms`) and every iteration costs ``O(d^2)`` regular
+    arithmetic -- the hybrid of :class:`LinearRegressionCofactor` with a
+    plain step size.
     """
 
     def __init__(self, max_iter: int = 20, step_size: float = 1e-6,
@@ -114,14 +124,10 @@ class LinearRegressionGD(IterativeEstimator):
         d = data.shape[1]
         w = as_column(initial_weights).copy() if initial_weights is not None else np.zeros((d, 1))
         self.history_ = []
-        self.lazy_cache_ = None
         if self._use_minibatch():
-            return self._fit_sgd(unwrap_lazy(data), y, w)
-        if engine == "lazy":
-            # Hand the original operand over: a lazy view keeps its attached
-            # FactorizedCache (as_lazy passes views through unchanged).
-            return self._fit_lazy(data, y, w)
-        data = unwrap_lazy(data)
+            return self._fit_sgd(data, y, w)
+        if engine == "cofactor":
+            return self._fit_cofactor(data, y, w)
         for _ in range(self.max_iter):
             residual = to_dense_result(data @ w) - y
             gradient = to_dense_result(data.T @ residual)
@@ -166,7 +172,7 @@ class LinearRegressionGD(IterativeEstimator):
         CSV reader) or a plain row slice -- the two match to numerical
         precision, which the equivalence suite checks.
         """
-        data = self._dispatch_batch(unwrap_lazy(data))
+        data = self._dispatch_batch(data)
         y = as_column(target)
         check_rows_match(data, y, "LinearRegressionGD.partial_fit")
         if self.coef_ is None:
@@ -176,18 +182,18 @@ class LinearRegressionGD(IterativeEstimator):
             self.history_.append(sse)
         return self
 
-    def _fit_lazy(self, data, y: np.ndarray, w: np.ndarray) -> "LinearRegressionGD":
-        from repro.core.lazy import constant
+    def _fit_cofactor(self, data, y: np.ndarray, w: np.ndarray) -> "LinearRegressionGD":
+        """The co-factor form: two data passes per fit, then ``d x d`` steps.
 
-        lazy_t = self._lazy_data(data)
-        gram = lazy_t.crossprod()          # join-invariant: memoized after iter 1
-        projected = lazy_t.T @ constant(y)  # join-invariant: memoized after iter 1
+        With ``track_history`` every iteration also runs ``T w`` for the
+        residual sum of squares, as the eager loop reports it.
+        """
+        gram, xty = cofactor_terms(data, y)
         for _ in range(self.max_iter):
             if self.track_history:
-                residual = to_dense_result((lazy_t @ w).evaluate()) - y
+                residual = to_dense_result(data @ w) - y
                 self.history_.append(float(np.sum(residual ** 2)))
-            gradient = (gram @ w - projected).evaluate()
-            w = w - self.step_size * gradient
+            w = w - self.step_size * (gram @ w - xty)
         self.coef_ = w
         return self
 
@@ -225,13 +231,12 @@ class LinearRegressionCofactor(IterativeEstimator):
     @fit_telemetry
     def fit(self, data, target, initial_weights: Optional[np.ndarray] = None
             ) -> "LinearRegressionCofactor":
-        data = self._dispatch_data(unwrap_lazy(data))
+        data = self._dispatch_data(data)
         y = as_column(target)
         check_rows_match(data, y, "LinearRegressionCofactor.fit")
         d = data.shape[1]
-        yt_t = to_dense_result(y.T @ data)          # 1 x d, factorized RMM
-        gram = generic.crossprod(data)              # d x d, factorized cross-product
-        cofactor = np.vstack([yt_t, gram])          # (d + 1) x d
+        gram, xty = cofactor_terms(data, y)
+        cofactor = np.vstack([xty.T, gram])         # (d + 1) x d
         self.cofactor_ = cofactor
 
         w = as_column(initial_weights).copy() if initial_weights is not None else np.zeros((d, 1))

@@ -30,7 +30,6 @@ from repro.ml.base import (
     check_rows_match,
     clip_scores,
     sigmoid,
-    unwrap_lazy,
     validate_predict_data,
 )
 from repro.ml.export import ServingExport
@@ -75,7 +74,7 @@ class LogisticRegressionGD(IterativeEstimator):
         :func:`repro.ml.preprocessing.binarize_labels` to convert 0/1 labels).
         """
         y = as_column(target)
-        engine, data = self._resolve_engine(data)
+        _, data = self._resolve_engine(data)
         check_rows_match(data, y, "LogisticRegressionGD.fit")
         d = data.shape[1]
         if initial_weights is not None:
@@ -84,44 +83,19 @@ class LogisticRegressionGD(IterativeEstimator):
             w = np.zeros((d, 1))
         alpha = self.step_size
         self.history_ = []
-        self.lazy_cache_ = None
 
         if self._use_minibatch():
-            return self._fit_sgd(unwrap_lazy(data), y, w)
-
-        if engine == "lazy":
-            # Logistic regression has no data-sized join-invariant term (the
-            # gradient is nonlinear in w), so the memoized node is the
-            # transposed view T^T -- a flag flip sharing the base matrices,
-            # costing no extra memory -- retrieved as a cache hit on every
-            # iteration after the first.  The arithmetic is identical to the
-            # eager closures, so coefficients match bit for bit.
-            lazy_t = self._lazy_data(data)
-            transposed_node = lazy_t.T
-
-            def scores_for(w):
-                return to_dense_result((lazy_t @ w).evaluate())
-
-            def gradient_for(p):
-                return to_dense_result((transposed_node @ p).evaluate())
-        else:
-            data = unwrap_lazy(data)
-
-            def scores_for(w):
-                return to_dense_result(data @ w)
-
-            def gradient_for(p):
-                return to_dense_result(data.T @ p)
+            return self._fit_sgd(data, y, w)
 
         for _ in range(self.max_iter):
-            scores = scores_for(w)
+            scores = to_dense_result(data @ w)
             # Clip the exponent to keep exp finite; beyond +/-500 the factor is
             # numerically 0 or 1 anyway, so the update is unchanged.
             if self.update == "paper":
                 p = y / (1.0 + np.exp(clip_scores(scores)))
             else:
                 p = y / (1.0 + np.exp(clip_scores(y * scores)))
-            w = w + alpha * gradient_for(p)
+            w = w + alpha * to_dense_result(data.T @ p)
             if self.track_history:
                 self.history_.append(self._negative_log_likelihood(scores, y))
 
@@ -154,7 +128,7 @@ class LogisticRegressionGD(IterativeEstimator):
         Initializes ``coef_`` to zeros on the first call; factorized and
         materialized batches produce matching updates to numerical precision.
         """
-        data = self._dispatch_batch(unwrap_lazy(data))
+        data = self._dispatch_batch(data)
         y = as_column(target)
         check_rows_match(data, y, "LogisticRegressionGD.partial_fit")
         if self.coef_ is None:

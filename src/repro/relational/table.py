@@ -41,7 +41,7 @@ class Table:
                     f"column {col_name!r} has {arr.shape[0]} rows, expected {length}"
                 )
             # Stored as read-only views: every cache keyed off this table (key
-            # position indexes, lazy-layer memoization, serving partials)
+            # position indexes, shard views, serving partials)
             # assumes column data never changes in place.  Mutations must go
             # through the delta API (upsert_rows / delete_rows), which
             # produces a successor table and a capturable delta instead.

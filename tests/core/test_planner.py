@@ -116,37 +116,41 @@ class TestCalibrationProfile:
             reset_profile_cache()
 
     def test_v3_cache_triggers_reprobe(self, monkeypatch, tmp_path):
-        # Caches written before the fused planner candidate was removed carry
-        # format version 3 and its gather-rate field; auto mode re-probes them.
+        # Caches written in an older format carry fields that no longer
+        # exist: version 3 the fused planner candidate's gather rate, version
+        # 4 the lazy engine's per-node overhead.  Auto mode re-probes both.
         from repro.core.planner import get_profile, reset_profile_cache
         from repro.core.planner import calibration as calibration_module
 
         cache = tmp_path / "calibration.json"
-        stale = {**CalibrationProfile.default().to_json(), "version": 3,
-                 "fused_gather_rows": 2e9}
-        cache.write_text(json.dumps(stale))
+        current = CalibrationProfile.default().to_json()
+        stale_payloads = (
+            {**current, "version": 3, "fused_gather_rows": 2e9},
+            {**current, "version": 4, "lazy_node_overhead_s": 3e-6},
+        )
         monkeypatch.setenv("REPRO_CALIBRATION", "auto")
         monkeypatch.setenv("REPRO_CALIBRATION_CACHE", str(cache))
         probed = replace(CalibrationProfile.default(), dense_flops=1e9, source="probe")
         monkeypatch.setattr(calibration_module, "probe", lambda: probed)
-        reset_profile_cache()
-        try:
-            assert get_profile("auto") == probed
-            assert CalibrationProfile.load(cache) == probed  # cache rewritten as v4
-        finally:
+        for stale in stale_payloads:
+            cache.write_text(json.dumps(stale))
             reset_profile_cache()
+            try:
+                assert get_profile("auto") == probed
+                assert CalibrationProfile.load(cache) == probed  # rewritten as v5
+            finally:
+                reset_profile_cache()
 
     def test_default_constants_unchanged(self):
-        """Plans price with the same constants as before the v4 format."""
+        """Plans price with the same constants as before the v5 format."""
         assert CalibrationProfile.default().to_json() == {
-            "version": 4,
+            "version": 5,
             "dense_flops": 2.5e9,
             "sparse_flops": 1e9,
             "indicator_flops": 5e8,
             "dispatch_overhead_s": 5e-6,
             "sparse_dispatch_overhead_s": 1e-5,
             "shard_overhead_s": 5e-5,
-            "lazy_node_overhead_s": 3e-6,
             "materialize_bandwidth": 2e8,
             "parallel_efficiency": 0.6,
             "source": "default",
@@ -177,11 +181,12 @@ class TestWorkloadDescriptor:
         invariant = [u for u in kmeans.uses if not u.per_iteration]
         assert invariant, "kmeans precomputations must be loop-invariant"
 
-    def test_linreg_gd_lazy_variant_hoists_invariants(self):
+    def test_linreg_gd_cofactor_variant_hoists_invariants(self):
         wl = WorkloadDescriptor.linear_regression_gd(50)
-        assert wl.lazy_uses is not None
-        assert all(not u.per_iteration for u in wl.lazy_uses)
-        assert wl.uses_for_engine("lazy") == wl.lazy_uses
+        assert wl.cofactor_uses is not None
+        assert all(not u.per_iteration for u in wl.cofactor_uses)
+        assert wl.engines == ("eager", "cofactor")
+        assert wl.uses_for_engine("cofactor") == wl.cofactor_uses
         assert wl.uses_for_engine("eager") == wl.uses
 
     def test_total_count_scales_with_iterations(self):
@@ -218,16 +223,6 @@ class TestDescribeData:
         assert not profile.can_factorize
         assert profile.num_joins == 0
 
-    def test_lazy_view_describes_the_wrapped_operand(self, redundant):
-        # Planner.plan(TN.lazy()) must see the normalized matrix, not a
-        # fixed-layout graph leaf.
-        profile = describe_data(redundant.lazy())
-        assert profile.kind == "normalized"
-        assert profile.can_factorize
-        plan = Planner(calibration=CalibrationProfile.default()).plan(
-            redundant.lazy(), WorkloadDescriptor.logistic_regression(20))
-        assert plan.factorized
-
     def test_describe_data_ratios_guard_degenerate_schemas(self):
         # The planner reads the ratios off the matrix, whose zero guards turn
         # degenerate schemas into infinities rather than ZeroDivisionError.
@@ -259,18 +254,24 @@ class TestPlannerChoices:
         assert not plan.factorized
         assert plan.threshold_rule_choice == "materialize"
 
-    def test_linreg_gd_prefers_lazy_memoization(self, planner, redundant):
+    def test_linreg_gd_prefers_cofactor_form(self, planner, redundant):
         plan = planner.plan(redundant, WorkloadDescriptor.linear_regression_gd(40))
-        assert plan.engine == "lazy"
+        assert plan.engine == "cofactor"
+        assert set(plan.chosen.breakdown) == {"arithmetic", "dispatch", "one-time"}
 
-    def test_logreg_prefers_eager_over_lazy_bookkeeping(self, planner, redundant):
-        plan = planner.plan(redundant, WorkloadDescriptor.logistic_regression(40))
-        assert plan.engine == "eager"
+    @pytest.mark.parametrize("workload", [
+        WorkloadDescriptor.logistic_regression(40),
+        WorkloadDescriptor.kmeans(num_clusters=5, max_iter=40),
+        WorkloadDescriptor.gnmf(rank=4, max_iter=40),
+    ], ids=lambda wl: wl.name)
+    def test_only_linreg_scores_a_cofactor_candidate(self, planner, redundant, workload):
+        plan = planner.plan(redundant, workload)
+        assert {c.engine for c in plan.candidates} == {"eager"}
 
     def test_wide_matrix_linreg_gd_prefers_eager(self, planner):
-        # On a short-and-wide matrix the lazy engine's per-iteration d x d
+        # On a short-and-wide matrix the co-factor form's per-iteration d x d
         # gram-vector product outweighs the hoisted data passes; the planner
-        # must charge it (lazy_gram_applies) and pick eager.
+        # must charge it (gram_applies) and pick eager.
         from repro.core.normalized_matrix import NormalizedMatrix
         from repro.la.ops import indicator_from_labels
 
@@ -514,34 +515,6 @@ class TestSurfaceIntegration:
         chunked_eager = next(c for c in plan.candidates if c.engine == "eager")
         mono_eager = next(c for c in mono.candidates if c.engine == "eager")
         assert chunked_eager.breakdown["dispatch"] > mono_eager.breakdown["dispatch"]
-
-    def test_auto_engine_evaluates_composite_lazy_graph_once(self, single_join_dense):
-        from repro.core.lazy.expr import LazyExpr
-        from repro.ml.linear_regression import LinearRegressionGD
-
-        _, normalized, materialized = single_join_dense
-        rng = np.random.default_rng(9)
-        y = rng.standard_normal(normalized.shape[0])
-        graph = normalized.lazy() * 2.0
-        evaluations = []
-        original = LazyExpr.evaluate
-
-        def counting_evaluate(self, cache=None):
-            evaluations.append(self)
-            return original(self, cache=cache)
-
-        LazyExpr.evaluate = counting_evaluate
-        try:
-            model = LinearRegressionGD(max_iter=3, step_size=1e-3, engine="auto")
-            model.planner = Planner(calibration=CalibrationProfile.default())
-            model.fit(graph, y)
-        finally:
-            LazyExpr.evaluate = original
-        # the composite input graph itself is evaluated exactly once
-        assert sum(1 for e in evaluations if e is graph) == 1
-        reference = LinearRegressionGD(max_iter=3, step_size=1e-3).fit(
-            2.0 * materialized, y)
-        assert np.allclose(model.coef_, reference.coef_, atol=1e-8)
 
     def test_auto_engine_pins_serial_for_undispatchable_operands(self):
         # Chunked operands pass through shard_for_jobs unchanged, so a sharded

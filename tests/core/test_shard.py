@@ -386,19 +386,6 @@ class TestShardedNormalizedMatrix:
         finally:
             sharded.executor.pool.close()
 
-    def test_lazy_composes_with_sharding(self, single_join_dense, rng):
-        _, normalized, materialized = single_join_dense
-        sharded = normalized.shard(3, pool="serial")
-        lazy = sharded.lazy()
-        x = rng.standard_normal((materialized.shape[1], 2))
-        gram_node = lazy.crossprod()
-        first = (gram_node @ x).evaluate()
-        second = (gram_node @ x).evaluate()
-        assert np.allclose(first, materialized.T @ materialized @ x, atol=1e-8)
-        assert np.allclose(first, second)
-        stats = lazy.cache.stats()
-        assert stats.hits >= 1  # the crossprod node is served from the cache
-
     def test_rejects_transposed_pieces(self, single_join_dense):
         _, normalized, _ = single_join_dense
         with pytest.raises(ShapeError):

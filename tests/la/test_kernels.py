@@ -25,6 +25,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro import obs
+from repro.core.delta import MatrixDelta
 from repro.core.indicator import indicator_codes, reset_codes_cache
 from repro.core.mn_matrix import MNNormalizedMatrix
 from repro.core.normalized_matrix import NormalizedMatrix
@@ -344,10 +345,14 @@ class TestDtypePreservation:
 
     def test_float32_crossprod_round_trip(self):
         matrix = _star(7, dtype=np.float32)
-        gram = np.asarray(matrix.crossprod())
-        assert gram.dtype == np.float32
-        dense = np.asarray(matrix.to_dense(), dtype=np.float32)
-        assert np.allclose(gram, dense.T @ dense, atol=1e-3)
+        # A row delta must not upcast the patched attribute table either.
+        delta = MatrixDelta.upsert([0, 3], np.ones((2, matrix.attributes[1].shape[1])),
+                                   matrix.attributes[1])
+        for operand in (matrix, matrix.apply_delta(1, delta)):
+            gram = np.asarray(operand.crossprod())
+            assert gram.dtype == np.float32
+            dense = np.asarray(operand.to_dense(), dtype=np.float32)
+            assert np.allclose(gram, dense.T @ dense, atol=1e-3)
 
     def test_float32_mn_round_trip(self):
         matrix = _mn(8, dtype=np.float32)

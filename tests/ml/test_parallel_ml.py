@@ -75,36 +75,14 @@ class TestShardForJobs:
         chunked = Partitioned.chunked(materialized, 16)
         assert shard_for_jobs(chunked, 4) is chunked
 
-    def test_lazy_view_is_resharded_keeping_its_cache(self, regression_problem):
-        """A lazy view's FactorizedCache must survive n_jobs re-dispatch."""
-        from repro.core.lazy import FactorizedCache
-        from repro.core.lazy.expr import LeafExpr
-
-        normalized, _, _ = regression_problem
-        cache = FactorizedCache()
-        view = normalized.lazy(cache=cache)
-        dispatched = shard_for_jobs(view, 2)
-        assert isinstance(dispatched, LeafExpr)
-        assert isinstance(dispatched.value, Partitioned)
-        assert dispatched.cache is cache
-
     def test_shard_view_is_memoized_per_matrix_and_count(self, regression_problem):
-        """Repeated fits reuse one shard wrapper (and hence one lazy cache)."""
+        """Repeated fits reuse one shard wrapper."""
         normalized, _, _ = regression_problem
         first = shard_for_jobs(normalized, 3)
         second = shard_for_jobs(normalized, 3)
         other = shard_for_jobs(normalized, 2)
         assert first is second
         assert other is not first and other.num_shards == 2
-
-    def test_lazy_fit_cache_is_warm_across_fits(self, regression_problem):
-        normalized, _, y = regression_problem
-        cold = LinearRegressionGD(max_iter=3, step_size=1e-4, engine="lazy", n_jobs=2)
-        cold.fit(normalized, y)
-        warm = LinearRegressionGD(max_iter=3, step_size=1e-4, engine="lazy", n_jobs=2)
-        warm.fit(normalized, y)
-        assert warm.lazy_cache_ is cold.lazy_cache_
-        assert warm.lazy_cache_.stats().misses == cold.lazy_cache_.stats().misses
 
 
 class TestLinearRegressionParallel:
@@ -152,16 +130,6 @@ class TestLinearRegressionParallel:
         one_job = LinearRegressionGD(max_iter=4, step_size=1e-4, n_jobs=1).fit(normalized, y)
         assert np.array_equal(one_job.coef_, serial.coef_)
 
-    def test_lazy_engine_composes_with_n_jobs(self, regression_problem):
-        normalized, _, y = regression_problem
-        serial = LinearRegressionGD(max_iter=6, step_size=1e-4).fit(normalized, y)
-        parallel = LinearRegressionGD(max_iter=6, step_size=1e-4, engine="lazy",
-                                      n_jobs=2).fit(normalized, y)
-        assert np.allclose(parallel.coef_, serial.coef_, atol=1e-8)
-        # crossprod(T) and T^T Y hit the cache on every iteration but the first,
-        # and each miss was computed shard-parallel.
-        assert parallel.lazy_cache_.hits >= 2 * (6 - 1)
-
 
 class TestLogisticRegressionParallel:
     def test_matches_serial(self, classification_problem):
@@ -176,14 +144,6 @@ class TestLogisticRegressionParallel:
         parallel = LogisticRegressionGD(max_iter=8, step_size=1e-3, n_jobs=2).fit(normalized, y)
         assert np.array_equal(parallel.predict(materialized), serial.predict(materialized))
 
-    def test_lazy_engine_composes_with_n_jobs(self, classification_problem):
-        normalized, _, y = classification_problem
-        serial = LogisticRegressionGD(max_iter=6, step_size=1e-3).fit(normalized, y)
-        parallel = LogisticRegressionGD(max_iter=6, step_size=1e-3, engine="lazy",
-                                        n_jobs=2).fit(normalized, y)
-        assert np.allclose(parallel.coef_, serial.coef_, atol=1e-8)
-        assert parallel.lazy_cache_.hits >= 6 - 1
-
 
 class TestKMeansParallel:
     def test_matches_serial(self, regression_problem):
@@ -193,13 +153,6 @@ class TestKMeansParallel:
         assert np.allclose(parallel.centroids_, serial.centroids_, atol=1e-8)
         assert np.array_equal(parallel.labels_, serial.labels_)
 
-    def test_lazy_engine_composes_with_n_jobs(self, regression_problem):
-        normalized, _, _ = regression_problem
-        serial = KMeans(num_clusters=3, max_iter=5, seed=0).fit(normalized)
-        parallel = KMeans(num_clusters=3, max_iter=5, seed=0, engine="lazy",
-                          n_jobs=2).fit(normalized)
-        assert np.allclose(parallel.centroids_, serial.centroids_, atol=1e-8)
-
 
 class TestGNMFParallel:
     def test_matches_serial(self, regression_problem):
@@ -208,11 +161,4 @@ class TestGNMFParallel:
         serial = GNMF(rank=3, max_iter=6, seed=0).fit(nonneg)
         parallel = GNMF(rank=3, max_iter=6, seed=0, n_jobs=3).fit(nonneg)
         assert np.allclose(parallel.w_, serial.w_, atol=1e-8)
-        assert np.allclose(parallel.h_, serial.h_, atol=1e-8)
-
-    def test_lazy_engine_composes_with_n_jobs(self, regression_problem):
-        _, materialized, _ = regression_problem
-        nonneg = np.abs(materialized)
-        serial = GNMF(rank=3, max_iter=5, seed=0).fit(nonneg)
-        parallel = GNMF(rank=3, max_iter=5, seed=0, engine="lazy", n_jobs=2).fit(nonneg)
         assert np.allclose(parallel.h_, serial.h_, atol=1e-8)

@@ -219,16 +219,6 @@ class TestStreamingComposition:
                                      batch_size=29, n_jobs=2).fit(normalized, y)
         assert np.allclose(serial.coef_, sharded.coef_, atol=1e-10)
 
-    def test_sgd_accepts_lazy_engine(self, multi_join_dense):
-        # No cross-batch memoization exists, but the knob must not break.
-        dataset, normalized, _ = multi_join_dense
-        y = dataset.target
-        eager = LinearRegressionGD(max_iter=2, step_size=1e-4, solver="sgd",
-                                   batch_size=31).fit(normalized, y)
-        lazy = LinearRegressionGD(max_iter=2, step_size=1e-4, solver="sgd",
-                                  batch_size=31, engine="lazy").fit(normalized, y)
-        assert np.allclose(eager.coef_, lazy.coef_, atol=1e-12)
-
     def test_auto_engine_memory_budget_dispatches_streamed(self, multi_join_dense):
         dataset, normalized, materialized = multi_join_dense
         y = dataset.target

@@ -21,7 +21,6 @@ from repro.ml import (
     LinearRegressionNE,
     LogisticRegressionGD,
 )
-from repro.ml.base import validate_predict_data
 
 
 @pytest.fixture
@@ -124,15 +123,3 @@ def test_non_numeric_input_raises_shape_error(fitted_models):
     models, _, _ = fitted_models
     with pytest.raises(ShapeError):
         models["linreg_gd"].predict([["a", "b"]])
-
-
-def test_validate_predict_data_passes_lazy_views(fitted_models):
-    models, normalized, dense = fitted_models
-    view = normalized.lazy()
-    out = validate_predict_data(view, dense.shape[1], "test")
-    assert out.shape == normalized.shape
-    np.testing.assert_allclose(
-        models["linreg_gd"].predict(view),
-        models["linreg_gd"].predict(dense),
-        rtol=1e-8, atol=1e-8,
-    )

@@ -3,8 +3,8 @@
 The acceptance scenario for the obs layer: with observability on, an
 auto-planned fit plus a delta update plus top-k serving must leave behind
 (a) a span tree rooted at the fit with the planner nested inside, (b) metric
-series from every instrumented layer -- planner, lazy cache, kernels, delta
-path, serving, ml -- visible through every exporter, and (c) a
+series from every instrumented layer -- planner, kernels, delta rules,
+serving, ml -- visible through every exporter, and (c) a
 predicted-vs-measured line in ``Plan.explain()``.  With observability off,
 the permanent instrumentation must cost nothing measurable (<= 2% on a
 traced logistic-regression fit).
@@ -19,15 +19,11 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.core.delta import MatrixDelta
+from repro.core.delta import MatrixDelta, patch_term
 from repro.core.normalized_matrix import NormalizedMatrix
-from repro.core.planner import DeltaPolicy
 from repro.la.ops import indicator_from_labels
 from repro.ml import LinearRegressionGD, LogisticRegressionGD, ServingExport
 from repro.serve import FactorizedScorer, ScoringService
-
-ALWAYS_PATCH = DeltaPolicy(threshold=1.0)
-
 
 def _star_schema(n_s=300, n_r=12, d_s=3, d_r=4, seed=0):
     rng = np.random.default_rng(seed)
@@ -54,20 +50,17 @@ class TestInstrumentedEndToEnd:
         assert "measured:" in explained
         assert "predicted" in explained
 
-        # 2. Lazy-engine fit: exercises the memoization cache (hits + misses).
-        LinearRegressionGD(engine="lazy", max_iter=3).fit(normalized, y)
-
-        # 3. Delta update against the warmed cache: patch/invalidate decisions
-        #    and the rank-|delta| rewrite rules.
-        lazy = normalized.lazy()
-        lazy.crossprod().evaluate()
+        # 2. Delta update: a held crossprod refreshed by the rank-|delta|
+        #    rewrite rules instead of recomputed.
+        gram = normalized.crossprod()
         delta = MatrixDelta.upsert(
             [0, 1], rng.standard_normal((2, normalized.attributes[0].shape[1])),
             normalized.attributes[0])
-        successor = normalized.apply_delta(0, delta, policy=ALWAYS_PATCH)
-        assert successor._lazy_cache.patched > 0
+        successor = normalized.apply_delta(0, delta)
+        patched = patch_term("crossprod", gram, successor, 0, delta)
+        assert np.allclose(patched, successor.crossprod())
 
-        # 4. Serving: micro-batched scoring, top-k, and a serving-side delta.
+        # 3. Serving: micro-batched scoring, top-k, and a serving-side delta.
         export = ServingExport(
             "linear_regression",
             rng.standard_normal((normalized.logical_cols, 2)))
@@ -89,16 +82,12 @@ class TestInstrumentedEndToEnd:
         assert fit_root.attrs.get("measured_seconds") == pytest.approx(
             model.plan_.outcome.measured_seconds)
         assert any(r.find("serve.apply_delta") is not None for r in roots)
-        assert any(r.name == "cache.apply_delta" or r.find("cache.apply_delta")
-                   for r in roots)
 
         # -- metric series from every instrumented layer ----------------------
         text = obs.to_prometheus()
         for needle in (
             'repro_planner_plans_total{',          # planner
-            'repro_lazy_cache_events_total{event="hit"}',   # lazy cache
             'repro_kernel_dispatch_total{',        # kernel registry
-            'repro_delta_patch_decisions_total{decision="patch"',  # delta path
             'repro_delta_rules_total{',            # rewrite rules
             'repro_serve_requests_total{path="batch"}',     # serving
             'repro_serve_topk_blocks_total{',      # top-k
@@ -110,7 +99,7 @@ class TestInstrumentedEndToEnd:
         # -- the same data round-trips through the other exporters ------------
         names = {json.loads(line)["name"]
                  for line in obs.to_jsonl(spans=False).splitlines()}
-        assert {"repro_planner_plans_total", "repro_lazy_cache_events_total",
+        assert {"repro_planner_plans_total",
                 "repro_kernel_dispatch_total", "repro_serve_requests_total",
                 "repro_ml_fits_total"} <= names
         table = obs.summary()

@@ -7,10 +7,12 @@ recompute** to within ``1e-8`` at every level of the stack:
 
 * the successor matrix from ``apply_delta`` materializes identically to a
   normalized matrix rebuilt from scratch on the post-delta tables;
-* every memoized join-invariant cache term (``crossprod``, LMM, transposed
-  LMM, the aggregations) patched in place by the rank-|Δ| rules of
-  :mod:`repro.core.rewrite.delta` equals the freshly computed term -- and is
-  genuinely served from the cache (hits observed, no recompute);
+* every join-invariant Table-1 term (``crossprod``, LMM, transposed LMM,
+  the aggregations) computed on the predecessor and refreshed by
+  :func:`repro.core.delta.patch_term` (the rank-|Δ| rules of
+  :mod:`repro.core.rewrite.delta`) equals the term recomputed on the rebuilt
+  matrix, and so does the co-factor matrix of a ``LinearRegressionCofactor``
+  fit patched block by block;
 * every execution backend view of the successor (chunked, sharded, plain
   sharded, streamed -- including the streamed ``Partitioned.apply_delta``
   passthrough) agrees with the post-delta dense reference;
@@ -28,13 +30,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.core.delta import MatrixDelta
-from repro.core.lazy.expr import constant
+from repro.core.delta import MatrixDelta, patch_term
 from repro.core.mn_matrix import MNNormalizedMatrix
 from repro.core.normalized_matrix import NormalizedMatrix
-from repro.core.planner import DeltaPolicy
 from repro.core.partitioned import Partitioned
 from repro.exceptions import DeltaError
+from repro.ml import LinearRegressionCofactor
 from repro.serve.snapshot import compute_partial, patch_partial
 
 from tests.property.test_differential import build_view, generate_case
@@ -47,9 +48,6 @@ CASES = BATCHES * CASES_PER_BATCH  # 200 generated delta cases
 
 #: Backends whose view of the *successor* matrix must match the reference.
 SUCCESSOR_BACKENDS = ("chunked", "sharded", "sharded-matrix", "streamed")
-
-#: Forces patching whenever algebraically possible -- the path under test.
-ALWAYS_PATCH = DeltaPolicy(threshold=1.0)
 
 
 def _random_delta(rng: np.random.Generator, attribute, version: int = 1) -> MatrixDelta:
@@ -72,15 +70,15 @@ def _rebuild(normalized, table_index: int, delta: MatrixDelta):
     return NormalizedMatrix(normalized.entity, normalized.indicators, attributes)
 
 
-def _warm_terms(lazy, x, y):
-    """Evaluate (and thereby memoize) every patchable join-invariant term."""
+def _terms(normalized, x, y):
+    """Every patchable join-invariant term, computed eagerly on *normalized*."""
     return {
-        "crossprod": np.asarray(lazy.crossprod().evaluate()),
-        "lmm": np.asarray((lazy @ x).evaluate()),
-        "tlmm": np.asarray((lazy.T @ y).evaluate()),
-        "rowsums": np.asarray(lazy.rowsums().evaluate()),
-        "colsums": np.asarray(lazy.colsums().evaluate()),
-        "total_sum": np.asarray(lazy.total_sum().evaluate()),
+        "crossprod": np.asarray(normalized.crossprod()),
+        "lmm": np.asarray(normalized @ x),
+        "tlmm": np.asarray(normalized.T @ y),
+        "rowsums": np.asarray(normalized.rowsums()),
+        "colsums": np.asarray(normalized.colsums()),
+        "total_sum": np.asarray(normalized.total_sum()),
     }
 
 
@@ -111,20 +109,18 @@ def run_delta_case(seed: int) -> None:
     delta = _random_delta(rng, attribute)
     context = f"[seed={seed}] {case.description} table={table_index} {delta!r}"
 
-    # Warm the lazy cache with every patchable term pre-delta.
+    # Every patchable term, computed eagerly on the pre-delta matrix.
     n, d = case.dense.shape
     x_arr = rng.standard_normal((d, int(rng.integers(1, 4))))
     y_arr = rng.standard_normal((n, int(rng.integers(1, 3))))
-    x, y = constant(x_arr), constant(y_arr)
-    lazy = case.normalized.lazy()
-    pre = _warm_terms(lazy, x, y)
+    pre = _terms(case.normalized, x_arr, y_arr)
     for name, expected in _references(case.dense, x_arr, y_arr).items():
         assert np.allclose(pre[name], expected, atol=ATOL, rtol=RTOL), (
             f"{context}: pre-delta {name} disagrees with dense reference"
         )
 
     # The tentpole property: delta-patched successor == full recompute.
-    successor = case.normalized.apply_delta(table_index, delta, policy=ALWAYS_PATCH)
+    successor = case.normalized.apply_delta(table_index, delta)
     rebuilt = _rebuild(case.normalized, table_index, delta)
     dense_after = np.asarray(rebuilt.to_dense())
     assert np.allclose(np.asarray(successor.to_dense()), dense_after,
@@ -133,20 +129,28 @@ def run_delta_case(seed: int) -> None:
     )
     assert successor.version == case.normalized.version + 1, context
 
-    cache = successor._lazy_cache
-    assert cache.patched >= 6, (
-        f"{context}: expected all six term kinds patched, got {cache.patched}"
-    )
-    hits_before = cache.hits
-    post = _warm_terms(successor.lazy(), x, y)
-    assert cache.hits > hits_before, (
-        f"{context}: post-delta terms were recomputed, not served patched"
-    )
-    for name, expected in _references(dense_after, x_arr, y_arr).items():
-        assert np.allclose(post[name], np.asarray(expected), atol=ATOL, rtol=RTOL), (
-            f"{context}: cache-patched {name} != full recompute (max abs diff "
-            f"{np.abs(post[name] - np.asarray(expected)).max():.3e})"
+    operands = {"lmm": x_arr, "tlmm": y_arr}
+    recomputed = _terms(rebuilt, x_arr, y_arr)
+    for name, value in pre.items():
+        patched = np.asarray(_as_dense(patch_term(name, value, successor, table_index,
+                                                  delta, operand=operands.get(name))))
+        assert np.allclose(patched, recomputed[name], atol=ATOL, rtol=RTOL), (
+            f"{context}: patched {name} != full recompute (max abs diff "
+            f"{np.abs(patched - recomputed[name]).max():.3e})"
         )
+
+    # The co-factor matrix [Y^T T; crossprod(T)] patched block by block.
+    target = y_arr[:, :1]
+    model = LinearRegressionCofactor(max_iter=1).fit(case.normalized, target)
+    xty, gram = model.cofactor_[:1].T, model.cofactor_[1:]
+    patched = np.vstack([
+        patch_term("tlmm", xty, successor, table_index, delta, operand=target).T,
+        patch_term("crossprod", gram, successor, table_index, delta),
+    ])
+    refit = LinearRegressionCofactor(max_iter=1).fit(rebuilt, target).cofactor_
+    assert np.allclose(patched, refit, atol=ATOL, rtol=RTOL), (
+        f"{context}: patched co-factor matrix != co-factor refit on the rebuilt matrix"
+    )
 
     # Every backend view of the successor agrees with the reference.
     class _SuccessorCase:
@@ -157,7 +161,7 @@ def run_delta_case(seed: int) -> None:
         if backend == "streamed":
             batch_rows = int(rng.integers(1, n + 1))
             streamed = Partitioned.streamed(case.normalized, batch_rows=batch_rows)
-            view = streamed.apply_delta(table_index, delta, policy=ALWAYS_PATCH)
+            view = streamed.apply_delta(table_index, delta)
         else:
             view = build_view(backend, _SuccessorCase, rng)
         got = _as_dense(view @ x_arr)
@@ -201,20 +205,6 @@ def _small_star():
     return NormalizedMatrix(entity, [k], [r]), r
 
 
-def test_zero_threshold_policy_invalidates_instead_of_patching():
-    """Correctness must not depend on the cost rule's verdict."""
-    normalized, r = _small_star()
-    lazy = normalized.lazy()
-    lazy.crossprod().evaluate()
-    delta = MatrixDelta.upsert([1], np.ones((1, 3)), r)
-    successor = normalized.apply_delta(0, delta, policy=DeltaPolicy(threshold=0.0))
-    cache = successor._lazy_cache
-    assert cache.patched == 0 and cache.invalidated >= 1
-    dense = np.asarray(successor.to_dense())
-    assert np.allclose(np.asarray(successor.lazy().crossprod().evaluate()),
-                       dense.T @ dense, atol=ATOL, rtol=RTOL)
-
-
 def test_stale_delta_is_rejected():
     """A delta captured against a different table state must not patch."""
     normalized, r = _small_star()
@@ -233,35 +223,41 @@ def test_growth_delta_rejected_on_matrices():
         normalized.apply_delta(0, grow)
 
 
-def test_predecessor_cache_is_detached():
-    """Post-delta, the predecessor must not serve entries patched for the successor."""
+def test_patch_leaves_the_pre_delta_term_untouched():
+    """patch_term returns a fresh value; the predecessor keeps its own terms."""
     normalized, r = _small_star()
-    lazy = normalized.lazy()
-    lazy.crossprod().evaluate()
+    gram = np.asarray(normalized.crossprod())
+    before = gram.copy()
     delta = MatrixDelta.upsert([2], np.full((1, 3), 7.0), r)
-    successor = normalized.apply_delta(0, delta, policy=ALWAYS_PATCH)
-    assert getattr(normalized, "_lazy_cache", None) is None
-    assert getattr(normalized, "_lazy_token", None) is None
-    assert successor._lazy_cache.patched >= 1
-    # The predecessor still evaluates correctly (fresh cache, pre-delta data).
+    successor = normalized.apply_delta(0, delta)
+    patched = patch_term("crossprod", gram, successor, 0, delta)
+    assert patched is not gram
+    np.testing.assert_array_equal(gram, before)
     dense = np.asarray(normalized.to_dense())
-    assert np.allclose(np.asarray(normalized.lazy().crossprod().evaluate()),
-                       dense.T @ dense, atol=ATOL, rtol=RTOL)
+    assert np.allclose(np.asarray(normalized.crossprod()), dense.T @ dense,
+                       atol=ATOL, rtol=RTOL)
+    assert successor.version == normalized.version + 1
 
 
 def test_chained_deltas_compose():
     """Version counters and patches accumulate across successive deltas."""
     normalized, r = _small_star()
-    lazy = normalized.lazy()
-    lazy.crossprod().evaluate()
+    gram = np.asarray(normalized.crossprod())
     current, table = normalized, r
     for step in range(1, 4):
         rng = np.random.default_rng(step)
         delta = MatrixDelta.upsert([step], rng.standard_normal((1, 3)), table,
                                    version=step)
-        current = current.apply_delta(0, delta, policy=ALWAYS_PATCH)
+        current = current.apply_delta(0, delta)
+        gram = patch_term("crossprod", gram, current, 0, delta)
         table = current.attributes[0]
         assert current.version == step
     dense = np.asarray(current.to_dense())
-    assert np.allclose(np.asarray(current.lazy().crossprod().evaluate()),
-                       dense.T @ dense, atol=ATOL, rtol=RTOL)
+    assert np.allclose(gram, dense.T @ dense, atol=ATOL, rtol=RTOL)
+
+
+def test_unknown_term_kind_is_rejected():
+    normalized, r = _small_star()
+    delta = MatrixDelta.upsert([0], np.zeros((1, 3)), r)
+    with pytest.raises(DeltaError, match="no delta patch rule"):
+        patch_term("ginv", np.eye(5), normalized.apply_delta(0, delta), 0, delta)

@@ -292,8 +292,8 @@ def test_generator_covers_all_join_families_and_densities():
 # -- planner-chosen execution (engine="auto") ---------------------------------
 # The same seeded schema generator drives the cost-based planner end to end: a
 # fit with engine="auto" (whatever plan it picks -- materialized or
-# factorized, eager or lazy, serial or sharded) must match the plain dense
-# reference to the suite's 1e-8 tolerance, and the chosen Plan must be
+# factorized, eager loop or co-factor form, serial or sharded) must match the
+# plain dense reference to the suite's 1e-8 tolerance, and the chosen Plan must be
 # populated and explainable.  The planner gets the deterministic default
 # calibration profile so no timing (or disk access) happens inside the test;
 # correctness must hold for *any* profile, so fixing one loses no coverage.

@@ -25,10 +25,11 @@ from repro.ml import (
 )
 from repro.relational import Join, SchemaGraph, Table, normalized_from_schema
 from repro.serve import FactorizedScorer
+from tests.ml.test_cofactor_form import CofactorPlanner
 
 TOL = dict(atol=1e-8, rtol=1e-8)
 ITERS = 5
-ENGINES = ("eager", "lazy", "sharded", "streamed", "auto")
+ENGINES = ("eager", "cofactor", "sharded", "streamed", "auto")
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +104,11 @@ def _fit(estimator_cls, engine, data, *fit_args, **kwargs):
     elif engine == "auto":
         est = estimator_cls(engine="auto", **kwargs)
         est.planner = _deterministic_planner()
+    elif engine == "cofactor":
+        # The planner's co-factor candidate (linear regression GD only; the
+        # other estimators keep the planner's own eager ranking).
+        est = estimator_cls(engine="auto", **kwargs)
+        est.planner = CofactorPlanner()
     else:
         est = estimator_cls(engine=engine, **kwargs)
     return est.fit(data, *fit_args)
