@@ -5,9 +5,9 @@ This package implements the paper's primary contribution:
 * :class:`repro.core.normalized_matrix.NormalizedMatrix` -- the logical data
   type for star-schema PK-FK joins (``T = [S, K1 R1, ..., Kq Rq]``), with every
   LA operator of Table 1 overloaded to execute via the factorized rewrite
-  rules of Section 3.3/3.5 and the transpose rules of Appendix A.
-* :class:`repro.core.mn_matrix.MNNormalizedMatrix` -- the extension to general
-  M:N equi-joins and multi-table M:N joins (Section 3.6, Appendices D and E).
+  rules of Section 3.3/3.5 and the transpose rules of Appendix A.  General
+  and multi-table M:N equi-joins (Section 3.6, Appendices D and E) are the
+  same form without the entity block; :func:`MNNormalizedMatrix` builds one.
 * :mod:`repro.core.rewrite` -- the rewrite rules themselves, written as plain
   functions over the base matrices so they can be tested, benchmarked and
   ablated (naive vs. efficient cross-product, LMM multiplication order)
@@ -30,13 +30,11 @@ This package implements the paper's primary contribution:
 
 from repro.core.indicator import (
     validate_pk_fk_indicator,
-    validate_mn_indicator,
     indicator_codes,
     indicator_stats,
 )
 from repro.core.segments import ColumnSegment, schema_fingerprint
-from repro.core.normalized_matrix import NormalizedMatrix
-from repro.core.mn_matrix import MNNormalizedMatrix
+from repro.core.normalized_matrix import MNNormalizedMatrix, NormalizedMatrix
 from repro.core.materialize import materialize
 from repro.core.cost import (
     OperatorCost,
@@ -73,7 +71,6 @@ __all__ = [
     "MNNormalizedMatrix",
     "materialize",
     "validate_pk_fk_indicator",
-    "validate_mn_indicator",
     "indicator_codes",
     "indicator_stats",
     "ColumnSegment",

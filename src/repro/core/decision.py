@@ -30,7 +30,6 @@ from typing import Optional, Sequence, Tuple, Union
 
 from repro.la.types import MatrixLike
 from repro.core.normalized_matrix import NormalizedMatrix
-from repro.core.mn_matrix import MNNormalizedMatrix
 
 #: Default tuple-ratio threshold (paper Section 5.1).
 DEFAULT_TUPLE_RATIO_THRESHOLD = 5.0
@@ -134,7 +133,7 @@ def morpheus(entity: Optional[MatrixLike], indicators: Sequence[MatrixLike],
 def morpheus_mn(indicators: Sequence[MatrixLike], attributes: Sequence[MatrixLike],
                 redundancy_threshold: float = 1.5,
                 force_factorized: bool = False
-                ) -> Union[MNNormalizedMatrix, MatrixLike]:
+                ) -> Union[NormalizedMatrix, MatrixLike]:
     """M:N analogue of :func:`morpheus`.
 
     For M:N joins the tuple/feature ratios of the PK-FK rule do not directly
@@ -142,7 +141,7 @@ def morpheus_mn(indicators: Sequence[MatrixLike], attributes: Sequence[MatrixLik
     base size), which grows as the join-attribute uniqueness degree shrinks.
     The factorized version is used when the ratio exceeds *redundancy_threshold*.
     """
-    normalized = MNNormalizedMatrix(list(indicators), list(attributes))
+    normalized = NormalizedMatrix(None, list(indicators), list(attributes))
     if force_factorized or normalized.redundancy_ratio() >= redundancy_threshold:
         return normalized
     return normalized.materialize()

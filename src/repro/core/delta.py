@@ -7,8 +7,7 @@ produces.  It is the currency of the delta/IVM layer -- captured by
 :meth:`repro.relational.table.Table.upsert_rows` (or built directly from two
 matrix states), consumed by
 
-* :meth:`NormalizedMatrix.apply_delta` / :meth:`MNNormalizedMatrix.apply_delta`
-  -- producing the successor matrix;
+* :meth:`NormalizedMatrix.apply_delta` -- producing the successor matrix;
 * :func:`patch_term` -- refreshing a join-invariant term (``crossprod(T)``,
   ``T^T Y``, an aggregate, ...) computed on the predecessor, by the rank-|Δ|
   rules of :mod:`repro.core.rewrite.delta`;
@@ -225,7 +224,7 @@ class MatrixDelta:
 
 def _segment_offset(matrix, table_index: int) -> tuple:
     """(offset, width) of table *table_index*'s column segment inside ``T``."""
-    entity_width = getattr(matrix, "entity_width", 0)
+    entity_width = matrix.entity_width
     widths = [r.shape[1] for r in matrix.attributes]
     offset = entity_width + sum(widths[:table_index])
     return offset, widths[table_index]
@@ -252,9 +251,8 @@ def patch_term(kind: str, value, matrix, table_index: int, delta: MatrixDelta,
     segment = slice(offset, offset + width)
 
     if kind == "crossprod":
-        entity = getattr(matrix, "entity", None)
         return delta_rules.patch_crossprod(
-            value, entity, matrix.indicators, matrix.attributes,
+            value, matrix.entity, matrix.indicators, matrix.attributes,
             table_index, rows, delta.old, delta.new,
         )
     if kind == "lmm":

@@ -1,17 +1,15 @@
 """Validation and inspection of indicator matrices.
 
 The normalized matrix is only well-defined when its indicator matrices have
-the structure the paper relies on:
-
-* PK-FK indicator ``K`` (Section 3.1): every row has exactly one non-zero,
-  every non-zero equals one, and (after the pre-processing of Section 3.1)
-  every column has at least one non-zero, so ``nnz(K) == n_S``.
-* M:N indicators ``I_S``/``I_R`` (Section 3.6): every row has exactly one
-  non-zero equal to one and every column at least one, so
-  ``nnz(I) == |T'|``.
+the structure the paper relies on: every row has exactly one non-zero, every
+non-zero equals one, and (after the pre-processing of Section 3.1) every
+column has at least one non-zero.  That holds for the PK-FK indicator ``K``
+(Section 3.1, ``nnz(K) == n_S``) and for the M:N indicators ``I_S``/``I_R``
+(Section 3.6, ``nnz(I) == |T'|``, the join output size) alike, so one
+validator covers both.
 
 These invariants are exactly what the rewrite rules' correctness proofs use,
-so the constructors of the normalized-matrix classes validate them eagerly
+so the normalized-matrix constructor validates them eagerly
 (validation is linear in ``nnz`` and therefore cheap relative to any LA
 operator).
 """
@@ -55,11 +53,12 @@ def _as_binary_csr(matrix: MatrixLike, context: str) -> sp.csr_matrix:
 
 
 def validate_pk_fk_indicator(matrix: MatrixLike, require_full_columns: bool = True):
-    """Validate a PK-FK indicator matrix ``K`` and return it as CSR.
+    """Validate an indicator matrix ``K`` (PK-FK or M:N) and return it as CSR.
 
     Checks that every row has exactly one entry equal to one, and (optionally)
     that every column is referenced at least once, which the paper assumes
-    after dropping unreferenced attribute tuples.
+    after dropping unreferenced attribute tuples (for M:N: base rows that
+    contribute no join output rows).
 
     A multi-hop :class:`~repro.la.chain.ChainedIndicator` is validated hop by
     hop -- each hop must itself be a valid PK-FK indicator, which makes the
@@ -103,32 +102,6 @@ def validate_pk_fk_indicator(matrix: MatrixLike, require_full_columns: bool = Tr
             raise IndicatorError(
                 f"PK-FK indicator: column {bad} is never referenced; "
                 "drop unreferenced attribute rows before building the normalized matrix"
-            )
-    return csr
-
-
-def validate_mn_indicator(matrix: MatrixLike, require_full_columns: bool = True) -> sp.csr_matrix:
-    """Validate an M:N indicator matrix (``I_S`` or ``I_R``) and return it as CSR.
-
-    Structurally the per-row requirement is the same as for PK-FK indicators
-    (each output row of the join comes from exactly one source row); the
-    difference is semantic -- the number of rows equals the join output size
-    rather than the entity-table size.
-    """
-    csr = _as_binary_csr(matrix, "M:N indicator")
-    row_counts = np.diff(csr.indptr)
-    if csr.shape[0] and not np.all(row_counts == 1):
-        bad = int(np.argmax(row_counts != 1))
-        raise IndicatorError(
-            f"M:N indicator: row {bad} has {int(row_counts[bad])} non-zeros, expected exactly 1"
-        )
-    if require_full_columns and csr.shape[1]:
-        col_counts = np.asarray(csr.sum(axis=0)).ravel()
-        if np.any(col_counts == 0):
-            bad = int(np.argmax(col_counts == 0))
-            raise IndicatorError(
-                f"M:N indicator: column {bad} contributes no join output rows; "
-                "drop non-contributing base rows before building the normalized matrix"
             )
     return csr
 

@@ -1,8 +1,8 @@
 """Materialization of normalized matrices.
 
 Materialization produces the single denormalized matrix
-``T = [S, K1 R1, ..., Kq Rq]`` (star schema) or ``T = [I1 R1, ..., Iq Rq]``
-(M:N).  The library uses it in three places:
+``T = [S, K1 R1, ..., Kq Rq]`` (star schema; without ``S`` it is the M:N
+form ``T = [I1 R1, ..., Iq Rq]``).  The library uses it in three places:
 
 * the *materialized baseline* ("M" in the paper's plots) that every benchmark
   compares against,
@@ -21,19 +21,12 @@ from repro.la.types import MatrixLike
 
 def materialize_star(entity: Optional[MatrixLike], indicators: Sequence[MatrixLike],
                      attributes: Sequence[MatrixLike]) -> MatrixLike:
-    """Materialize ``T = [S, K1 R1, ..., Kq Rq]`` for a star-schema normalized matrix."""
+    """Materialize ``T = [S, K1 R1, ..., Kq Rq]`` (``entity=None``: the M:N form)."""
     blocks: List[MatrixLike] = []
     if entity is not None and entity.shape[1] > 0:
         blocks.append(entity)
     for indicator, attribute in zip(indicators, attributes):
         blocks.append(matmul(indicator, attribute))
-    return hstack(blocks)
-
-
-def materialize_mn(indicators: Sequence[MatrixLike],
-                   attributes: Sequence[MatrixLike]) -> MatrixLike:
-    """Materialize ``T = [I1 R1, ..., Iq Rq]`` for an M:N normalized matrix."""
-    blocks = [matmul(indicator, attribute) for indicator, attribute in zip(indicators, attributes)]
     return hstack(blocks)
 
 

@@ -1,9 +1,14 @@
-"""The normalized matrix for star-schema PK-FK joins.
+"""The normalized matrix for star-schema PK-FK joins and M:N equi-joins.
 
 :class:`NormalizedMatrix` is the paper's central logical data type
 (Sections 3.1, 3.2 and 3.5): a triple ``(S, K, R)`` for a single PK-FK join,
 generalized to ``(S, K1..Kq, R1..Rq)`` for star schemas, such that the
-(virtual) join output is ``T = [S, K1 R1, ..., Kq Rq]``.
+(virtual) join output is ``T = [S, K1 R1, ..., Kq Rq]``.  The M:N join
+output ``T = [I1 R1, ..., Iq Rq]`` of Section 3.6 and Appendices D/E is the
+same form without the entity block: every table, the entity table included,
+is routed through an indicator with one non-zero per output row, so an M:N
+matrix is a ``NormalizedMatrix`` whose ``entity`` is ``None``
+(:func:`MNNormalizedMatrix` builds one).
 
 Every linear-algebra operator of Table 1 is overloaded on this class and
 executes through the factorized rewrite rules in :mod:`repro.core.rewrite`,
@@ -49,10 +54,12 @@ class NormalizedMatrix:
     entity:
         The entity-table feature matrix ``S`` of shape ``(n_S, d_S)``, or
         ``None`` when the entity table contributes no features (``d_S = 0``),
-        as in several of the paper's real datasets.
+        as in several of the paper's real datasets, or when every table is
+        indicator-routed (the M:N form).
     indicators:
-        Sparse PK-FK indicator matrices ``K_i`` of shape ``(n_S, n_Ri)``; one
-        per attribute table.
+        Sparse indicator matrices ``K_i`` of shape ``(n_S, n_Ri)``, one per
+        attribute table, each with exactly one non-zero per row (for the M:N
+        form ``n_S`` is the join output size).
     attributes:
         Attribute-table feature matrices ``R_i`` of shape ``(n_Ri, d_Ri)``.
     transposed:
@@ -146,15 +153,15 @@ class NormalizedMatrix:
 
         Returns one :class:`~repro.core.segments.ColumnSegment` for the
         entity block (named ``"entity"``; present whenever the matrix has an
-        entity matrix, even with ``d_S = 0``) followed by one ``"table_i"``
-        segment per attribute table.  The segments partition
-        ``[0, logical_cols)`` and are what the serving subsystem uses to
-        slice a trained weight vector into per-table pieces.
+        entity matrix, even with ``d_S = 0``, and absent in the M:N form)
+        followed by one ``"table_i"`` segment per attribute table.  The
+        segments partition ``[0, logical_cols)`` and are what the serving
+        subsystem uses to slice a trained weight vector into per-table pieces.
         """
         from repro.core.segments import build_segments
 
         entity_width = self.entity_width if self.entity is not None else None
-        return build_segments(entity_width, self.attribute_widths, "table")
+        return build_segments(entity_width, self.attribute_widths)
 
     @property
     def n_features_per_table(self) -> dict:
@@ -624,3 +631,17 @@ class NormalizedMatrix:
         if mine.shape != theirs.shape:
             return False
         return bool(np.allclose(mine, theirs, rtol=rtol, atol=atol))
+
+
+def MNNormalizedMatrix(indicators: Sequence[MatrixLike], attributes: Sequence[MatrixLike],
+                       transposed: bool = False, validate: bool = True,
+                       crossprod_method: str = "efficient") -> NormalizedMatrix:
+    """The M:N join output ``T = [I1 R1, ..., Iq Rq]`` (Section 3.6, Appendices D/E).
+
+    Returns the entity-less :class:`NormalizedMatrix` ``(None, Is, Rs)``:
+    each ``I_i`` routes the join output rows to component table ``R_i``
+    (the two-table case ``T = [I_S S, I_R R]`` is ``q = 2``), and every
+    Table-1 operator runs the star-schema rewrites without the entity terms.
+    """
+    return NormalizedMatrix(None, indicators, attributes, transposed=transposed,
+                            validate=validate, crossprod_method=crossprod_method)

@@ -79,11 +79,10 @@ def materialized_nbytes(data) -> int:
     plain pieces) this is their actual storage size; for normalized operands
     it is the dense ``n_S x d`` the join would produce.
     """
-    from repro.core.mn_matrix import MNNormalizedMatrix
     from repro.core.normalized_matrix import NormalizedMatrix
     from repro.core.partitioned import Partitioned
 
-    if isinstance(data, (NormalizedMatrix, MNNormalizedMatrix)) or (
+    if isinstance(data, NormalizedMatrix) or (
             isinstance(data, Partitioned) and data.factorized):
         rows, cols = _logical_dims(data)
         return rows * cols * DENSE_ELEMENT_BYTES
@@ -94,17 +93,12 @@ def materialized_nbytes(data) -> int:
 
 def factorized_nbytes(data) -> int:
     """Bytes the factorized representation keeps resident (bases + indicators)."""
-    from repro.core.mn_matrix import MNNormalizedMatrix
     from repro.core.normalized_matrix import NormalizedMatrix
     from repro.core.partitioned import Partitioned
 
     if isinstance(data, NormalizedMatrix):
         total = matrix_nbytes(data.entity)
         total += sum(matrix_nbytes(k) for k in data.indicators)
-        total += sum(matrix_nbytes(r) for r in data.attributes)
-        return total
-    if isinstance(data, MNNormalizedMatrix):
-        total = sum(matrix_nbytes(i) for i in data.indicators)
         total += sum(matrix_nbytes(r) for r in data.attributes)
         return total
     if isinstance(data, Partitioned) and data.factorized:  # the attributes are shared
@@ -124,14 +118,11 @@ def entity_stream_nbytes(data) -> int:
     memory budget has to cover when the pass is *not* streamed; the streamed
     backend replaces it with one batch's slice.
     """
-    from repro.core.mn_matrix import MNNormalizedMatrix
     from repro.core.normalized_matrix import NormalizedMatrix
     from repro.core.partitioned import Partitioned
 
     if isinstance(data, NormalizedMatrix):
         return matrix_nbytes(data.entity) + sum(matrix_nbytes(k) for k in data.indicators)
-    if isinstance(data, MNNormalizedMatrix):
-        return sum(matrix_nbytes(i) for i in data.indicators)
     if isinstance(data, Partitioned) and data.factorized:
         return sum(entity_stream_nbytes(p) for p in data.parts)
     return materialized_nbytes(data)

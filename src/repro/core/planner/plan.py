@@ -144,18 +144,10 @@ class Plan:
                 )
         tr = self.data_summary.get("tuple_ratio")
         fr = self.data_summary.get("feature_ratio")
-        rr = self.data_summary.get("redundancy_ratio")
         if self.threshold_rule_choice is not None and tr is not None:
             lines.append(
                 f"paper threshold rule (tau=5, rho=1) on tuple_ratio={tr:.2f}, "
                 f"feature_ratio={fr:.2f} -> {self.threshold_rule_choice}"
-            )
-        elif self.threshold_rule_choice is not None and rr is not None:
-            # M:N matrices have no tuple/feature ratios; the static rule is
-            # the redundancy-ratio threshold of morpheus_mn.
-            lines.append(
-                f"paper redundancy rule (ratio >= 1.5) on "
-                f"redundancy_ratio={rr:.2f} -> {self.threshold_rule_choice}"
             )
         lines.append(
             f"calibration: {self.calibration.source} "

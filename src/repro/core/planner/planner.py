@@ -41,7 +41,6 @@ from typing import List, Optional, Sequence, Tuple
 from repro import obs
 from repro.exceptions import PlanningError
 from repro.core.cost import CostModel, Operator
-from repro.core.mn_matrix import MNNormalizedMatrix
 from repro.core.normalized_matrix import NormalizedMatrix
 from repro.core.planner import memory as memory_model
 from repro.core.planner.calibration import CalibrationProfile, get_profile
@@ -71,8 +70,8 @@ _CANDIDATE_SECONDS = obs.REGISTRY.gauge(
 class _DataProfile:
     """What the planner needs to know about the operand being planned for."""
 
-    kind: str  # "normalized", "mn-normalized", "sharded-normalized",
-    #            "sharded", "chunked" or "plain"
+    kind: str  # "normalized", "sharded-normalized", "sharded", "chunked"
+    #            or "plain"
     model: CostModel
     sparse: bool
     n_rows: int
@@ -120,12 +119,11 @@ def describe_data(data) -> _DataProfile:
         parallel = data.executor.pool.name != "serial"
         if data.factorized:
             attribute_dims = [(r.shape[0], r.shape[1]) for r in sample.attributes]
-            is_star = isinstance(sample, NormalizedMatrix)
             bases = list(sample.attributes)
-            if is_star and sample.entity is not None:
+            if sample.entity is not None:
                 bases.append(sample.entity)
             kind = "sharded-normalized"
-            model = CostModel(n_rows, sample.entity_width if is_star else 0, attribute_dims)
+            model = CostModel(n_rows, sample.entity_width, attribute_dims)
         else:
             attribute_dims, bases = [], data.parts
             kind = "sharded" if parallel else "chunked"
@@ -147,17 +145,6 @@ def describe_data(data) -> _DataProfile:
             n_rows=plain.logical_rows, n_cols=plain.logical_cols,
             num_joins=plain.num_joins, can_factorize=True,
             tuple_ratio=plain.tuple_ratio, feature_ratio=plain.feature_ratio,
-            redundancy_ratio=plain.redundancy_ratio(), **mem,
-        )
-    if isinstance(data, MNNormalizedMatrix):
-        plain = data.T if data.transposed else data
-        attribute_dims = [(r.shape[0], r.shape[1]) for r in plain.attributes]
-        model = CostModel(plain.logical_rows, 0, attribute_dims)
-        return _DataProfile(
-            kind="mn-normalized", model=model,
-            sparse=any(is_sparse(r) for r in plain.attributes),
-            n_rows=plain.logical_rows, n_cols=plain.logical_cols,
-            num_joins=plain.num_components, can_factorize=True,
             redundancy_ratio=plain.redundancy_ratio(), **mem,
         )
     # Plain dense/sparse operands: the layout is fixed, only
@@ -327,7 +314,7 @@ class Planner:
         if self.memory_budget is not None:
             feasible = [c for c in candidates if self._fits_budget(dp, c)]
             streamed = []
-            if dp.kind in ("normalized", "mn-normalized", "plain"):
+            if dp.kind in ("normalized", "plain"):
                 # Streamed mini-batch execution: the per-pass working set is
                 # one batch's slice, so it is feasible under any budget.  The
                 # layout follows the operand (factorized batches for
@@ -500,12 +487,10 @@ class Planner:
 
     @staticmethod
     def _threshold_choice(dp: _DataProfile) -> Optional[str]:
-        if dp.kind == "normalized":
-            from repro.core.decision import DecisionRule
+        if dp.kind != "normalized":
+            return None
+        from repro.core.decision import DecisionRule
 
-            rule = DecisionRule()
-            return ("factorize" if rule.predict(dp.tuple_ratio, dp.feature_ratio)
-                    else "materialize")
-        if dp.kind == "mn-normalized":
-            return "factorize" if (dp.redundancy_ratio or 0.0) >= 1.5 else "materialize"
-        return None
+        rule = DecisionRule()
+        return ("factorize" if rule.predict(dp.tuple_ratio, dp.feature_ratio)
+                else "materialize")

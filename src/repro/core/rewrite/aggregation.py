@@ -12,11 +12,8 @@ Star-schema rules (``T = [S, K1 R1, ..., Kq Rq]``)::
     colSums(T) -> [colSums(S), colSums(K1) R1, ..., colSums(Kq) Rq]
     sum(T)     -> sum(S) + sum_i colSums(Ki) rowSums(Ri)
 
-M:N rules (``T = [I1 R1, ..., Iq Rq]``)::
-
-    rowSums(T) -> sum_i Ii rowSums(Ri)
-    colSums(T) -> [colSums(I1) R1, ..., colSums(Iq) Rq]
-    sum(T)     -> sum_i colSums(Ii) rowSums(Ri)
+With ``entity=None`` the ``S`` terms drop out and the same functions are the
+M:N rules for ``T = [I1 R1, ..., Iq Rq]``.
 """
 
 from __future__ import annotations
@@ -29,10 +26,6 @@ from repro.la import kernels
 from repro.la.ops import colsums, rowsums, total_sum
 from repro.la.types import MatrixLike
 
-
-# ---------------------------------------------------------------------------
-# Star-schema PK-FK
-# ---------------------------------------------------------------------------
 
 def rowsums_star(entity: Optional[MatrixLike], indicators: Sequence[MatrixLike],
                  attributes: Sequence[MatrixLike]) -> np.ndarray:
@@ -65,36 +58,6 @@ def sum_star(entity: Optional[MatrixLike], indicators: Sequence[MatrixLike],
     total = 0.0
     if entity is not None and entity.shape[1] > 0:
         total += total_sum(entity)
-    for indicator, attribute in zip(indicators, attributes):
-        total += kernels.scatter_total(indicator, attribute)
-    return total
-
-
-# ---------------------------------------------------------------------------
-# M:N joins (entity handled as just another component)
-# ---------------------------------------------------------------------------
-
-def rowsums_mn(indicators: Sequence[MatrixLike], attributes: Sequence[MatrixLike]) -> np.ndarray:
-    """``rowSums(T)`` for ``T = [I1 R1, ..., Iq Rq]``."""
-    n_rows = indicators[0].shape[0]
-    acc = np.zeros((n_rows, 1))
-    for indicator, attribute in zip(indicators, attributes):
-        acc = acc + kernels.gather_rows(indicator, attribute)
-    return acc
-
-
-def colsums_mn(indicators: Sequence[MatrixLike], attributes: Sequence[MatrixLike]) -> np.ndarray:
-    """``colSums(T)`` for ``T = [I1 R1, ..., Iq Rq]``."""
-    blocks = [kernels.scatter_colsums(indicator, attribute)
-              for indicator, attribute in zip(indicators, attributes)]
-    if not blocks:
-        return np.zeros((1, 0))
-    return np.hstack(blocks)
-
-
-def sum_mn(indicators: Sequence[MatrixLike], attributes: Sequence[MatrixLike]) -> float:
-    """``sum(T)`` for ``T = [I1 R1, ..., Iq Rq]``."""
-    total = 0.0
     for indicator, attribute in zip(indicators, attributes):
         total += kernels.scatter_total(indicator, attribute)
     return total

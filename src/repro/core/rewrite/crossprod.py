@@ -11,6 +11,10 @@ equations, covariance and PCA.  The efficient rewrite exploits two facts:
 2. ``K^T K`` is diagonal with ``diag(colSums(K))`` on the diagonal, so
    ``R^T (K^T K) R = crossprod(diag(colSums(K))^{1/2} R)`` -- no sparse
    transpose product and another halving of the arithmetic.
+
+With ``entity=None`` the entity blocks drop out: :func:`crossprod_star_naive`
+and :func:`crossprod_star_efficient` are then the M:N Algorithms 9 and 10,
+and :func:`gram_transposed_star` is ``sum_i I_i crossprod(R_i^T) I_i^T``.
 """
 
 from __future__ import annotations
@@ -23,10 +27,6 @@ from repro.la import kernels
 from repro.la.ops import crossprod, matmul, transpose
 from repro.la.types import MatrixLike, to_dense
 
-
-# ---------------------------------------------------------------------------
-# Star-schema PK-FK
-# ---------------------------------------------------------------------------
 
 def crossprod_star_naive(entity: Optional[MatrixLike], indicators: Sequence[MatrixLike],
                          attributes: Sequence[MatrixLike]) -> np.ndarray:
@@ -125,61 +125,3 @@ def _offsets(entity_width: int, widths: Sequence[int]) -> List[int]:
         offsets.append(start)
         start += width
     return offsets
-
-
-# ---------------------------------------------------------------------------
-# M:N joins
-# ---------------------------------------------------------------------------
-
-def crossprod_mn_naive(indicators: Sequence[MatrixLike],
-                       attributes: Sequence[MatrixLike]) -> np.ndarray:
-    """Algorithm 9: naive factorized cross-product for M:N normalized matrices."""
-    widths = [r.shape[1] for r in attributes]
-    total = sum(widths)
-    dtype = kernels.result_dtype(*attributes)
-    out = np.zeros((total, total), dtype=dtype)
-    offsets = _offsets(0, widths)
-    for i, (indicator, attribute) in enumerate(zip(indicators, attributes)):
-        oi, wi = offsets[i], widths[i]
-        gram_indicator = matmul(transpose(indicator), indicator)
-        out[oi:oi + wi, oi:oi + wi] = to_dense(
-            matmul(transpose(attribute), matmul(gram_indicator, attribute))
-        )
-        for j in range(i + 1, len(attributes)):
-            oj, wj = offsets[j], widths[j]
-            block = kernels.cross_block(indicator, indicators[j],
-                                        attribute, attributes[j], dtype)
-            out[oi:oi + wi, oj:oj + wj] = block
-            out[oj:oj + wj, oi:oi + wi] = block.T
-    return out
-
-
-def crossprod_mn_efficient(indicators: Sequence[MatrixLike],
-                           attributes: Sequence[MatrixLike]) -> np.ndarray:
-    """Algorithm 10: efficient factorized cross-product for M:N normalized matrices."""
-    widths = [r.shape[1] for r in attributes]
-    total = sum(widths)
-    dtype = kernels.result_dtype(*attributes)
-    out = np.zeros((total, total), dtype=dtype)
-    offsets = _offsets(0, widths)
-    for i, (indicator, attribute) in enumerate(zip(indicators, attributes)):
-        oi, wi = offsets[i], widths[i]
-        out[oi:oi + wi, oi:oi + wi] = kernels.scatter_crossprod(indicator,
-                                                                attribute, dtype)
-        for j in range(i + 1, len(attributes)):
-            oj, wj = offsets[j], widths[j]
-            block = kernels.cross_block(indicator, indicators[j],
-                                        attribute, attributes[j], dtype)
-            out[oi:oi + wi, oj:oj + wj] = block
-            out[oj:oj + wj, oi:oi + wi] = block.T
-    return out
-
-
-def gram_transposed_mn(indicators: Sequence[MatrixLike],
-                       attributes: Sequence[MatrixLike]) -> np.ndarray:
-    """``crossprod(T^T)`` for M:N: ``sum_i I_i crossprod(R_i^T) I_i^T``."""
-    n_rows = indicators[0].shape[0]
-    out = np.zeros((n_rows, n_rows), dtype=kernels.result_dtype(*attributes))
-    for indicator, attribute in zip(indicators, attributes):
-        out = kernels.gather_gram(out, indicator, attribute)
-    return out

@@ -26,13 +26,8 @@ from repro.la.ops import ginv as dense_ginv
 from repro.la.ops import matmul, transpose
 from repro.la.types import MatrixLike, to_dense
 
-from repro.core.rewrite.crossprod import (
-    crossprod_mn_efficient,
-    crossprod_star_efficient,
-    gram_transposed_mn,
-    gram_transposed_star,
-)
-from repro.core.rewrite.multiplication import lmm_mn, lmm_star, rmm_mn, rmm_star
+from repro.core.rewrite.crossprod import crossprod_star_efficient, gram_transposed_star
+from repro.core.rewrite.multiplication import lmm_star, rmm_star
 
 
 def _is_full_rank(gram: np.ndarray, rcond: float = 1e-10) -> bool:
@@ -49,7 +44,7 @@ def _is_full_rank(gram: np.ndarray, rcond: float = 1e-10) -> bool:
 def ginv_star(entity: Optional[MatrixLike], indicators: Sequence[MatrixLike],
               attributes: Sequence[MatrixLike],
               materialize_fn: Callable[[], MatrixLike]) -> np.ndarray:
-    """Factorized pseudo-inverse of a star-schema normalized matrix.
+    """Factorized pseudo-inverse of a star-schema (``entity=None``: M:N) normalized matrix.
 
     *materialize_fn* is a zero-argument callable producing the materialized
     ``T``; it is only invoked in the rank-deficient fallback path.
@@ -70,22 +65,4 @@ def ginv_star(entity: Optional[MatrixLike], indicators: Sequence[MatrixLike],
             # ginv(T) = T^T ginv(T T^T) = (ginv(T T^T)^T T)^T via factorized RMM.
             inv_gramian = dense_ginv(gramian)
             return rmm_star(entity, indicators, attributes, inv_gramian.T).T
-    return dense_ginv(to_dense(materialize_fn()))
-
-
-def ginv_mn(indicators: Sequence[MatrixLike], attributes: Sequence[MatrixLike],
-            materialize_fn: Callable[[], MatrixLike]) -> np.ndarray:
-    """Factorized pseudo-inverse of an M:N normalized matrix."""
-    n_rows = indicators[0].shape[0]
-    total_width = sum(r.shape[1] for r in attributes)
-    if total_width < n_rows:
-        gram = crossprod_mn_efficient(indicators, attributes)
-        if _is_full_rank(gram):
-            inv_gram = dense_ginv(gram)
-            return lmm_mn(indicators, attributes, inv_gram.T).T
-    else:
-        gramian = gram_transposed_mn(indicators, attributes)
-        if _is_full_rank(gramian):
-            inv_gramian = dense_ginv(gramian)
-            return rmm_mn(indicators, attributes, inv_gramian.T).T
     return dense_ginv(to_dense(materialize_fn()))

@@ -20,6 +20,9 @@ each base matrix and concatenates column-wise::
 
     X T -> [X S, (X K1) R1, ..., (X Kq) Rq]
 
+With ``entity=None`` the ``S`` terms drop out and :func:`lmm_star` /
+:func:`rmm_star` are the M:N rules for ``T = [I1 R1, ..., Iq Rq]``.
+
 Double matrix multiplication (both operands normalized) is rare in ML but is
 supported for the single-join case to match Appendix C.
 """
@@ -117,42 +120,6 @@ def rmm_star(entity: Optional[MatrixLike], indicators: Sequence[MatrixLike],
     for indicator, attribute in zip(indicators, attributes):
         # (X K) R: the intermediate X K is only m x nR.
         blocks.append(kernels.scatter_right(x, indicator, attribute, dtype))
-    return np.hstack(blocks) if blocks else np.zeros((x.shape[0], 0), dtype=dtype)
-
-
-# ---------------------------------------------------------------------------
-# M:N joins
-# ---------------------------------------------------------------------------
-
-def lmm_mn(indicators: Sequence[MatrixLike], attributes: Sequence[MatrixLike],
-           x: MatrixLike) -> np.ndarray:
-    """Factorized left multiplication ``T @ X`` for ``T = [I1 R1, ..., Iq Rq]``."""
-    x = ensure_2d(x)
-    widths = [r.shape[1] for r in attributes]
-    total_width = sum(widths)
-    if x.shape[0] != total_width:
-        raise ShapeError(f"LMM (M:N): X has {x.shape[0]} rows but T has {total_width} columns")
-    n_rows = indicators[0].shape[0]
-    result = np.zeros((n_rows, x.shape[1]),
-                      dtype=kernels.result_dtype(*attributes, x))
-    offset = 0
-    for indicator, attribute, width in zip(indicators, attributes, widths):
-        block = x[offset:offset + width, :]
-        result = kernels.gather_add(result, indicator, attribute, block)
-        offset += width
-    return result
-
-
-def rmm_mn(indicators: Sequence[MatrixLike], attributes: Sequence[MatrixLike],
-           x: MatrixLike) -> np.ndarray:
-    """Factorized right multiplication ``X @ T`` for ``T = [I1 R1, ..., Iq Rq]``."""
-    x = ensure_2d(x)
-    n_rows = indicators[0].shape[0]
-    if x.shape[1] != n_rows:
-        raise ShapeError(f"RMM (M:N): X has {x.shape[1]} columns but T has {n_rows} rows")
-    dtype = kernels.result_dtype(*attributes, x)
-    blocks = [kernels.scatter_right(x, indicator, attribute, dtype)
-              for indicator, attribute in zip(indicators, attributes)]
     return np.hstack(blocks) if blocks else np.zeros((x.shape[0], 0), dtype=dtype)
 
 

@@ -10,6 +10,8 @@ matrix with the same structure::
     T (op) x  ->  (S (op) x, K1, ..., Kq, R1 (op) x, ..., Rq (op) x)
     f(T)      ->  (f(S),     K1, ..., Kq, f(R1),     ..., f(Rq))
 
+An M:N matrix has no ``S`` (``entity=None``), which passes through as ``None``.
+
 The saving is the ratio of the materialized size to the total base-table size.
 """
 
@@ -39,15 +41,3 @@ def function_star(entity: Optional[MatrixLike], attributes: Sequence[MatrixLike]
     new_entity = elementwise(entity, fn) if entity is not None else None
     new_attributes = [elementwise(r, fn) for r in attributes]
     return new_entity, new_attributes
-
-
-def scalar_op_mn(attributes: Sequence[MatrixLike], op: str, scalar: float,
-                 reverse: bool = False) -> List[MatrixLike]:
-    """M:N variant: apply ``T (op) x`` to every component matrix ``R_i``."""
-    return [scalar_op(r, op, scalar, reverse=reverse) for r in attributes]
-
-
-def function_mn(attributes: Sequence[MatrixLike],
-                fn: Callable[[np.ndarray], np.ndarray]) -> List[MatrixLike]:
-    """M:N variant: apply ``f(T)`` to every component matrix ``R_i``."""
-    return [elementwise(r, fn) for r in attributes]

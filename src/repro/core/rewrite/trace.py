@@ -195,7 +195,7 @@ def canonical_snowflake_schema():
 
 def canonical_mn_schema():
     """A deterministic two-component M:N schema (10 output rows)."""
-    from repro.core.mn_matrix import MNNormalizedMatrix
+    from repro.core.normalized_matrix import NormalizedMatrix
     from repro.la.ops import indicator_from_labels
 
     rng = np.random.default_rng(7)
@@ -203,7 +203,7 @@ def canonical_mn_schema():
     r2 = rng.standard_normal((3, 3))
     i1 = indicator_from_labels(np.array([0, 1, 2, 3, 0, 1, 2, 3, 0, 1]), num_columns=4)
     i2 = indicator_from_labels(np.array([0, 1, 2, 0, 1, 2, 0, 1, 2, 0]), num_columns=3)
-    normalized = MNNormalizedMatrix([i1, i2], [r1, r2])
+    normalized = NormalizedMatrix(None, [i1, i2], [r1, r2])
     named = {"I1": i1, "I2": i2, "R1": r1, "R2": r2}
     return normalized, named
 

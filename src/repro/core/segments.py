@@ -1,17 +1,15 @@
 """Column-segment metadata of normalized matrices.
 
 The (virtual) join output ``T`` of a normalized matrix is a horizontal
-concatenation of per-table blocks -- ``[S, K1 R1, ..., Kq Rq]`` for the
-star-schema class, ``[I1 R1, ..., Iq Rq]`` for the M:N class.  Until now the
-per-table column spans were implicit in the rewrite rules (each rule slices
-its operand by accumulating widths on the fly); this module makes them a
-first-class, inspectable property:
+concatenation of per-table blocks -- ``[S, K1 R1, ..., Kq Rq]``, or
+``[I1 R1, ..., Iq Rq]`` for the entity-less M:N form.  The rewrite rules
+slice their operands by accumulating widths on the fly; this module makes
+the per-table column spans a first-class, inspectable property:
 
 * :class:`ColumnSegment` -- one named half-open column span ``[start, stop)``
   of the logical ``T``, tied back to the base table it comes from.
-* ``NormalizedMatrix.column_segments()`` / ``MNNormalizedMatrix.column_segments()``
-  return the ordered segment list; ``n_features_per_table`` is the matching
-  name -> width mapping.
+* ``NormalizedMatrix.column_segments()`` returns the ordered segment list;
+  ``n_features_per_table`` is the matching name -> width mapping.
 * :func:`schema_fingerprint` -- a stable digest of the segment structure,
   used by the serving subsystem (:mod:`repro.serve`) to bind exported model
   weights to the schema they were trained on and reject mismatches.
@@ -39,8 +37,8 @@ class ColumnSegment:
     ----------
     name:
         Stable block name: ``"entity"`` for the star-schema entity block,
-        ``"table_i"`` / ``"component_i"`` for the i-th attribute/component
-        table.
+        ``"table_i"`` for the i-th attribute table (an M:N component table
+        is an attribute table).
     start, stop:
         Half-open column interval of the block inside ``T``.
     table_index:
@@ -68,11 +66,12 @@ class ColumnSegment:
         return slice(self.start, self.stop)
 
 
-def build_segments(entity_width: Optional[int], attribute_widths: Sequence[int],
-                   attribute_prefix: str = "table") -> List[ColumnSegment]:
+def build_segments(entity_width: Optional[int],
+                   attribute_widths: Sequence[int]) -> List[ColumnSegment]:
     """Assemble the ordered segment list from block widths.
 
-    ``entity_width=None`` means "no entity block at all" (the M:N class);
+    ``entity_width=None`` means "no entity block at all" (no entity matrix,
+    as in the M:N form);
     ``entity_width=0`` keeps a zero-width entity segment so the block
     structure of a ``d_S = 0`` star schema stays visible.
     """
@@ -82,7 +81,7 @@ def build_segments(entity_width: Optional[int], attribute_widths: Sequence[int],
         segments.append(ColumnSegment("entity", 0, entity_width, None))
         cursor = entity_width
     for i, width in enumerate(attribute_widths):
-        segments.append(ColumnSegment(f"{attribute_prefix}_{i}", cursor, cursor + width, i))
+        segments.append(ColumnSegment(f"table_{i}", cursor, cursor + width, i))
         cursor += width
     return segments
 

@@ -85,7 +85,6 @@ def slice_rows(data, start: int, stop: int) -> object:
 
 def _slice_piece(data, start: int, stop: int):
     """Row slice ``[start, stop)`` of an untransposed normalized or plain matrix."""
-    from repro.core.mn_matrix import MNNormalizedMatrix
     from repro.core.normalized_matrix import NormalizedMatrix
 
     if isinstance(data, NormalizedMatrix):
@@ -93,10 +92,6 @@ def _slice_piece(data, start: int, stop: int):
         indicators = [k[start:stop, :] for k in data.indicators]
         return NormalizedMatrix(entity, indicators, data.attributes, transposed=False,
                                 validate=False, crossprod_method=data.crossprod_method)
-    if isinstance(data, MNNormalizedMatrix):
-        indicators = [i[start:stop, :] for i in data.indicators]
-        return MNNormalizedMatrix(indicators, data.attributes, transposed=False,
-                                  validate=False, crossprod_method=data.crossprod_method)
     if is_matrix_like(data):
         return ensure_2d(data)[start:stop, :]
     raise TypeError(f"cannot slice rows of {type(data).__name__}")
@@ -121,9 +116,8 @@ class NormalizedBatchIterator:
     Parameters
     ----------
     data:
-        The data matrix: a :class:`~repro.core.normalized_matrix.NormalizedMatrix`,
-        an :class:`~repro.core.mn_matrix.MNNormalizedMatrix`, or a plain
-        dense/sparse matrix.  Must be untransposed.
+        The data matrix: a :class:`~repro.core.normalized_matrix.NormalizedMatrix`
+        (star or M:N) or a plain dense/sparse matrix.  Must be untransposed.
     target:
         Optional target aligned with the data rows; sliced alongside every
         batch.  1-D targets are promoted to column vectors.

@@ -20,7 +20,6 @@ import numpy as np
 from repro.exceptions import DataGenerationError
 from repro.la.ops import indicator_from_labels
 from repro.core.normalized_matrix import NormalizedMatrix
-from repro.core.mn_matrix import MNNormalizedMatrix
 
 
 @dataclass
@@ -198,9 +197,9 @@ class MNDataset:
     config: SyntheticMNConfig = field(repr=False)
 
     @property
-    def normalized(self) -> MNNormalizedMatrix:
-        return MNNormalizedMatrix([self.left_indicator, self.right_indicator],
-                                  [self.left, self.right])
+    def normalized(self) -> NormalizedMatrix:
+        return NormalizedMatrix(None, [self.left_indicator, self.right_indicator],
+                                [self.left, self.right])
 
     @property
     def materialized(self) -> np.ndarray:
@@ -245,8 +244,8 @@ def generate_mn(config: SyntheticMNConfig) -> MNDataset:
     left_indicator = indicator_from_labels(np.asarray(left_rows), num_columns=n)
     right_indicator = indicator_from_labels(np.asarray(right_rows), num_columns=n)
 
-    normalized = MNNormalizedMatrix([left_indicator, right_indicator], [left, right],
-                                    validate=False)
+    normalized = NormalizedMatrix(None, [left_indicator, right_indicator], [left, right],
+                                  validate=False)
     true_weights = rng.standard_normal((2 * d, 1))
     scores = normalized @ true_weights
     target = np.where(scores > 0, 1.0, -1.0)

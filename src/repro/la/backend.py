@@ -210,9 +210,9 @@ def get_backend(name: str, chunk_rows: Optional[int] = None,
     if key not in _REGISTRY:
         raise NotSupportedError(f"unknown backend {name!r}; expected one of {sorted(_REGISTRY)}")
     if key == "chunked":
-        return ChunkedBackend(chunk_rows or 4096)
+        return ChunkedBackend() if chunk_rows is None else ChunkedBackend(chunk_rows)
     if key == "sharded":
-        return ShardedBackend(n_shards or 4)
+        return ShardedBackend() if n_shards is None else ShardedBackend(n_shards)
     return _REGISTRY[key]()
 
 

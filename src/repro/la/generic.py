@@ -4,9 +4,8 @@ The ML algorithms in :mod:`repro.ml` are written once against these functions
 and therefore run unchanged over:
 
 * plain dense/sparse matrices (dispatches to :mod:`repro.la.ops`),
-* :class:`~repro.core.normalized_matrix.NormalizedMatrix` and
-  :class:`~repro.core.mn_matrix.MNNormalizedMatrix` (dispatches to the
-  object's factorized methods), and
+* :class:`~repro.core.normalized_matrix.NormalizedMatrix`, star or M:N
+  (dispatches to the object's factorized methods), and
 * :class:`~repro.core.partitioned.Partitioned` (dispatches to its
   piece-at-a-time methods).
 

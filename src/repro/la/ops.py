@@ -20,7 +20,7 @@ import scipy.sparse as sp
 from numpy.linalg import pinv as _dense_pinv
 
 from repro.exceptions import ShapeError
-from repro.la.types import MatrixLike, ensure_2d, is_chain, is_sparse, to_dense
+from repro.la.types import MatrixLike, ensure_2d, integral_int64, is_chain, is_sparse, to_dense
 
 Scalar = Union[int, float, np.floating, np.integer]
 
@@ -217,7 +217,7 @@ def indicator_from_labels(labels: MatrixLike, num_columns: int | None = None) ->
     foreign-key column (Section 3.1) and of ``IS``/``IR`` for M:N joins
     (Section 3.6).  Labels are zero-based.
     """
-    lab = np.asarray(to_dense(labels)).ravel().astype(np.int64)
+    lab = integral_int64(to_dense(labels), "indicator_from_labels: labels")
     if lab.size and lab.min() < 0:
         raise ShapeError("indicator_from_labels: labels must be non-negative")
     n_rows = lab.shape[0]

@@ -104,38 +104,46 @@ def check_same_shape(a: MatrixLike, b: MatrixLike, context: str = "operation") -
         raise ShapeError(f"{context}: shape mismatch {sa} vs {sb}")
 
 
+def integral_int64(values, what: str) -> np.ndarray:
+    """Return *values* as a flat ``int64`` array, refusing anything not integral.
+
+    Float arrays are accepted only when every value is finite and exactly
+    integral (``np.arange(5.0)`` and integer-valued columns round-tripped
+    through float storage are common); anything fractional, non-finite, or of
+    a non-numeric dtype raises :class:`ShapeError` naming *what* -- silently
+    truncating ``1.7`` to ``1`` would pick the wrong row or key instead of
+    surfacing the caller's bug.
+    """
+    values = np.asarray(values)
+    if not (np.issubdtype(values.dtype, np.integer)
+            or np.issubdtype(values.dtype, np.floating)):
+        raise ShapeError(f"{what} must be integers, got dtype {values.dtype}")
+    if np.issubdtype(values.dtype, np.floating) and values.size:
+        if not np.all(np.isfinite(values)):
+            raise ShapeError(f"{what} must be finite integers, got NaN or infinity")
+        if not np.array_equal(values, np.trunc(values)):
+            raise ShapeError(
+                f"{what} must be integral; got non-integral float values "
+                "(truncating them would silently select the wrong rows)"
+            )
+    return values.astype(np.int64).ravel()
+
+
 def normalize_row_indices(row_indices, n_rows: int) -> np.ndarray:
     """Validate a row-selection argument and return it as an ``int64`` index array.
 
     Accepts an integer index array (duplicates and arbitrary order allowed) or
-    a boolean mask of length *n_rows*.  Float arrays are accepted only when
-    every value is finite and exactly integral (``np.arange(5.0)`` and
-    integer-valued columns round-tripped through float storage are common);
-    anything fractional, non-finite, or of a non-numeric dtype raises
-    :class:`ShapeError` -- silently truncating ``1.7`` to row ``1`` would
-    select the wrong row instead of surfacing the caller's bug.  Used by
-    every ``take_rows`` implementation so star-schema and M:N row selection
-    reject bad input identically.
+    a boolean mask of length *n_rows*; integral floats are accepted and
+    anything else rejected as by :func:`integral_int64`.  Used by every
+    ``take_rows`` implementation so all row selection rejects bad input
+    identically.
     """
     indices = np.asarray(row_indices)
     if indices.dtype == bool:
         if indices.ndim != 1 or indices.shape[0] != n_rows:
             raise ShapeError("boolean row mask length does not match the number of rows")
         return np.flatnonzero(indices)
-    if not (np.issubdtype(indices.dtype, np.integer)
-            or np.issubdtype(indices.dtype, np.floating)):
-        raise ShapeError(
-            f"row indices must be integers or a boolean mask, got dtype {indices.dtype}"
-        )
-    if np.issubdtype(indices.dtype, np.floating) and indices.size:
-        if not np.all(np.isfinite(indices)):
-            raise ShapeError("row indices must be finite integers, got NaN or infinity")
-        if not np.array_equal(indices, np.trunc(indices)):
-            raise ShapeError(
-                "row indices must be integral; got non-integral float values "
-                "(truncating them would silently select the wrong rows)"
-            )
-    indices = indices.astype(np.int64).ravel()
+    indices = integral_int64(indices, "row indices")
     if indices.size and (indices.min() < 0 or indices.max() >= n_rows):
         raise ShapeError("row indices out of range")
     return indices

@@ -4,10 +4,9 @@ The four algorithms the paper factorizes (Section 4) are implemented here,
 each written *once* against the generic LA functions in
 :mod:`repro.la.generic` and the operand's operator overloads.  Passing a plain
 (materialized) matrix gives the standard single-table version; passing a
-:class:`~repro.core.normalized_matrix.NormalizedMatrix` (or
-:class:`~repro.core.mn_matrix.MNNormalizedMatrix`) gives the automatically
-factorized version -- no algorithm-specific rewriting is required, which is
-the paper's central claim.
+:class:`~repro.core.normalized_matrix.NormalizedMatrix` (star schema or M:N
+join) gives the automatically factorized version -- no algorithm-specific
+rewriting is required, which is the paper's central claim.
 
 * :class:`~repro.ml.logistic_regression.LogisticRegressionGD`
 * :class:`~repro.ml.linear_regression.LinearRegressionNE` (normal equations),

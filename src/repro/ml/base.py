@@ -239,7 +239,7 @@ class IterativeEstimator(abc.ABC):
         # (plain, chunked, already-sharded) must never be densified here even
         # if they happen to expose a materialize() method.
         if not plan.factorized \
-                and plan.data_summary.get("kind") in ("normalized", "mn-normalized"):
+                and plan.data_summary.get("kind") == "normalized":
             operand = _memoized_materialize(data)
         if plan.backend == "streamed":
             # A streamed plan dispatches the fit through the mini-batch loop

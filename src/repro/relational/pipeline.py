@@ -18,7 +18,6 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.decision import DecisionRule
-from repro.core.mn_matrix import MNNormalizedMatrix
 from repro.core.normalized_matrix import NormalizedMatrix
 from repro.exceptions import SchemaError
 from repro.la.types import MatrixLike
@@ -40,13 +39,13 @@ JoinEdge = Tuple[str, Table, str, Sequence[str]]
 class NormalizedDataset:
     """A ready-to-train dataset: data matrix, feature names and optional target."""
 
-    matrix: Union[NormalizedMatrix, MNNormalizedMatrix, MatrixLike]
+    matrix: Union[NormalizedMatrix, MatrixLike]
     feature_names: List[str]
     target: Optional[np.ndarray] = None
 
     @property
     def is_factorized(self) -> bool:
-        return isinstance(self.matrix, (NormalizedMatrix, MNNormalizedMatrix))
+        return isinstance(self.matrix, NormalizedMatrix)
 
     @property
     def shape(self) -> tuple:
@@ -264,7 +263,8 @@ def mn_normalized_from_tables(left: Table, left_join_column: str,
     i_left, i_right = mn_join_indicators(left, left_join_column, right, right_join_column)
     left_encoded = encode_features(left, columns=list(left_features), sparse=sparse)
     right_encoded = encode_features(right, columns=list(right_features), sparse=sparse)
-    matrix = MNNormalizedMatrix([i_left, i_right], [left_encoded.matrix, right_encoded.matrix])
+    matrix = NormalizedMatrix(None, [i_left, i_right],
+                              [left_encoded.matrix, right_encoded.matrix])
     feature_names = [f"{left.name}.{name}" for name in left_encoded.feature_names]
     feature_names.extend(f"{right.name}.{name}" for name in right_encoded.feature_names)
     return NormalizedDataset(matrix=matrix, feature_names=feature_names)

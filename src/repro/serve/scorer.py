@@ -21,7 +21,7 @@ partials once, so a scoring request is:
 No join output row is ever assembled, no per-request matmul touches the
 attribute columns, and the resident state (``sum_k n_Rk * m`` plus the base
 matrices) is a tiny fraction of the materialized ``n_S x d`` matrix -- the
-same redundancy argument as training, at request latency.  The M:N class
+same redundancy argument as training, at request latency.  The M:N form
 works identically with every component indicator-routed (no entity block).
 
 Updates go through :meth:`update_table`: only the changed table's partial is
@@ -37,7 +37,6 @@ import numpy as np
 
 from repro import obs
 from repro.core.indicator import indicator_codes
-from repro.core.mn_matrix import MNNormalizedMatrix
 from repro.la import kernels
 from repro.core.normalized_matrix import NormalizedMatrix
 from repro.core.segments import schema_fingerprint
@@ -72,10 +71,10 @@ class FactorizedScorer:
         The model's :class:`~repro.ml.export.ServingExport` (weights sliced
         here by column segment).
     matrix:
-        The untransposed :class:`NormalizedMatrix` or
-        :class:`MNNormalizedMatrix` describing the serving schema.  Its
-        entity matrix and indicators provide the row-scoring path
-        (:meth:`score_rows`); its attribute tables seed the partials.
+        The untransposed :class:`NormalizedMatrix` (star or M:N) describing
+        the serving schema.  Its entity matrix and indicators provide the
+        row-scoring path (:meth:`score_rows`); its attribute tables seed the
+        partials.
     expected_fingerprint:
         Schema fingerprint the export was saved under (the registry passes
         it); mismatch with *matrix* raises :class:`SchemaMismatchError`.
@@ -87,7 +86,7 @@ class FactorizedScorer:
 
     def __init__(self, export: ServingExport, matrix, expected_fingerprint=None,
                  zone_block_size: int = DEFAULT_BLOCK_SIZE):
-        if not isinstance(matrix, (NormalizedMatrix, MNNormalizedMatrix)):
+        if not isinstance(matrix, NormalizedMatrix):
             raise ServingError(
                 "FactorizedScorer needs a normalized matrix describing the schema; "
                 f"got {type(matrix).__name__} (serve plain matrices by plain matmul)"
@@ -111,7 +110,7 @@ class FactorizedScorer:
         self.segments = matrix.column_segments()
         weights = export.weights
         entity_segment = next((s for s in self.segments if s.is_entity), None)
-        self._entity = matrix.entity if isinstance(matrix, NormalizedMatrix) else None
+        self._entity = matrix.entity
         self._entity_weights = (weights[entity_segment.slice()]
                                 if entity_segment is not None else None)
         #: segments routed through indicators, in attribute-table order.
@@ -394,9 +393,9 @@ class FactorizedScorer:
     def update_table(self, table, new_attribute, wait: bool = True):
         """Swap in a fresh attribute table, rebuilding only its partial scores.
 
-        *table* is a table index or a segment name (``"table_1"`` /
-        ``"component_0"``).  The new matrix must keep the table's feature
-        count (the weight slice depends on it) and must still cover every
+        *table* is a table index or a segment name (``"table_1"``).  The new
+        matrix must keep the table's feature count (the weight slice depends
+        on it) and must still cover every
         row the stored indicators reference; the row count may grow (new
         products) or shrink to that bound.  With ``wait=False`` the rebuild
         runs on the background worker and a ``Future`` of the new snapshot

@@ -20,7 +20,7 @@ import scipy.sparse as sp
 os.environ.setdefault("REPRO_CALIBRATION", "default")
 
 from repro.core.normalized_matrix import NormalizedMatrix
-from repro.core.mn_matrix import MNNormalizedMatrix
+from repro.core import MNNormalizedMatrix
 from repro.datasets.synthetic import (
     SyntheticMNConfig,
     SyntheticPKFKConfig,

@@ -90,17 +90,17 @@ class TestRewriteFunctionsDirectly:
 
     def test_mn_naive_function(self, mn_dataset):
         _, normalized, materialized = mn_dataset
-        out = rules.crossprod_mn_naive(normalized.indicators, normalized.attributes)
+        out = rules.crossprod_star_naive(None, normalized.indicators, normalized.attributes)
         assert np.allclose(out, materialized.T @ materialized)
 
     def test_mn_efficient_function(self, mn_dataset):
         _, normalized, materialized = mn_dataset
-        out = rules.crossprod_mn_efficient(normalized.indicators, normalized.attributes)
+        out = rules.crossprod_star_efficient(None, normalized.indicators, normalized.attributes)
         assert np.allclose(out, materialized.T @ materialized)
 
     def test_gram_transposed_mn_function(self, mn_dataset):
         _, normalized, materialized = mn_dataset
-        out = rules.gram_transposed_mn(normalized.indicators, normalized.attributes)
+        out = rules.gram_transposed_star(None, normalized.indicators, normalized.attributes)
         assert np.allclose(out, materialized @ materialized.T)
 
 

@@ -14,7 +14,6 @@ from repro.core.decision import (
     morpheus_mn,
     should_factorize,
 )
-from repro.core.mn_matrix import MNNormalizedMatrix
 from repro.core.normalized_matrix import NormalizedMatrix
 
 
@@ -230,7 +229,7 @@ class TestMorpheusMNFactory:
         dataset, _, _ = mn_dataset
         out = morpheus_mn([dataset.left_indicator, dataset.right_indicator],
                           [dataset.left, dataset.right])
-        assert isinstance(out, MNNormalizedMatrix)
+        assert isinstance(out, NormalizedMatrix) and out.entity is None
 
     def test_returns_materialized_below_threshold(self, mn_dataset):
         dataset, normalized, materialized = mn_dataset
@@ -246,4 +245,4 @@ class TestMorpheusMNFactory:
         out = morpheus_mn([dataset.left_indicator, dataset.right_indicator],
                           [dataset.left, dataset.right],
                           redundancy_threshold=1e9, force_factorized=True)
-        assert isinstance(out, MNNormalizedMatrix)
+        assert isinstance(out, NormalizedMatrix) and out.entity is None

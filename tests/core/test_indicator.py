@@ -6,7 +6,6 @@ import scipy.sparse as sp
 
 from repro.core.indicator import (
     indicator_stats,
-    validate_mn_indicator,
     validate_pk_fk_indicator,
 )
 from repro.exceptions import IndicatorError
@@ -61,24 +60,26 @@ class TestPkFkValidation:
 
 
 class TestMnValidation:
+    """M:N indicators (one row per join output tuple) pass the same validator."""
+
     def test_valid_matrix_passes(self):
-        out = validate_mn_indicator(valid_indicator())
+        out = validate_pk_fk_indicator(valid_indicator())
         assert out.nnz == 5
 
     def test_row_with_two_nonzeros_rejected(self):
         bad = valid_indicator().toarray()
         bad[1, 0] = 1.0
         with pytest.raises(IndicatorError):
-            validate_mn_indicator(bad)
+            validate_pk_fk_indicator(bad)
 
     def test_noncontributing_column_rejected(self):
         bad = indicator_from_labels(np.array([0, 1]), num_columns=3)
         with pytest.raises(IndicatorError):
-            validate_mn_indicator(bad)
+            validate_pk_fk_indicator(bad)
 
     def test_noncontributing_column_allowed_when_not_required(self):
         bad = indicator_from_labels(np.array([0, 1]), num_columns=3)
-        assert validate_mn_indicator(bad, require_full_columns=False).shape == (2, 3)
+        assert validate_pk_fk_indicator(bad, require_full_columns=False).shape == (2, 3)
 
 
 class TestIndicatorStats:

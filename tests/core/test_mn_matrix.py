@@ -1,9 +1,15 @@
-"""Tests for the M:N normalized matrix (paper Section 3.6, Appendices D/E)."""
+"""Tests for the M:N normalized matrix (paper Section 3.6, Appendices D/E).
+
+An M:N matrix is the entity-less :class:`NormalizedMatrix`; these tests run
+the Table-1 operators on the M:N fixtures, including what is specific to that
+form: multi-component fan-out, shared component tables and transposed M:N.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core.mn_matrix import MNNormalizedMatrix
+from repro import MNNormalizedMatrix
+from repro.core.normalized_matrix import NormalizedMatrix
 from repro.exceptions import IndicatorError, NotSupportedError, ShapeError
 from repro.la.ops import indicator_from_labels
 
@@ -15,19 +21,30 @@ class TestConstruction:
 
     def test_component_metadata(self, mn_dataset):
         _, normalized, _ = mn_dataset
-        assert normalized.num_components == 2
-        assert normalized.component_widths == [6, 6]
+        assert normalized.num_joins == 2
+        assert normalized.attribute_widths == [6, 6]
+        assert normalized.entity_width == 0
 
     def test_multi_component(self, mn_multi_component):
         normalized, materialized = mn_multi_component
-        assert normalized.num_components == 3
+        assert normalized.num_joins == 3
         assert normalized.shape == materialized.shape
 
-    def test_from_two_tables_constructor(self, mn_dataset):
+    def test_constructor_returns_entityless_normalized_matrix(self, mn_dataset):
+        """The M:N constructor builds the star form without an entity block;
+        it gains the star operators the old M:N class lacked (log, the ratios)."""
         dataset, _, materialized = mn_dataset
-        normalized = MNNormalizedMatrix.from_two_tables(
-            dataset.left, dataset.left_indicator, dataset.right, dataset.right_indicator)
+        normalized = MNNormalizedMatrix([dataset.left_indicator, dataset.right_indicator],
+                                        [dataset.left, dataset.right])
+        assert isinstance(normalized, NormalizedMatrix)
+        assert normalized.entity is None
         assert np.allclose(normalized.to_dense(), materialized)
+        positive = normalized ** 2 + 1.0
+        assert np.allclose(positive.log().to_dense(), np.log(materialized ** 2 + 1.0))
+        n_out = materialized.shape[0]
+        expected = np.mean([n_out / dataset.left.shape[0], n_out / dataset.right.shape[0]])
+        assert normalized.tuple_ratio == pytest.approx(expected)
+        assert normalized.feature_ratio == float("inf")
 
     def test_requires_components(self):
         with pytest.raises(ShapeError):
@@ -76,7 +93,7 @@ class TestScalarOps:
     def test_scalar_ops_match(self, mn_dataset, expression, reference):
         _, normalized, materialized = mn_dataset
         result = expression(normalized)
-        assert isinstance(result, MNNormalizedMatrix)
+        assert isinstance(result, NormalizedMatrix) and result.entity is None
         assert np.allclose(result.to_dense(), reference(materialized))
 
     def test_apply_function(self, mn_dataset):

@@ -141,11 +141,11 @@ class TestRewriteFunctionsDirectly:
     def test_lmm_mn_shape_check(self, mn_dataset, rng):
         dataset, normalized, _ = mn_dataset
         with pytest.raises(ShapeError):
-            multiplication.lmm_mn(normalized.indicators, normalized.attributes,
-                                  rng.standard_normal((1, 1)))
+            multiplication.lmm_star(None, normalized.indicators, normalized.attributes,
+                                    rng.standard_normal((1, 1)))
 
     def test_rmm_mn_shape_check(self, mn_dataset, rng):
         dataset, normalized, _ = mn_dataset
         with pytest.raises(ShapeError):
-            multiplication.rmm_mn(normalized.indicators, normalized.attributes,
-                                  rng.standard_normal((1, 1)))
+            multiplication.rmm_star(None, normalized.indicators, normalized.attributes,
+                                    rng.standard_normal((1, 1)))

@@ -17,6 +17,7 @@ import pytest
 
 from repro.bench.harness import PlanEvaluation
 from repro.core.cost import CostModel, Operator
+from repro.core.decision import decide
 from repro.core.planner import (
     CalibrationProfile,
     Plan,
@@ -213,8 +214,9 @@ class TestDescribeData:
     def test_mn_normalized(self, mn_dataset):
         _, normalized, _ = mn_dataset
         profile = describe_data(normalized)
-        assert profile.kind == "mn-normalized"
+        assert profile.kind == "normalized"
         assert profile.can_factorize
+        assert profile.tuple_ratio == pytest.approx(normalized.tuple_ratio)
         assert profile.redundancy_ratio == pytest.approx(normalized.redundancy_ratio())
 
     def test_plain_matrix(self):
@@ -393,7 +395,7 @@ class TestSurfaceIntegration:
         _, normalized, _ = mn_dataset
         plan = normalized.plan()
         assert isinstance(plan, Plan)
-        assert plan.data_summary["kind"] == "mn-normalized"
+        assert plan.data_summary["kind"] == "normalized"
 
     def test_backend_capabilities_registry(self):
         caps = backend_capabilities()
@@ -481,12 +483,13 @@ class TestSurfaceIntegration:
         assert plan.n_jobs == 4
         assert plan.backend == "sharded"
 
-    def test_mn_plan_explain_reports_redundancy_rule(self, mn_dataset):
+    def test_mn_plan_explain_reports_threshold_rule(self, mn_dataset):
         _, normalized, _ = mn_dataset
         plan = Planner(calibration=CalibrationProfile.default()).plan(normalized)
         text = plan.explain()
-        assert "redundancy rule" in text
-        assert plan.threshold_rule_choice in ("factorize", "materialize")
+        assert "paper threshold rule (tau=5, rho=1)" in text
+        expected = decide(normalized)[0]
+        assert plan.threshold_rule_choice == ("factorize" if expected else "materialize")
 
     def test_describe_data_chunked_operand(self):
         from repro.core.partitioned import Partitioned

@@ -13,7 +13,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.mn_matrix import MNNormalizedMatrix
+from repro.core import MNNormalizedMatrix
 from repro.core.normalized_matrix import NormalizedMatrix
 from repro.la.ops import indicator_from_labels
 

@@ -57,12 +57,12 @@ class TestColumnSegmentsMN:
     def test_components_have_no_entity_block(self, mn_multi_component):
         normalized, _ = mn_multi_component
         segments = normalized.column_segments()
-        assert [s.name for s in segments] == ["component_0", "component_1", "component_2"]
+        assert [s.name for s in segments] == ["table_0", "table_1", "table_2"]
         assert all(not s.is_entity for s in segments)
-        assert [s.width for s in segments] == normalized.component_widths
+        assert [s.width for s in segments] == normalized.attribute_widths
         assert segments[-1].stop == normalized.logical_cols
         assert normalized.n_features_per_table == {
-            f"component_{i}": w for i, w in enumerate(normalized.component_widths)
+            f"table_{i}": w for i, w in enumerate(normalized.attribute_widths)
         }
 
 

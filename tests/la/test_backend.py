@@ -75,6 +75,13 @@ class TestRegistry:
     def test_get_backend_chunk_rows_passthrough(self):
         backend = get_backend("chunked", chunk_rows=128)
         assert backend.chunk_rows == 128
+        assert get_backend("sharded", n_shards=3).n_shards == 3
+        # An explicit zero is passed through (and rejected), not replaced
+        # by the default.
+        with pytest.raises(ValueError):
+            get_backend("chunked", chunk_rows=0)
+        with pytest.raises(ValueError):
+            get_backend("sharded", n_shards=0)
 
     def test_get_backend_unknown(self):
         with pytest.raises(NotSupportedError):

@@ -198,8 +198,15 @@ class TestIndicatorFromLabels:
             ops.indicator_from_labels(np.array([0, 4]), num_columns=3)
 
     def test_negative_labels_rejected(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="non-negative"):
             ops.indicator_from_labels(np.array([0, -1]))
+        # Float labels are keys too: 1.7 must not truncate to column 1, and
+        # NaN must be named as such, not reported as a negative label.
+        with pytest.raises(ShapeError, match="non-integral"):
+            ops.indicator_from_labels(np.array([0, 1.7, 2]))
+        with pytest.raises(ShapeError, match="NaN"):
+            ops.indicator_from_labels(np.array([0, np.nan, 2]))
+        assert ops.indicator_from_labels(np.array([0.0, 2.0])).shape == (2, 3)
 
     def test_expansion_recovers_rows(self):
         labels = np.array([2, 0, 1, 2, 2])

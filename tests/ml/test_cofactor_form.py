@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core.mn_matrix import MNNormalizedMatrix
+from repro.core import MNNormalizedMatrix
 from repro.core.normalized_matrix import NormalizedMatrix
 from repro.core.planner import CalibrationProfile, Planner
 from repro.la.chain import ChainedIndicator

@@ -36,7 +36,7 @@ class TestFactorizedEquivalence:
 
     def test_mn_join_equivalence(self, mn_dataset):
         dataset, _, _ = mn_dataset
-        from repro.core.mn_matrix import MNNormalizedMatrix
+        from repro.core import MNNormalizedMatrix
         positive = MNNormalizedMatrix([dataset.left_indicator, dataset.right_indicator],
                                       [np.abs(dataset.left), np.abs(dataset.right)])
         dense = positive.to_dense()

@@ -31,7 +31,6 @@ import pytest
 import scipy.sparse as sp
 
 from repro.core.delta import MatrixDelta, patch_term
-from repro.core.mn_matrix import MNNormalizedMatrix
 from repro.core.normalized_matrix import NormalizedMatrix
 from repro.core.partitioned import Partitioned
 from repro.exceptions import DeltaError
@@ -65,8 +64,6 @@ def _rebuild(normalized, table_index: int, delta: MatrixDelta):
     """Full recompute baseline: a fresh matrix over the post-delta tables."""
     attributes = list(normalized.attributes)
     attributes[table_index] = delta.apply_to(attributes[table_index])
-    if isinstance(normalized, MNNormalizedMatrix):
-        return MNNormalizedMatrix(normalized.indicators, attributes)
     return NormalizedMatrix(normalized.entity, normalized.indicators, attributes)
 
 

@@ -7,7 +7,7 @@ logical matrix ``T``, that each Table-1 operator agrees with the plain-NumPy
 reference computed on the materialized ``T`` to within ``1e-8``:
 
 * ``normalized-dense`` / ``normalized-sparse`` -- the eager factorized
-  rewrites of :class:`NormalizedMatrix` / :class:`MNNormalizedMatrix`;
+  rewrites of :class:`NormalizedMatrix` (star and M:N);
 * ``chunked``             -- the serial ORE-style chunked preset of
   :class:`Partitioned`;
 * ``sharded``             -- the parallel factorized sharded preset
@@ -33,7 +33,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.core.mn_matrix import MNNormalizedMatrix
+from repro.core import MNNormalizedMatrix
 from repro.core.normalized_matrix import NormalizedMatrix
 from repro.core.partitioned import Partitioned
 from repro.la.ops import indicator_from_labels
@@ -55,7 +55,7 @@ class Case:
     seed: int
     description: str
     dense: np.ndarray            # reference materialized T as plain ndarray
-    normalized: object           # NormalizedMatrix or MNNormalizedMatrix
+    normalized: object           # NormalizedMatrix (star or M:N)
 
 
 def _random_pk_fk(rng: np.random.Generator, seed: int, sparse_bases: bool) -> Case:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.decision import DecisionRule
-from repro.core.mn_matrix import MNNormalizedMatrix
 from repro.core.normalized_matrix import NormalizedMatrix
 from repro.exceptions import SchemaError
 from repro.relational.pipeline import (
@@ -118,7 +117,8 @@ class TestMNNormalizedFromTables:
         dataset = mn_normalized_from_tables(left, "topic", right, "topic",
                                             left_features=["citations"],
                                             right_features=["rank"])
-        assert isinstance(dataset.matrix, MNNormalizedMatrix)
+        assert isinstance(dataset.matrix, NormalizedMatrix)
+        assert dataset.matrix.entity is None
         assert dataset.shape[1] == 2
         assert dataset.feature_names == ["papers.citations", "venues.rank"]
         # topic 1 matches 1, topic 2 matches 1 each (x2 left rows), topic 3 matches 2.

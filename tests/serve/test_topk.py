@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.core.delta import MatrixDelta
-from repro.core.mn_matrix import MNNormalizedMatrix
 from repro.core.normalized_matrix import NormalizedMatrix
 from repro.exceptions import ServingError
 from repro.la.ops import indicator_from_labels
