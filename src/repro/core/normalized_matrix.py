@@ -31,6 +31,7 @@ from repro.la.types import (
     MatrixLike,
     ensure_2d,
     is_matrix_like,
+    is_sparse,
     normalize_row_indices,
     to_dense,
 )
@@ -515,9 +516,11 @@ class NormalizedMatrix:
             return NotImplemented
         other = ensure_2d(other)
         if self.transposed:
-            # T^T X -> (X^T T)^T  (Appendix A), which is a factorized RMM.
+            # T^T X -> (X^T T)^T  (Appendix A), which is a factorized RMM.  A
+            # sparse X stays sparse: X = K_A scatters as a code-pair histogram.
+            other_t = other.T if is_sparse(other) else to_dense(other).T
             result = multiplication.rmm_star(
-                self.entity, self.indicators, self.attributes, to_dense(other).T
+                self.entity, self.indicators, self.attributes, other_t
             )
             return result.T
         return multiplication.lmm_star(self.entity, self.indicators, self.attributes, other)

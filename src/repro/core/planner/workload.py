@@ -93,12 +93,12 @@ class WorkloadDescriptor:
 
     @classmethod
     def kmeans(cls, num_clusters: int, max_iter: int) -> "WorkloadDescriptor":
-        """Algorithm 7: per-iteration ``T C`` and ``T^T A``; invariant norms/doubling."""
+        """Algorithm 7: per-iteration ``T C`` and ``T^T A``; invariant norms ``T^2``."""
         return cls(
             name="kmeans", iterations=max_iter,
             uses=(OperatorUse(Operator.LMM, x_cols=num_clusters),
                   OperatorUse(Operator.RMM, x_cols=num_clusters),
-                  OperatorUse(Operator.SCALAR, count=2, per_iteration=False),
+                  OperatorUse(Operator.SCALAR, per_iteration=False),
                   OperatorUse(Operator.AGGREGATION, per_iteration=False)),
         )
 

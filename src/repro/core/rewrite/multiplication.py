@@ -68,12 +68,14 @@ def lmm_star(entity: Optional[MatrixLike], indicators: Sequence[MatrixLike],
     n_rows = indicators[0].shape[0] if indicators else entity.shape[0]
     # The accumulator carries the operand result dtype (indicators excluded:
     # their stored float64 ones are structural and must not upcast float32).
-    result = np.zeros((n_rows, x.shape[1]),
-                      dtype=kernels.result_dtype(entity, *attributes, x))
+    dtype = kernels.result_dtype(entity, *attributes, x)
     offset = 0
     if entity_width:
-        result += to_dense(matmul(entity, x[0:entity_width, :]))
+        # The fresh entity product S X is the accumulator the table terms add into.
+        result = np.asarray(to_dense(matmul(entity, x[0:entity_width, :])), dtype=dtype)
         offset = entity_width
+    else:
+        result = np.zeros((n_rows, x.shape[1]), dtype=dtype)
     for indicator, attribute, width in zip(indicators, attributes, attribute_widths):
         block = x[offset:offset + width, :]
         # K (R X): compute the small product first, then scatter through K.
@@ -114,6 +116,9 @@ def rmm_star(entity: Optional[MatrixLike], indicators: Sequence[MatrixLike],
     if x.shape[1] != n_rows:
         raise ShapeError(f"RMM: X has {x.shape[1]} columns but T has {n_rows} rows")
     dtype = kernels.result_dtype(entity, *attributes, x)
+    if isinstance(x, np.ndarray):
+        # One row-major copy of X, shared by every per-table scatter.
+        x = np.ascontiguousarray(x)
     blocks: List[MatrixLike] = []
     if entity is not None and entity.shape[1] > 0:
         blocks.append(np.asarray(to_dense(matmul(x, entity)), dtype=dtype))

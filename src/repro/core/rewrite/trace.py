@@ -214,6 +214,8 @@ def table1_traces() -> Dict[str, dict]:
     Returns ``{trace_name: {"schema": ..., "operator": ..., "steps": [...]}}``,
     the exact structures serialized into ``tests/goldens/*.json``.
     """
+    from repro.la.ops import indicator_from_labels
+
     rng = np.random.default_rng(3)
     traces: Dict[str, dict] = {}
 
@@ -221,6 +223,8 @@ def table1_traces() -> Dict[str, dict]:
     x = rng.standard_normal((star.shape[1], 2))
     w = rng.standard_normal((2, star.shape[0]))
     y = rng.standard_normal((star.shape[0], 2))
+    # A cluster assignment K_A (K-Means' centroid update T^T K_A).
+    k_a = indicator_from_labels(np.array([0, 1, 2, 0, 1, 2, 0, 1]), num_columns=3)
     star_ops = {
         "star_scalar_multiply": lambda tn: tn * 3.0,
         "star_scalar_add": lambda tn: tn + 3.0,
@@ -232,13 +236,14 @@ def table1_traces() -> Dict[str, dict]:
         "star_lmm": lambda tn: tn @ x,
         "star_rmm": lambda tn: w @ tn,
         "star_transposed_lmm": lambda tn: tn.T @ y,
+        "star_indicator_transposed_lmm": lambda tn: tn.T @ k_a,
         "star_crossprod_naive": lambda tn: tn.crossprod(method="naive"),
         "star_crossprod_efficient": lambda tn: tn.crossprod(method="efficient"),
         "star_gram_transposed": lambda tn: tn.T.crossprod(),
         "star_ginv": lambda tn: tn.ginv(),
         "star_solve": lambda tn: tn.solve(y[:, :1]),
     }
-    star_args = dict(star_named, X=x, W=w, Y=y)
+    star_args = dict(star_named, X=x, W=w, Y=y, KA=k_a)
     for name, op in star_ops.items():
         with trace_rewrites(star_args) as tracer:
             op(star)

@@ -13,7 +13,8 @@ row index that the CSR structure encodes):
 kernel                  fused shape
 ======================  =====================================================
 ``gather_add``          ``out += (R @ X)[codes]``            (LMM term)
-``scatter_right``       ``(X K) R`` via code-binned column sums  (RMM term)
+``scatter_right``       ``(X K) R`` via code-binned column sums  (RMM term);
+                        a code-pair histogram when ``X = K_A^T``
 ``scatter_crossprod``   ``R^T diag(bincount(codes)) R``      (diagonal block)
 ``cross_block``         ``R_i^T (K_i^T K_j) R_j`` via paired-code counts
 ``entity_cross_block``  ``(S^T K) R`` via code-binned column sums
@@ -33,8 +34,11 @@ Each kernel is one function: gathers are ``ndarray.take``, scatters are
 :mod:`repro.la.ops` primitives.  A few kernels keep a path chosen by their
 input: ``cross_block`` falls back to the sparse ``K_i^T K_j`` product when
 the dense code-pair histogram would dwarf the join
-(``_CROSSING_DENSITY_LIMIT``), ``scatter_right`` / ``entity_cross_block``
-multiply non-ndarray operands through the indicator, and
+(``_CROSSING_DENSITY_LIMIT``), ``scatter_right`` counts code pairs when
+``X`` is a transposed indicator ``K_A^T`` (through the same histogram helper
+and density fallback as ``cross_block``), ``scatter_right`` /
+``entity_cross_block`` multiply other non-ndarray operands through the
+indicator, and
 ``take_indicator_rows`` row-indexes chained and non-CSR indicators.  The
 primitive chains the kernels replace live in ``tests/la/kernel_oracles.py``
 as test oracles.
@@ -130,6 +134,31 @@ def _scatter_columns(x: np.ndarray, codes: np.ndarray, n_cols: int) -> np.ndarra
     return out
 
 
+def _transposed_indicator_codes(x: MatrixLike) -> Optional[np.ndarray]:
+    """Row codes of ``K_A`` when *x* is ``K_A^T``, else ``None``.
+
+    ``x`` qualifies when it is CSC (the transpose of a CSR indicator) and
+    every column holds exactly one stored ``1.0``; the check is O(n).
+    """
+    if not sp.issparse(x) or x.format != "csc" or x.nnz != x.shape[1]:
+        return None
+    if not (np.all(np.diff(x.indptr) == 1) and np.all(x.data == 1.0)):
+        return None
+    return x.indices.astype(np.int64)
+
+
+def _code_pair_counts(codes_i: np.ndarray, codes_j: np.ndarray, n_i: int, n_j: int,
+                      sparse_product: Callable[[], MatrixLike]) -> MatrixLike:
+    """``K_i^T K_j`` from the two code vectors: the dense code-pair histogram,
+    or *sparse_product* when that histogram would dwarf the join."""
+    if n_i * n_j > _CROSSING_DENSITY_LIMIT * max(codes_i.size, 1):
+        # The dense code-pair histogram would dwarf the data; let the sparse
+        # K_i^T K_j product exploit its own structure instead.
+        return sparse_product()
+    counts = np.bincount(codes_i * n_j + codes_j, minlength=n_i * n_j)
+    return counts.astype(np.float64).reshape(n_i, n_j)
+
+
 def _counts(indicator: MatrixLike) -> np.ndarray:
     """``colSums(K)`` as float64 fan-out counts, one per attribute row."""
     counts = np.bincount(_codes(indicator), minlength=indicator.shape[1])
@@ -197,6 +226,10 @@ def scatter_right(x: MatrixLike, indicator: MatrixLike, attribute: MatrixLike,
     if isinstance(x, np.ndarray):
         xk = _scatter_columns(np.ascontiguousarray(x, dtype=np.float64),
                               _codes(indicator), indicator.shape[1])
+    elif (row_codes := _transposed_indicator_codes(x)) is not None:
+        # X = K_A^T: X K = K_A^T K is the code-pair histogram of the two codes.
+        xk = _code_pair_counts(row_codes, _codes(indicator), x.shape[0],
+                               indicator.shape[1], lambda: matmul(x, indicator))
     else:
         # Sparse X: the intermediate X K is only m x nR.
         xk = matmul(x, indicator)
@@ -220,15 +253,10 @@ def cross_block(indicator_i: MatrixLike, indicator_j: MatrixLike,
                 attribute_i: MatrixLike, attribute_j: MatrixLike,
                 dtype: np.dtype) -> np.ndarray:
     """``R_i^T (K_i^T K_j) R_j``: one off-diagonal cross-product block."""
-    ci, cj = _codes(indicator_i), _codes(indicator_j)
-    ni, nj = indicator_i.shape[1], indicator_j.shape[1]
-    if ni * nj > _CROSSING_DENSITY_LIMIT * max(ci.size, 1):
-        # The dense code-pair histogram would dwarf the data; let the sparse
-        # K_i^T K_j product exploit its own structure instead.
-        crossing = matmul(transpose(indicator_i), indicator_j)
-    else:
-        crossing = np.bincount(ci * nj + cj, minlength=ni * nj)
-        crossing = crossing.astype(np.float64).reshape(ni, nj)
+    crossing = _code_pair_counts(
+        _codes(indicator_i), _codes(indicator_j),
+        indicator_i.shape[1], indicator_j.shape[1],
+        lambda: matmul(transpose(indicator_i), indicator_j))
     inner = matmul(crossing, attribute_j)
     block = to_dense(matmul(transpose(attribute_i), inner))
     return np.asarray(block, dtype=dtype)

@@ -228,8 +228,14 @@ def indicator_from_labels(labels: MatrixLike, num_columns: int | None = None) ->
                 f"indicator_from_labels: num_columns={num_columns} too small for max label {lab.max()}"
             )
         n_cols = num_columns
-    data = np.ones(n_rows, dtype=np.float64)
-    return sp.csr_matrix((data, (np.arange(n_rows), lab)), shape=(n_rows, n_cols))
+    # One non-zero per row: the CSR arrays are the labels themselves, so build
+    # them directly instead of sorting a COO (row, col) pair list.
+    index_dtype = np.int32 if max(n_rows, n_cols) < 2 ** 31 else np.int64
+    return sp.csr_matrix(
+        (np.ones(n_rows, dtype=np.float64), lab.astype(index_dtype),
+         np.arange(n_rows + 1, dtype=index_dtype)),
+        shape=(n_rows, n_cols),
+    )
 
 
 # ---------------------------------------------------------------------------

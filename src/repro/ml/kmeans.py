@@ -10,6 +10,14 @@ All three operators have factorized rewrites, which is why K-Means benefits
 from normalized data even though it also performs extra regular-matrix work
 (the assignment step), explaining the more modest speed-ups in Figure 5(c).
 
+The assignment is itself an indicator ``K_A`` (one 1 per row, in the row's
+cluster column), so the centroid update passes the sparse
+``indicator_from_labels(labels, k)`` and never builds an n x k one-hot: on a
+normalized matrix ``T^T K_A`` runs each ``K_A^T K_i`` as the code-pair
+histogram Algorithm 2 uses for ``K_i^T K_j``.  The distance step broadcasts
+``rowSums(T^2) + |c|^2 - T (2 C)`` with no ``1``-vector outer products, so
+the only n x k arrays left are the distance matrix and the LMM feeding it.
+
 One deliberate deviation from the paper's pseudo-code: the paper assigns
 points with a boolean equality test ``A = (D == rowMin(D))``, which can assign
 a point to several clusters when distances tie.  We break ties by the lowest
@@ -25,6 +33,7 @@ import numpy as np
 
 from repro.la import generic
 from repro.la.generic import to_dense_result
+from repro.la.ops import indicator_from_labels
 from repro.ml.base import (
     IterativeEstimator,
     fit_telemetry,
@@ -95,27 +104,16 @@ class KMeans(IterativeEstimator):
         if self._use_minibatch():
             return self._fit_sgd(data, centroids)
 
-        ones_row = np.ones((1, k))
-        ones_col = np.ones((n, 1))
-        # Loop-invariant terms, hoisted: the per-point squared norms
-        # rowSums(T ^ 2) and the doubled matrix 2 T, both factorized.
-        point_norms = generic.rowsums(generic.square(data)) @ ones_row
-        data_twice = 2 * data
+        # Loop-invariant term, hoisted: the per-point squared norms rowSums(T ^ 2).
+        point_norms = self._point_norms(data)
 
-        assignment = None
+        labels = None
         distances = None
         for _ in range(self.max_iter):
-            centroid_norms = np.sum(centroids ** 2, axis=0, keepdims=True)  # 1 x k
-            cross_term = to_dense_result(data_twice @ centroids)            # n x k LMM
-            distances = point_norms + ones_col @ centroid_norms - cross_term
-            # Free the n x k block now: alive into the next iteration's LMM it
-            # would raise the fit's peak memory by one n x k array.
-            del cross_term
+            del distances  # free the previous n x k block before building the next
+            distances = self._distances_to(data, centroids, point_norms)
             labels = np.argmin(distances, axis=1)
-            assignment = np.zeros((n, k))
-            assignment[np.arange(n), labels] = 1.0
-            counts = assignment.sum(axis=0, keepdims=True)                   # 1 x k
-            sums = to_dense_result(data.T @ assignment)                      # d x k, factorized
+            counts, sums = self._cluster_sums(data, labels)
             # Keep the previous centroid for empty clusters instead of dividing by zero.
             safe_counts = np.where(counts > 0, counts, 1.0)
             updated = sums / safe_counts
@@ -124,25 +122,38 @@ class KMeans(IterativeEstimator):
                 self.history_.append(float(np.sum(distances[np.arange(n), labels])))
 
         self.centroids_ = centroids
-        self.labels_ = np.argmin(distances, axis=1) if distances is not None else None
+        self.labels_ = labels
         if distances is not None:
-            self.inertia_ = float(np.sum(distances[np.arange(n), self.labels_]))
+            self.inertia_ = float(np.sum(distances[np.arange(n), labels]))
         return self
 
     @staticmethod
-    def _distances_to(data, centroids: np.ndarray) -> np.ndarray:
+    def _point_norms(data) -> np.ndarray:
+        """``rowSums(T^2)`` as a flat ``(n,)`` vector."""
+        return to_dense_result(generic.rowsums(generic.square(data))).ravel()
+
+    @classmethod
+    def _distances_to(cls, data, centroids: np.ndarray,
+                      point_norms: Optional[np.ndarray] = None) -> np.ndarray:
         """Squared distances of every row of *data* to every centroid column.
 
-        The same ``rowSums(T^2) + |c|^2 - 2 T c`` expansion the batch fit
-        uses, so a mini-batch covering all rows reproduces the full-batch
-        distance matrix bit for bit.
+        ``rowSums(T^2) + |c|^2 - T (2 C)``, broadcast; the batch fit and a
+        mini-batch run this one expansion, so a mini-batch covering all rows
+        reproduces the full-batch distance matrix bit for bit.  Scaling by 2
+        is exact, so ``T (2 C)`` has the bits of ``(2 T) C``.
         """
-        n = data.shape[0]
-        k = centroids.shape[1]
-        point_norms = generic.rowsums(generic.square(data)) @ np.ones((1, k))
-        centroid_norms = np.sum(centroids ** 2, axis=0, keepdims=True)
-        cross_term = to_dense_result((2 * data) @ centroids)
-        return point_norms + np.ones((n, 1)) @ centroid_norms - cross_term
+        if point_norms is None:
+            point_norms = cls._point_norms(data)
+        distances = point_norms[:, None] + np.sum(centroids ** 2, axis=0)
+        distances -= to_dense_result(data @ (2 * centroids))  # n x k LMM
+        return distances
+
+    def _cluster_sums(self, data, labels: np.ndarray):
+        """Per-cluster counts ``(1, k)`` and coordinate sums ``T^T K_A`` ``(d, k)``."""
+        k = self.num_clusters
+        counts = np.bincount(labels, minlength=k).astype(np.float64).reshape(1, k)
+        sums = to_dense_result(data.T @ indicator_from_labels(labels, k))
+        return counts, sums
 
     def _reset_stream(self) -> None:
         """Forget the accumulated per-cluster sums/counts (new sgd epoch)."""
@@ -171,10 +182,9 @@ class KMeans(IterativeEstimator):
             self._stream_counts = np.zeros((1, k))
         distances = self._distances_to(data, self.centroids_)
         labels = np.argmin(distances, axis=1)
-        assignment = np.zeros((n, k))
-        assignment[np.arange(n), labels] = 1.0
-        self._stream_sums = self._stream_sums + to_dense_result(data.T @ assignment)
-        self._stream_counts = self._stream_counts + assignment.sum(axis=0, keepdims=True)
+        counts, sums = self._cluster_sums(data, labels)
+        self._stream_sums = self._stream_sums + sums
+        self._stream_counts = self._stream_counts + counts
         counts = self._stream_counts
         safe_counts = np.where(counts > 0, counts, 1.0)
         updated = self._stream_sums / safe_counts

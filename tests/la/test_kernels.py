@@ -278,6 +278,26 @@ class TestKernelPaths:
             x = sp.csr_matrix(x)
         _check("scatter_right", x, indicator, attribute, np.dtype(np.float64))
 
+    @pytest.mark.parametrize("value", [1.0, 2.0])
+    @pytest.mark.parametrize("num_clusters", [4, 200])
+    @pytest.mark.parametrize("schema", ["star-dense", "star-f32", "snowflake"])
+    def test_scatter_right_transposed_indicator_x(self, schema, num_clusters, value):
+        """X = K_A^T scatters as a code-pair histogram (past the density limit,
+        as the sparse product), on plain and chained indicators; one stored
+        2.0 per column is no indicator and takes the general sparse path."""
+        matrix = MATRICES[schema](5)
+        n = matrix.shape[0]
+        rng = np.random.default_rng(5)
+        x = (value * indicator_from_labels(rng.integers(0, num_clusters, size=n),
+                                           num_columns=num_clusters)).T
+        assert (kernels._transposed_indicator_codes(x) is not None) == (value == 1.0)
+        dtype = kernels.result_dtype(*matrix.attributes)
+        for indicator, attribute in zip(matrix.indicators, matrix.attributes):
+            dense_side = (num_clusters * indicator.shape[1]
+                          <= kernels._CROSSING_DENSITY_LIMIT * n)
+            assert dense_side == (num_clusters == 4)
+            _check("scatter_right", x, indicator, attribute, dtype)
+
     @pytest.mark.parametrize("sparse_entity", [False, True])
     def test_entity_cross_block_dense_and_sparse_entity(self, sparse_entity):
         rng = np.random.default_rng(2)

@@ -214,6 +214,25 @@ class TestIndicatorFromLabels:
         k = ops.indicator_from_labels(labels)
         assert np.allclose(np.asarray((k @ values)), values[labels])
 
+    @pytest.mark.parametrize("labels, num_columns", [
+        (np.random.default_rng(0).integers(0, 50, size=300), None),
+        (np.array([], dtype=np.int64), None),
+        (np.array([], dtype=np.int64), 4),
+        (np.array([3, 0, 3, 1]), 9),
+    ], ids=["random", "empty", "empty-padded", "padded"])
+    def test_csr_arrays_equal_coo_construction(self, labels, num_columns):
+        """Built straight from the labels, the CSR matches the COO round trip."""
+        k = ops.indicator_from_labels(labels, num_columns)
+        n = labels.size
+        n_cols = num_columns if num_columns is not None else (labels.max() + 1 if n else 0)
+        ref = sp.csr_matrix((np.ones(n), (np.arange(n), labels)), shape=(n, n_cols))
+        assert k.shape == ref.shape
+        for name in ("data", "indices", "indptr"):
+            actual, expected = getattr(k, name), getattr(ref, name)
+            assert actual.dtype == expected.dtype, name
+            assert np.array_equal(actual, expected), name
+        assert k.has_canonical_format == ref.has_canonical_format
+
 
 class TestScalarOps:
     @pytest.mark.parametrize("op,expected", [

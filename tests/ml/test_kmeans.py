@@ -1,8 +1,12 @@
 """Tests for K-Means clustering (paper Algorithms 7 and 15)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.core.normalized_matrix import NormalizedMatrix
+from repro.la.ops import indicator_from_labels
 from repro.ml.kmeans import KMeans
 from repro.ml.metrics import within_cluster_ss
 
@@ -111,3 +115,29 @@ class TestValidation:
         model = KMeans(num_clusters=4, max_iter=5, seed=9).fit(normalized)
         assert model.labels_.min() >= 0
         assert model.labels_.max() < 4
+
+
+class TestMemory:
+    def test_fit_peak_has_no_dense_assignment_or_doubled_copy(self):
+        """The fit's traced peak stays below four n x k blocks: the distance
+        matrix, the LMM result, its gather, and one block of headroom for the
+        per-row vectors (norms, labels, codes).  A dense n x k one-hot
+        assignment (4 MB here) plus a ``2 T`` copy (8 MB) would exceed it."""
+        rng = np.random.default_rng(0)
+        n, k = 50_000, 10
+        entity = rng.random((n, 20))
+        attributes = [rng.random((500, 10)), rng.random((100, 10))]
+        indicators = [
+            indicator_from_labels(np.concatenate([np.arange(r.shape[0]),
+                                                  rng.integers(0, r.shape[0], n - r.shape[0])]),
+                                  num_columns=r.shape[0])
+            for r in attributes]
+        matrix = NormalizedMatrix(entity, indicators, attributes)
+        bound = 4 * n * k * 8
+        tracemalloc.start()
+        try:
+            KMeans(num_clusters=k, max_iter=3).fit(matrix)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, f"peak {peak / 1e6:.1f} MB >= bound {bound / 1e6:.1f} MB"

@@ -235,6 +235,12 @@ def operator_checks(view, dense: np.ndarray, rng: np.random.Generator,
         ("elementwise-matrix", lambda: view * other, dense * other),
         ("rmm-transposed", lambda: w2 @ view.T, w2 @ dense.T),
     ]
+    # Drawn after every other input, so the checks above see unchanged draws.
+    num_clusters = int(rng.integers(1, 5))
+    assignment = indicator_from_labels(rng.integers(0, num_clusters, size=n),
+                                       num_columns=num_clusters)
+    checks.append(("indicator-multiplier", lambda: view.T @ assignment,
+                   dense.T @ assignment.toarray()))
     return checks
 
 
