@@ -21,7 +21,6 @@ from repro.core import (
     MNNormalizedMatrix,
     materialize,
     morpheus,
-    should_factorize,
     DecisionRule,
     Plan,
     Planner,
@@ -41,7 +40,7 @@ from repro.ml import (
 from repro.relational import Table, read_csv, read_csv_chunks, stream_normalized_batches
 from repro.serve import FactorizedScorer, ModelRegistry, ScoringService
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 __all__ = [
     "obs",
@@ -50,7 +49,6 @@ __all__ = [
     "materialize",
     "morpheus",
     "morpheus_mn",
-    "should_factorize",
     "DecisionRule",
     "Plan",
     "Planner",

@@ -13,10 +13,9 @@ This package implements the paper's primary contribution:
   ablated (naive vs. efficient cross-product, LMM multiplication order)
   independently of the wrapper classes.
 * :mod:`repro.core.cost` -- the arithmetic-operation cost models of Table 3 /
-  Table 11.
+  Table 11, which the planner prices.
 * :mod:`repro.core.decision` -- the heuristic decision rule of Section 3.7 /
-  5.1, :func:`decide` (that rule or the cost-based planner) and the
-  :func:`morpheus` factory that applies it.
+  5.1 and the :func:`morpheus` factory that applies it.
 * :mod:`repro.core.planner` -- the cost-based adaptive execution planner
   behind ``engine="auto"`` and ``NormalizedMatrix.plan()``: machine
   calibration + workload descriptors + Table-3 arithmetic, scored into
@@ -38,16 +37,12 @@ from repro.core.normalized_matrix import MNNormalizedMatrix, NormalizedMatrix
 from repro.core.materialize import materialize
 from repro.core.cost import (
     OperatorCost,
-    standard_cost,
-    factorized_cost,
     asymptotic_speedup,
     CostModel,
 )
 from repro.core.decision import (
     DecisionRule,
-    decide,
     morpheus,
-    should_factorize,
 )
 from repro.core.planner import (
     CalibrationProfile,
@@ -76,12 +71,8 @@ __all__ = [
     "ColumnSegment",
     "schema_fingerprint",
     "OperatorCost",
-    "standard_cost",
-    "factorized_cost",
     "asymptotic_speedup",
     "CostModel",
     "DecisionRule",
-    "decide",
-    "should_factorize",
     "morpheus",
 ]

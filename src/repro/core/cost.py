@@ -3,16 +3,17 @@
 Paper reference: Section 3.4 (Table 3) and Appendix F (Table 11).  The models
 count multiplications and additions as a function of the base-table dimensions
 ``(n_S, d_S, n_R, d_R)`` and, where relevant, the width of the multiplied
-matrix.  They drive two things:
+matrix.  :class:`CostModel` holds them for a star schema with ``q`` joins --
+the per-join terms add up, and ``q = 1`` is the paper's two-table form.  They
+drive two things:
 
+* the arithmetic term of the cost-based planner
+  (:mod:`repro.core.planner`), and
 * the analytical speed-up curves (``asymptotic_speedup``) used by the Table 3
-  validation benchmark, and
-* intuition for the heuristic decision rule in :mod:`repro.core.decision`
-  (the paper deliberately does *not* use the cost model at runtime, to stay
-  system-agnostic; we keep the same split).
+  validation benchmark.
 
-For multi-join star schemas the per-join costs simply add up, which is how the
-``CostModel`` convenience class generalizes the two-table formulas.
+The paper's own decision rule (:mod:`repro.core.decision`) deliberately does
+*not* use the cost model, to stay system-agnostic; it is kept that way.
 """
 
 from __future__ import annotations
@@ -47,77 +48,6 @@ class OperatorCost:
         if self.factorized <= 0:
             return float("inf")
         return self.standard / self.factorized
-
-
-@dataclass(frozen=True)
-class Dimensions:
-    """Base-table dimensions of a single PK-FK join (Table 2 notation)."""
-
-    n_s: int
-    d_s: int
-    n_r: int
-    d_r: int
-
-    @property
-    def d(self) -> int:
-        return self.d_s + self.d_r
-
-    @property
-    def tuple_ratio(self) -> float:
-        return self.n_s / self.n_r if self.n_r else float("inf")
-
-    @property
-    def feature_ratio(self) -> float:
-        return self.d_r / self.d_s if self.d_s else float("inf")
-
-
-def standard_cost(operator: Operator, dims: Dimensions, x_cols: int = 1) -> float:
-    """Arithmetic operations of the standard (materialized) operator (Table 3)."""
-    n_s, d_s, n_r, d_r = dims.n_s, dims.d_s, dims.n_r, dims.d_r
-    d = d_s + d_r
-    if operator in (Operator.SCALAR, Operator.AGGREGATION):
-        return n_s * d
-    if operator is Operator.LMM:
-        return x_cols * n_s * d
-    if operator is Operator.RMM:
-        return x_cols * n_s * d
-    if operator is Operator.CROSSPROD:
-        return 0.5 * d * d * n_s
-    if operator is Operator.PSEUDOINVERSE:
-        if n_s > d:
-            return 7 * n_s * d * d + 20 * d ** 3
-        return 7 * n_s * n_s * d + 20 * n_s ** 3
-    raise ValueError(f"no cost model for operator {operator}")
-
-
-def factorized_cost(operator: Operator, dims: Dimensions, x_cols: int = 1) -> float:
-    """Arithmetic operations of the factorized operator (Table 3 / Table 11)."""
-    n_s, d_s, n_r, d_r = dims.n_s, dims.d_s, dims.n_r, dims.d_r
-    d = d_s + d_r
-    base = n_s * d_s + n_r * d_r
-    if operator in (Operator.SCALAR, Operator.AGGREGATION):
-        return base
-    if operator is Operator.LMM:
-        return x_cols * base
-    if operator is Operator.RMM:
-        return x_cols * base
-    if operator is Operator.CROSSPROD:
-        return 0.5 * d_s * d_s * n_s + 0.5 * d_r * d_r * n_r + d_s * d_r * n_r
-    if operator is Operator.PSEUDOINVERSE:
-        crossprod = factorized_cost(Operator.CROSSPROD, dims)
-        if n_s > d:
-            return 27 * d ** 3 + crossprod + d * base
-        return 27 * n_s ** 3 + 0.5 * n_s * n_s * d_s + 0.5 * n_r * n_r * d_r + n_s * base
-    raise ValueError(f"no cost model for operator {operator}")
-
-
-def operator_cost(operator: Operator, dims: Dimensions, x_cols: int = 1) -> OperatorCost:
-    """Bundle the standard and factorized counts for one operator."""
-    return OperatorCost(
-        operator=operator,
-        standard=standard_cost(operator, dims, x_cols),
-        factorized=factorized_cost(operator, dims, x_cols),
-    )
 
 
 def asymptotic_speedup(operator: Operator, tuple_ratio: float, feature_ratio: float) -> float:

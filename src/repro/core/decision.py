@@ -1,4 +1,4 @@
-"""Factorize-or-materialize decision strategies.
+"""The paper's factorize-or-materialize decision rule.
 
 Paper reference: Sections 3.7 and 5.1.  Factorized execution avoids the
 computational redundancy introduced by the join, but when the join introduces
@@ -16,17 +16,15 @@ with ``tau = 5`` and ``rho = 1``.  This module implements that rule, plus the
 :func:`morpheus` convenience factory that applies it when constructing a data
 matrix from base tables.
 
-The repo generalizes the paper here: :func:`decide` applies either the
-paper rule (``strategy="threshold"``) or the calibrated planner of
-:mod:`repro.core.planner` (``strategy="cost"``), which also weighs engines,
-backends and shard counts, and :func:`morpheus` accepts the same
-``strategy=`` argument.
+The repo's cost-based alternative, which also weighs engines, backends and
+shard counts, is the calibrated planner: ``normalized.plan().factorized``
+(and ``.explain()``), see :mod:`repro.core.planner`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Union
 
 from repro.la.types import MatrixLike
 from repro.core.normalized_matrix import NormalizedMatrix
@@ -70,62 +68,22 @@ class DecisionRule:
         )
 
 
-def should_factorize(tuple_ratio: float, feature_ratio: float,
-                     rule: Optional[DecisionRule] = None) -> bool:
-    """Module-level convenience wrapper around :meth:`DecisionRule.predict`."""
-    rule = rule or DecisionRule()
-    return rule.predict(tuple_ratio, feature_ratio)
-
-
-def decide(normalized: NormalizedMatrix, strategy: str = "threshold",
-           rule: Optional[DecisionRule] = None) -> Tuple[bool, str]:
-    """Whether *normalized* should execute factorized, and why.
-
-    ``strategy="threshold"`` applies the paper's rule (*rule*, default
-    :class:`DecisionRule`); ``strategy="cost"`` asks the calibrated cost-based
-    planner for one plan over its generic operator mix and reports that
-    plan's choice and explanation.  Returns ``(factorize, explanation)``.
-    """
-    if strategy == "threshold":
-        rule = rule or DecisionRule()
-        tr, fr = normalized.tuple_ratio, normalized.feature_ratio
-        return rule.predict(tr, fr), rule.explain(tr, fr)
-    if strategy != "cost":
-        raise ValueError(
-            f"unknown execution strategy {strategy!r}; expected 'threshold' or 'cost'"
-        )
-    if rule is not None:
-        raise ValueError(
-            "pass either rule= or strategy='cost', not both: custom thresholds "
-            "only apply to the threshold strategy"
-        )
-    # Imported lazily: repro.core.planner imports this module's siblings.
-    from repro.core.planner import Planner
-
-    plan = Planner().plan(normalized)
-    return plan.factorized, plan.explain()
-
-
 def morpheus(entity: Optional[MatrixLike], indicators: Sequence[MatrixLike],
              attributes: Sequence[MatrixLike],
              rule: Optional[DecisionRule] = None,
-             force_factorized: bool = False,
-             strategy: str = "threshold"
+             force_factorized: bool = False
              ) -> Union[NormalizedMatrix, MatrixLike]:
     """Build the data matrix the way Morpheus would: factorized if profitable.
 
-    Constructs a :class:`NormalizedMatrix` from the base matrices, consults the
-    decision strategy and returns either the normalized matrix (factorized
-    execution) or its materialization (standard execution).  ``force_factorized``
-    bypasses the decision, which is what the operator-level benchmarks do.
-    ``strategy`` selects the decision procedure (see :func:`decide`): the
-    paper's ``"threshold"`` rule, with custom thresholds from ``rule``, or
-    the calibrated ``"cost"`` planner.
+    Constructs a :class:`NormalizedMatrix` from the base matrices, applies the
+    decision rule (*rule*, default :class:`DecisionRule`) and returns either
+    the normalized matrix (factorized execution) or its materialization
+    (standard execution).  ``force_factorized`` bypasses the decision, which
+    is what the operator-level benchmarks do.
     """
     normalized = NormalizedMatrix(entity, list(indicators), list(attributes))
-    if force_factorized:
-        return normalized
-    if decide(normalized, strategy, rule)[0]:
+    rule = rule or DecisionRule()
+    if force_factorized or rule.predict(normalized.tuple_ratio, normalized.feature_ratio):
         return normalized
     return normalized.materialize()
 

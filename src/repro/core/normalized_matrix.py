@@ -210,9 +210,8 @@ class NormalizedMatrix:
         """Average tuple ratio ``n_S / n_R`` across the joins (Section 3.4).
 
         A degenerate attribute table with zero rows contributes an infinite
-        ratio rather than a ``ZeroDivisionError`` (mirroring
-        :class:`repro.core.cost.Dimensions`), so the decision rule and the
-        planner stay well-defined on empty inputs.
+        ratio rather than a ``ZeroDivisionError``, so the decision rule and
+        the planner stay well-defined on empty inputs.
         """
         if not self.attributes:
             return 1.0
@@ -346,16 +345,15 @@ class NormalizedMatrix:
 
         Returns a :class:`~repro.core.planner.plan.Plan` ranking materialized
         vs. factorized layout, the eager loop vs. the co-factor form (linear
-        regression GD only), and serial vs. sharded (vs. chunked) backends for *workload* -- a
+        regression GD only), and serial vs. sharded backends for *workload* -- a
         :class:`~repro.core.planner.workload.WorkloadDescriptor`, defaulting
         to a generic single pass over the Table-1 operator mix.  Pass a
         configured :class:`~repro.core.planner.planner.Planner` to control
-        calibration or the candidate space; the default planner also scores
-        the chunked out-of-core backend for completeness.
+        calibration or the candidate space.
         """
         from repro.core.planner import Planner
 
-        planner = planner or Planner(include_chunked=True)
+        planner = planner or Planner()
         return planner.plan(self, workload)
 
     # -- materialization ---------------------------------------------------------

@@ -22,7 +22,8 @@ holds for every operator mix.
 
 from __future__ import annotations
 
-from typing import Tuple
+import math
+from typing import Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -128,28 +129,33 @@ def entity_stream_nbytes(data) -> int:
     return materialized_nbytes(data)
 
 
-def batch_row_nbytes(data) -> int:
-    """Conservative resident bytes one logical row contributes to a mini-batch.
+def validate_memory_budget(memory_budget: Optional[float]) -> Optional[float]:
+    """A ``memory_budget`` argument as float bytes; ``None`` means unbounded.
 
-    Counts the densified row width (the worst-case intermediate a Table-1
-    operator materializes for the batch) plus the per-join indicator slice
-    overhead, so a batch of ``batch_rows_for_budget`` rows stays under the
-    budget for every operator.
+    Anything else must be positive and finite: a NaN or infinite budget
+    cannot size a batch.
     """
-    _, cols = _logical_dims(data)
-    num_joins = len(getattr(data, "indicators", ()))
-    return _row_nbytes(cols, num_joins)
+    if memory_budget is None:
+        return None
+    budget = float(memory_budget)
+    if not 0 < budget < math.inf:
+        raise ValueError(
+            f"memory_budget must be a positive, finite number of bytes, "
+            f"got {memory_budget!r}")
+    return budget
 
 
 def _row_nbytes(n_cols: int, num_joins: int) -> int:
+    """Conservative resident bytes of one batch row: the densified row width
+    (the worst-case intermediate a Table-1 operator materializes) plus the
+    per-join indicator slice overhead."""
     return max(1, n_cols * DENSE_ELEMENT_BYTES + num_joins * INDICATOR_ROW_BYTES)
 
 
 def batch_rows_for_dims(n_rows: int, n_cols: int, num_joins: int,
                         memory_budget: float, min_rows: int = 1) -> int:
     """:func:`batch_rows_for_budget` on explicit dimensions (planner-internal)."""
-    if memory_budget <= 0:
-        raise ValueError("memory_budget must be positive")
+    memory_budget = validate_memory_budget(memory_budget)
     batch_rows = int(memory_budget // _row_nbytes(n_cols, num_joins))
     if n_rows > 0:
         return max(min(batch_rows, n_rows), min(min_rows, n_rows), 1)

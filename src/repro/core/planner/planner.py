@@ -2,9 +2,10 @@
 
 Where the paper stops at a static two-threshold heuristic (Section 5.1), the
 repo now has a whole lattice of execution choices -- materialized vs.
-factorized layout, serial vs. sharded (vs. chunked) backends, shard counts,
-and for GD linear regression the eager loop vs. its co-factor form -- and the
-profitable corner moves with the workload.
+factorized layout, serial vs. sharded backends, shard counts, streamed
+mini-batches under a memory budget, and for GD linear regression the eager
+loop vs. its co-factor form -- and the profitable corner moves with the
+workload.
 :class:`Planner` closes that loop: it combines the paper's Table 3 / Table 11
 arithmetic models (:class:`~repro.core.cost.CostModel`) with the machine
 calibration constants (:mod:`repro.core.planner.calibration`) and a
@@ -21,8 +22,8 @@ The predicted cost of a candidate is a sum of three terms:
   roughly ``2 + 2q`` dense primitive calls plus ``q`` sparse indicator
   scatters per operator (q = number of joins); the scatter pass and the block
   assembly are additionally priced per row at a calibrated rate, since
-  ``K @ (R X)`` behaves nothing like a dense matmul.  Sharded execution
-  multiplies every call by the shard count, chunked by the chunk count;
+  ``K @ (R X)`` behaves nothing like a dense matmul.  Every call is
+  multiplied by the operand's fan-out: its shard, chunk or batch count;
 * **one-time** -- materialization of the join output when a materialized plan
   is chosen for normalized input, and shard-construction setup.
 
@@ -166,14 +167,8 @@ class Planner:
         A :class:`CalibrationProfile`; defaults to :func:`get_profile` (disk
         cache or one-time probe, ``REPRO_CALIBRATION=default`` for constants).
     shard_candidates:
-        Shard counts to consider beyond serial execution.  Defaults to
-        ``(2, 4, cpu_count)`` filtered to the machine.
-    include_chunked:
-        Also score the out-of-core chunked backend (off by default: the ML
-        ``engine="auto"`` surface cannot dispatch to it, but
-        ``NormalizedMatrix.plan()`` reports it for completeness).
-    chunk_rows:
-        Chunk size used when pricing chunked candidates.
+        Shard counts (each at least 2) to consider beyond serial execution.
+        Defaults to ``(2, 4, cpu_count)`` filtered to the machine.
     charge_materialization:
         Whether a materialized plan for normalized input pays the one-time
         join-materialization cost (the honest cold-start default).  The ML
@@ -200,22 +195,21 @@ class Planner:
 
     def __init__(self, calibration: Optional[CalibrationProfile] = None,
                  shard_candidates: Optional[Sequence[int]] = None,
-                 include_chunked: bool = False, chunk_rows: int = 4096,
                  charge_materialization: bool = True,
                  memory_budget: Optional[float] = None):
         self.calibration = calibration
-        self.include_chunked = bool(include_chunked)
-        self.chunk_rows = int(chunk_rows)
         self.charge_materialization = bool(charge_materialization)
-        if memory_budget is not None and memory_budget <= 0:
-            raise ValueError("memory_budget must be positive (bytes)")
-        self.memory_budget = None if memory_budget is None else float(memory_budget)
+        self.memory_budget = memory_model.validate_memory_budget(memory_budget)
         if shard_candidates is None:
             from repro.la.parallel import default_workers
 
             cores = default_workers()
             shard_candidates = sorted({n for n in (2, 4, cores) if 1 < n <= cores})
         self.shard_candidates = tuple(int(n) for n in shard_candidates)
+        if any(n < 2 for n in self.shard_candidates):
+            raise ValueError(
+                f"shard_candidates must all be at least 2 (serial execution is "
+                f"always scored), got {self.shard_candidates}")
 
     # -- public API -----------------------------------------------------------
 
@@ -301,10 +295,6 @@ class Planner:
                     backend = serial_backend if shards == 1 else "sharded"
                     candidates.append(self._score(
                         dp, workload, profile, factorized, engine, backend, shards))
-                if self.include_chunked and dp.kind != "chunked" \
-                        and (n_shards is None or n_shards == 1):
-                    candidates.append(self._score(
-                        dp, workload, profile, factorized, engine, "chunked", 1))
 
         # Memory dimension: drop candidates whose resident footprint exceeds
         # the budget and add the streamed (mini-batch) candidate for
@@ -337,11 +327,8 @@ class Planner:
 
         # On exact cost ties prefer: fewer shards, the eager engine, the
         # input's own layout (no conversion risk), and the simplest backend
-        # family (in-memory serial before sharded before out-of-core chunked
-        # -- never recommend wrapping a small matrix in the chunked backend
-        # for a tie's worth of benefit).
-        backend_rank = {"dense": 0, "sparse": 0, "sharded": 1, "streamed": 2,
-                        "chunked": 3}
+        # (the operand's serial one before sharded before streamed).
+        backend_rank = {"sharded": 1, "streamed": 2}
         input_factorized = dp.can_factorize or dp.fixed_factorized
 
         def sort_key(c: ScoredCandidate):
@@ -350,7 +337,7 @@ class Planner:
                 c.n_shards,
                 0 if c.engine == "eager" else 1,
                 0 if c.factorized == input_factorized else 1,
-                backend_rank.get(c.backend, 3),
+                backend_rank.get(c.backend, 0),
             )
 
         candidates.sort(key=sort_key)
@@ -361,8 +348,8 @@ class Planner:
 
         The budget bounds what one data pass streams through *beyond the
         always-resident attribute tables*: a materialized pass touches the
-        dense ``n_S x d`` join output (the repo's chunked backend holds its
-        row chunks in memory, so it is *not* an escape hatch from the budget),
+        dense ``n_S x d`` join output (a chunked operand holds its row
+        chunks in memory, so it is *not* an escape hatch from the budget),
         a factorized pass touches the entity and indicator matrices, and the
         streamed backend touches one mini-batch slice at a time -- which is
         why it is the fallback that always fits.
@@ -429,13 +416,8 @@ class Planner:
             # Every operator is executed once per mini-batch.
             fanout = float(max(
                 memory_model.streamed_batch_count(dp.n_rows, batch_rows or dp.n_rows), 1))
-        if backend == "chunked":
-            if dp.kind == "chunked":  # a real chunked operand: its own fan-out
-                fanout = float(dp.partitions)
-            else:  # hypothetical chunked candidate for in-memory input
-                from repro.la.backend import ChunkedBackend
-
-                fanout = float(ChunkedBackend(self.chunk_rows).partitions_for(dp.n_rows))
+        if backend == "chunked":  # a chunked operand: its own fan-out
+            fanout = float(dp.partitions)
         dispatch_s = total_ops * calls_per_op * fanout * profile.dispatch_overhead_s
         dispatch_s += scatter_calls * fanout * profile.sparse_dispatch_overhead_s
         if shards > 1:

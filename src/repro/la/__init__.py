@@ -9,10 +9,9 @@ It provides:
   NumPy arrays and SciPy sparse matrices.  The Morpheus rewrite rules are
   expressed exclusively in terms of these primitives, which is what gives the
   framework *closure*: a rewritten operator is just another LA expression.
-* :mod:`repro.la.backend` -- a small backend abstraction
-  (:class:`DenseBackend`, :class:`SparseBackend`, :class:`ChunkedBackend`,
-  :class:`ShardedBackend`) mirroring the paper's claim that Morpheus can sit
-  on top of any LA system.
+* :mod:`repro.la.generic` -- the same primitives dispatched on the operand's
+  own methods, so one ML script runs over plain, normalized and
+  row-partitioned (:mod:`repro.core.partitioned`) operands alike.
 * :mod:`repro.la.parallel` -- the worker pools and the fan-out executor the
   row-partitioned operand (:mod:`repro.core.partitioned`) maps its pieces
   through.
@@ -45,14 +44,6 @@ from repro.la.ops import (
     nnz,
     row_min,
     indicator_from_labels,
-)
-from repro.la.backend import (
-    Backend,
-    DenseBackend,
-    SparseBackend,
-    ChunkedBackend,
-    ShardedBackend,
-    get_backend,
 )
 from repro.la.parallel import (
     ExecutorPool,
@@ -89,12 +80,6 @@ __all__ = [
     "nnz",
     "row_min",
     "indicator_from_labels",
-    "Backend",
-    "DenseBackend",
-    "SparseBackend",
-    "ChunkedBackend",
-    "ShardedBackend",
-    "get_backend",
     "WorkerPool",
     "SerialPool",
     "ThreadPool",

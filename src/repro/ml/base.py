@@ -17,6 +17,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro import obs
+from repro.core.planner.memory import validate_memory_budget
 from repro.exceptions import ShapeError
 
 _FITS_TOTAL = obs.REGISTRY.counter(
@@ -158,8 +159,6 @@ class IterativeEstimator(abc.ABC):
             raise ValueError(f"solver must be one of {self.SOLVERS}, got {solver!r}")
         if batch_size is not None and int(batch_size) < 1:
             raise ValueError("batch_size must be at least 1")
-        if memory_budget is not None and memory_budget <= 0:
-            raise ValueError("memory_budget must be positive (bytes)")
         self.max_iter = int(max_iter)
         self.step_size = float(step_size)
         self.seed = seed
@@ -168,7 +167,7 @@ class IterativeEstimator(abc.ABC):
         self.solver = solver
         self.batch_size = None if batch_size is None else int(batch_size)
         self.shuffle = bool(shuffle)
-        self.memory_budget = None if memory_budget is None else float(memory_budget)
+        self.memory_budget = validate_memory_budget(memory_budget)
         #: explicit n_jobs pins the shard axis for engine="auto" (even 1).
         self._n_jobs_pinned = n_jobs is not None
         self.n_jobs = validate_n_jobs(1 if n_jobs is None else n_jobs)

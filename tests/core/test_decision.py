@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.core.cost import Dimensions
 from repro.core.decision import (
     DEFAULT_FEATURE_RATIO_THRESHOLD,
     DEFAULT_TUPLE_RATIO_THRESHOLD,
     DecisionRule,
-    decide,
     morpheus,
     morpheus_mn,
-    should_factorize,
 )
 from repro.core.normalized_matrix import NormalizedMatrix
 
@@ -53,11 +50,6 @@ class TestDecisionRule:
         text = DecisionRule().explain(1, 0.1)
         assert "materialize" in text
 
-    def test_module_level_wrapper(self):
-        assert should_factorize(10, 2)
-        assert not should_factorize(1, 2)
-        assert should_factorize(1, 2, rule=DecisionRule(tuple_ratio_threshold=0.5))
-
 
 class TestBoundaryAndDegenerateInputs:
     """tau = 5 / rho = 1 boundary behaviour and division-by-zero guards."""
@@ -76,14 +68,6 @@ class TestBoundaryAndDegenerateInputs:
         assert not rule.predict(tuple_ratio=5.0 - eps, feature_ratio=1.0)
         assert not rule.predict(tuple_ratio=5.0, feature_ratio=1.0 - eps)
 
-    def test_dimensions_zero_attribute_rows_gives_infinite_tuple_ratio(self):
-        dims = Dimensions(n_s=10, d_s=3, n_r=0, d_r=2)
-        assert dims.tuple_ratio == float("inf")
-
-    def test_dimensions_zero_entity_features_gives_infinite_feature_ratio(self):
-        dims = Dimensions(n_s=10, d_s=0, n_r=5, d_r=2)
-        assert dims.feature_ratio == float("inf")
-
     def test_normalized_matrix_zero_row_attribute_table(self):
         # A degenerate empty attribute table must not raise ZeroDivisionError;
         # it contributes an infinite tuple ratio, which factorizes.
@@ -92,7 +76,7 @@ class TestBoundaryAndDegenerateInputs:
         attribute = np.zeros((0, 3))
         normalized = NormalizedMatrix(entity, [indicator], [attribute], validate=False)
         assert normalized.tuple_ratio == float("inf")
-        assert should_factorize(normalized.tuple_ratio, normalized.feature_ratio)
+        assert DecisionRule().predict(normalized.tuple_ratio, normalized.feature_ratio)
 
     def test_normalized_matrix_zero_entity_features(self):
         indicator = sp.csr_matrix(np.eye(4))
@@ -135,66 +119,12 @@ def redundant():
 
 
 class TestStrategies:
-    """The threshold rule and the cost-based planner behind one function."""
-
-    def test_decide_by_strategy_name(self, single_join_dense):
-        _, normalized, _ = single_join_dense
-        assert decide(normalized) == decide(normalized, "threshold")
-        assert "chosen:" in decide(normalized, "cost")[1]
-
-    def test_unknown_strategy_rejected(self, single_join_dense):
-        dataset, normalized, _ = single_join_dense
-        with pytest.raises(ValueError, match="unknown execution strategy"):
-            decide(normalized, "oracle")
-        with pytest.raises(ValueError, match="unknown execution strategy"):
-            morpheus(dataset.entity, dataset.indicators, dataset.attributes,
-                     strategy="oracle")
-
-    def test_threshold_strategy_matches_rule(self, single_join_dense):
-        _, normalized, _ = single_join_dense
-        factorize, text = decide(normalized, "threshold")
-        assert factorize == DecisionRule().predict(
-            normalized.tuple_ratio, normalized.feature_ratio
-        )
-        assert "tuple_ratio" in text
-        strict = DecisionRule(tuple_ratio_threshold=100.0)
-        assert decide(normalized, "threshold", rule=strict)[0] is False
+    """The cost-based alternative to the threshold rule is ``tn.plan()``."""
 
     def test_cost_strategy_factorizes_redundant_data(self, redundant):
-        factorize, text = decide(redundant.normalized, "cost")
-        assert factorize
-        assert "chosen:" in text
-
-    def test_morpheus_accepts_strategy_argument(self, redundant, single_join_dense):
-        out = morpheus(redundant.entity, redundant.indicators, redundant.attributes,
-                       strategy="cost")
-        assert isinstance(out, NormalizedMatrix)
-        # The small fixture factorizes under the threshold rule but not under
-        # the planner, so the result shows which strategy ran.
-        small, _, _ = single_join_dense
-        out = morpheus(small.entity, small.indicators, small.attributes, strategy="cost")
-        assert isinstance(out, np.ndarray)
-
-    def test_morpheus_rejects_rule_and_strategy_together(self, single_join_dense):
-        # A custom rule silently ignored because strategy="cost" was also
-        # given would be a trap; the conflict raises instead.
-        dataset, _, _ = single_join_dense
-        with pytest.raises(ValueError, match="not both"):
-            morpheus(dataset.entity, dataset.indicators, dataset.attributes,
-                     rule=DecisionRule(tuple_ratio_threshold=2.0),
-                     strategy="cost")
-
-    def test_cost_strategy_plans_once_per_decision(self, redundant, monkeypatch):
-        """Decision and explanation come from one plan: no second scoring pass."""
-        from repro.core.planner import Planner
-
-        calls = []
-        plan = Planner.plan
-        monkeypatch.setattr(Planner, "plan",
-                            lambda self, data: calls.append(data) or plan(self, data))
-        factorize, text = decide(redundant.normalized, "cost")
-        assert len(calls) == 1
-        assert factorize and "chosen:" in text
+        plan = redundant.normalized.plan()
+        assert plan.factorized
+        assert "chosen:" in plan.explain()
 
 
 class TestMorpheusFactory:

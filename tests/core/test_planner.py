@@ -17,7 +17,7 @@ import pytest
 
 from repro.bench.harness import PlanEvaluation
 from repro.core.cost import CostModel, Operator
-from repro.core.decision import decide
+from repro.core.decision import DecisionRule
 from repro.core.planner import (
     CalibrationProfile,
     Plan,
@@ -26,7 +26,6 @@ from repro.core.planner import (
     describe_data,
 )
 from repro.core.planner.workload import OperatorUse
-from repro.la.backend import backend_capabilities
 
 
 @pytest.fixture
@@ -298,6 +297,13 @@ class TestPlannerChoices:
         assert plan.n_jobs == 2
         assert plan.backend == "sharded"
 
+    @pytest.mark.parametrize("candidates", [(0,), (-3,), (1,), (2, 1)])
+    def test_shard_candidates_below_two_rejected(self, candidates):
+        # Serial execution is always scored; a count below 2 would score it
+        # again, or produce a "sharded" plan with n_jobs <= 0.
+        with pytest.raises(ValueError, match="shard_candidates"):
+            Planner(calibration=CalibrationProfile.default(), shard_candidates=candidates)
+
     def test_shard_axis_clamped_to_row_count(self, planner):
         plan = planner.plan(np.ones((3, 2)), WorkloadDescriptor.generic())
         assert {c.n_shards for c in plan.candidates} == {1, 2}
@@ -322,26 +328,6 @@ class TestPlannerChoices:
         # arithmetic of this small matrix, so serial execution must win.
         plan = planner.plan(redundant, WorkloadDescriptor.logistic_regression(30))
         assert plan.backend != "sharded"
-
-    def test_chunked_candidates_only_when_requested(self, redundant):
-        base = Planner(calibration=CalibrationProfile.default(), shard_candidates=())
-        assert all(c.backend != "chunked" for c in base.plan(redundant).candidates)
-        chunky = Planner(calibration=CalibrationProfile.default(),
-                         shard_candidates=(), include_chunked=True)
-        assert any(c.backend == "chunked" for c in chunky.plan(redundant).candidates)
-
-    def test_cost_ties_never_prefer_the_chunked_backend(self):
-        # A matrix smaller than chunk_rows makes the hypothetical chunked
-        # candidate cost-identical to dense serial; the tie-break must rank
-        # the in-memory backend first rather than recommending out-of-core
-        # wrapping for zero benefit.
-        planner = Planner(calibration=CalibrationProfile.default(),
-                          shard_candidates=(), include_chunked=True)
-        plan = planner.plan(np.ones((64, 4)))
-        assert plan.backend != "chunked"
-        chunked = [c for c in plan.candidates if c.backend == "chunked"]
-        assert chunked and chunked[0].predicted_seconds == pytest.approx(
-            plan.predicted_seconds)  # the tie really existed
 
     def test_candidates_sorted_by_predicted_cost(self, planner, redundant):
         plan = planner.plan(redundant, WorkloadDescriptor.gnmf(5, 10))
@@ -388,28 +374,14 @@ class TestSurfaceIntegration:
         plan = redundant.plan()
         assert isinstance(plan, Plan)
         assert plan.workload.name == "generic"
-        # the default matrix-level planner also scores the chunked backend
-        assert any(c.backend == "chunked" for c in plan.candidates)
+        # chunked plans exist only for chunked operands
+        assert all(c.backend != "chunked" for c in plan.candidates)
 
     def test_mn_matrix_plan_method(self, mn_dataset):
         _, normalized, _ = mn_dataset
         plan = normalized.plan()
         assert isinstance(plan, Plan)
         assert plan.data_summary["kind"] == "normalized"
-
-    def test_backend_capabilities_registry(self):
-        caps = backend_capabilities()
-        assert set(caps) == {"dense", "sparse", "chunked", "sharded"}
-        assert caps["sharded"]["parallel"] is True
-        assert caps["chunked"]["out_of_core"] is True
-        assert caps["dense"]["parallel"] is False
-
-    def test_backend_partitions_for(self):
-        from repro.la.backend import ChunkedBackend, DenseBackend, ShardedBackend
-
-        assert DenseBackend().partitions_for(10_000) == 1
-        assert ChunkedBackend(chunk_rows=100).partitions_for(250) == 3
-        assert ShardedBackend(n_shards=4).partitions_for(3) == 3
 
     def test_auto_engine_exposes_plan(self, redundant):
         from repro.ml.logistic_regression import LogisticRegressionGD
@@ -488,7 +460,7 @@ class TestSurfaceIntegration:
         plan = Planner(calibration=CalibrationProfile.default()).plan(normalized)
         text = plan.explain()
         assert "paper threshold rule (tau=5, rho=1)" in text
-        expected = decide(normalized)[0]
+        expected = DecisionRule().predict(normalized.tuple_ratio, normalized.feature_ratio)
         assert plan.threshold_rule_choice == ("factorize" if expected else "materialize")
 
     def test_describe_data_chunked_operand(self):

@@ -9,7 +9,6 @@ import scipy.sparse as sp
 from repro.core.normalized_matrix import NormalizedMatrix
 from repro.core.partitioned import Partitioned, row_apply, shard_bounds
 from repro.exceptions import ShapeError
-from repro.la.backend import ShardedBackend, get_backend
 from repro.la.parallel import (
     ParallelExecutor,
     ProcessPool,
@@ -410,24 +409,6 @@ class TestRowApplyParallel:
     def test_bound_method(self, rng):
         chunked = Partitioned.chunked(rng.standard_normal((9, 2)), 3)
         assert chunked.row_apply(lambda c: c.shape[0], pool=2) == [3, 3, 3]
-
-
-class TestShardedBackend:
-    def test_registry_lookup(self):
-        backend = get_backend("sharded", n_shards=3)
-        assert isinstance(backend, ShardedBackend)
-        assert backend.n_shards == 3
-
-    def test_from_dense_and_sparse(self, rng):
-        backend = ShardedBackend(n_shards=2, pool="serial")
-        dense = backend.from_dense(rng.standard_normal((10, 3)))
-        assert isinstance(dense, Partitioned) and dense.num_shards == 2
-        sparse = backend.from_sparse(sp.random(10, 3, density=0.4, random_state=1))
-        assert isinstance(sparse, Partitioned)
-
-    def test_invalid_shard_count(self):
-        with pytest.raises(ValueError):
-            ShardedBackend(n_shards=0)
 
 
 class TestShardedOperandComposition:

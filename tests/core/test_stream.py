@@ -243,6 +243,25 @@ class TestMemoryModel:
         with pytest.raises(ValueError):
             batch_rows_for_budget(normalized, 0)
 
+    @pytest.mark.parametrize("budget", [0, -1, float("nan"), float("inf")])
+    @pytest.mark.parametrize("entry", ["Planner", "LogisticRegressionGD",
+                                       "NormalizedBatchIterator", "Partitioned.streamed"])
+    def test_memory_budget_must_be_positive_and_finite(self, single_join_dense,
+                                                       entry, budget):
+        from repro.ml import LogisticRegressionGD
+
+        _, normalized, _ = single_join_dense
+        build = {
+            "Planner": lambda: Planner(memory_budget=budget),
+            "LogisticRegressionGD": lambda: LogisticRegressionGD(memory_budget=budget),
+            "NormalizedBatchIterator":
+                lambda: NormalizedBatchIterator(normalized, memory_budget=budget),
+            "Partitioned.streamed":
+                lambda: Partitioned.streamed(normalized, memory_budget=budget),
+        }[entry]
+        with pytest.raises(ValueError, match="memory_budget"):
+            build()
+
     def test_batch_rows_for_dims_without_row_count(self):
         # Streaming CSV ingestion sizes chunks before knowing the row count.
         rows = batch_rows_for_dims(0, 10, 1, memory_budget=8000)
