@@ -121,22 +121,6 @@ class MatrixDelta:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def from_matrices(cls, old_matrix: MatrixLike, new_matrix: MatrixLike,
-                      version: int = 1, atol: float = 0.0) -> "MatrixDelta":
-        """Capture the row delta between two equal-shaped matrix states."""
-        old_dense = np.asarray(to_dense(ensure_2d(old_matrix)), dtype=np.float64)
-        new_dense = np.asarray(to_dense(ensure_2d(new_matrix)), dtype=np.float64)
-        if old_dense.shape != new_dense.shape:
-            raise DeltaError(
-                f"cannot diff matrices of shapes {old_dense.shape} and {new_dense.shape}; "
-                "row-count changes need an explicit append delta"
-            )
-        changed = ~np.all(np.isclose(old_dense, new_dense, rtol=0.0, atol=atol), axis=1)
-        rows = np.flatnonzero(changed)
-        return cls(rows=rows, old=old_dense[rows], new=new_dense[rows],
-                   num_rows=old_dense.shape[0], version=version)
-
-    @classmethod
     def upsert(cls, rows, new_values, base_matrix: MatrixLike,
                version: int = 1) -> "MatrixDelta":
         """Capture an upsert of *new_values* at *rows* against *base_matrix*."""

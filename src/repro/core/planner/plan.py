@@ -130,18 +130,6 @@ class Plan:
             )
         if len(self.candidates) > top:
             lines.append(f"... {len(self.candidates) - top} more candidates scored")
-        chains = self.data_summary.get("chains")
-        if chains:
-            lines.append("multi-hop indicator chains:")
-            for entry in chains:
-                verdict = ("collapsed" if entry.get("collapse")
-                           else "kept factorized")
-                lines.append(
-                    f"  chain[{entry.get('table_index')}] "
-                    f"({entry.get('num_hops')} hops, head nnz "
-                    f"{entry.get('head_nnz')}, tail nnz {entry.get('tail_nnz')}): "
-                    f"{verdict} -- {entry.get('reason')}"
-                )
         tr = self.data_summary.get("tuple_ratio")
         fr = self.data_summary.get("feature_ratio")
         if self.threshold_rule_choice is not None and tr is not None:

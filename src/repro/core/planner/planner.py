@@ -45,7 +45,6 @@ from repro.core.cost import CostModel, Operator
 from repro.core.normalized_matrix import NormalizedMatrix
 from repro.core.planner import memory as memory_model
 from repro.core.planner.calibration import CalibrationProfile, get_profile
-from repro.core.planner.chains import plan_chain_summaries
 from repro.core.planner.plan import Plan, ScoredCandidate
 from repro.core.planner.workload import WorkloadDescriptor
 from repro.la.types import is_sparse
@@ -226,14 +225,10 @@ class Planner:
             profile = self.calibration or get_profile()
             data_profile = describe_data(data)
             candidates = self._score_all(data_profile, workload, profile, n_shards)
-            summary = self._summary(data_profile)
-            chains = plan_chain_summaries(data, workload)
-            if chains:
-                summary["chains"] = chains
             plan = Plan(
                 candidates=tuple(candidates),
                 workload=workload,
-                data_summary=summary,
+                data_summary=self._summary(data_profile),
                 calibration=profile,
                 threshold_rule_choice=self._threshold_choice(data_profile),
             )

@@ -29,27 +29,14 @@ supported for the single-join case to match Appendix C.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.exceptions import RewriteError, ShapeError
 from repro.la import kernels
-from repro.la.ops import hstack, matmul, transpose
+from repro.la.ops import matmul, transpose
 from repro.la.types import MatrixLike, ensure_2d, to_dense
-
-
-def _column_blocks(entity_width: int, attribute_widths: Sequence[int]) -> List[Tuple[int, int]]:
-    """Return the half-open column ranges of ``[S, R1, ..., Rq]`` inside ``T``."""
-    blocks = []
-    start = 0
-    if entity_width:
-        blocks.append((0, entity_width))
-        start = entity_width
-    for width in attribute_widths:
-        blocks.append((start, start + width))
-        start += width
-    return blocks
 
 
 # ---------------------------------------------------------------------------

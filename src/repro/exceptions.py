@@ -85,9 +85,5 @@ class RegistryError(ServingError):
     or a corrupt/incomplete version directory on disk."""
 
 
-class ConvergenceError(MorpheusError):
-    """Raised when an iterative ML algorithm fails to make progress."""
-
-
 class DataGenerationError(MorpheusError):
     """Raised when a synthetic dataset specification is infeasible."""

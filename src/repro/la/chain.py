@@ -17,9 +17,12 @@ engine built on it (eager, sharded, streamed, serving) -- over multi-hop
 chains.
 
 ``collapse()`` materializes the product as one CSR matrix (nnz equal to the
-entity row count, exactly like a single-hop indicator); the planner decides
-per chain whether that one-time cost beats the extra per-pass hop scatters
-(:mod:`repro.core.planner.chains`).
+entity row count, exactly like a single-hop indicator).  The Table-1 rewrites
+and kernels reach a chain through its row codes, which
+:func:`repro.core.indicator.indicator_codes` composes once (``c2[c1]``), so a
+kept chain runs no hop product while a model trains and collapsing it saves
+nothing per pass; chains are collapsed only on request
+(``normalized_from_schema(collapse="always")``).
 """
 
 from __future__ import annotations

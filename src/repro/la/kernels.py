@@ -60,7 +60,14 @@ import scipy.sparse as sp
 
 from repro import obs
 from repro.la.chain import ChainedIndicator
-from repro.la.ops import diag_scale_rows, matmul, rowsums, transpose
+from repro.la.generic import to_dense_result
+from repro.la.ops import (
+    diag_scale_rows,
+    indicator_from_labels,
+    matmul,
+    rowsums,
+    transpose,
+)
 from repro.la.types import MatrixLike, to_dense
 
 __all__ = [
@@ -119,13 +126,6 @@ def _clip(scores: np.ndarray) -> np.ndarray:
     return _clip_scores(scores)
 
 
-def _dense_result(x) -> np.ndarray:
-    """Densify an operator result (mirror of ``la.generic.to_dense_result``)."""
-    if hasattr(x, "to_dense"):
-        return x.to_dense()
-    return to_dense(x)
-
-
 def _scatter_columns(x: np.ndarray, codes: np.ndarray, n_cols: int) -> np.ndarray:
     """``X @ K`` without the CSR product: bin columns of ``x`` by code."""
     out = np.empty((x.shape[0], n_cols))
@@ -157,6 +157,14 @@ def _code_pair_counts(codes_i: np.ndarray, codes_j: np.ndarray, n_i: int, n_j: i
         return sparse_product()
     counts = np.bincount(codes_i * n_j + codes_j, minlength=n_i * n_j)
     return counts.astype(np.float64).reshape(n_i, n_j)
+
+
+def _product_operand(indicator: MatrixLike) -> MatrixLike:
+    """*indicator* for a sparse product: a chain becomes the CSR of its
+    composed codes, so no fallback folds a product through the hops."""
+    if isinstance(indicator, ChainedIndicator):
+        return indicator_from_labels(_codes(indicator), indicator.shape[1])
+    return indicator
 
 
 def _counts(indicator: MatrixLike) -> np.ndarray:
@@ -229,10 +237,11 @@ def scatter_right(x: MatrixLike, indicator: MatrixLike, attribute: MatrixLike,
     elif (row_codes := _transposed_indicator_codes(x)) is not None:
         # X = K_A^T: X K = K_A^T K is the code-pair histogram of the two codes.
         xk = _code_pair_counts(row_codes, _codes(indicator), x.shape[0],
-                               indicator.shape[1], lambda: matmul(x, indicator))
+                               indicator.shape[1],
+                               lambda: matmul(x, _product_operand(indicator)))
     else:
         # Sparse X: the intermediate X K is only m x nR.
-        xk = matmul(x, indicator)
+        xk = matmul(x, _product_operand(indicator))
     return np.asarray(to_dense(matmul(xk, attribute)), dtype=dtype)
 
 
@@ -256,7 +265,8 @@ def cross_block(indicator_i: MatrixLike, indicator_j: MatrixLike,
     crossing = _code_pair_counts(
         _codes(indicator_i), _codes(indicator_j),
         indicator_i.shape[1], indicator_j.shape[1],
-        lambda: matmul(transpose(indicator_i), indicator_j))
+        lambda: matmul(transpose(_product_operand(indicator_i)),
+                       _product_operand(indicator_j)))
     inner = matmul(crossing, attribute_j)
     block = to_dense(matmul(transpose(attribute_i), inner))
     return np.asarray(block, dtype=dtype)
@@ -271,7 +281,7 @@ def entity_cross_block(entity: MatrixLike, indicator: MatrixLike,
                               _codes(indicator), indicator.shape[1])
     else:
         # Sparse S: small intermediate of size dS x nR.
-        sk = matmul(transpose(entity), indicator)
+        sk = matmul(transpose(entity), _product_operand(indicator))
     return np.asarray(to_dense(matmul(sk, attribute)), dtype=dtype)
 
 
@@ -330,8 +340,8 @@ def partial_scores(attribute: MatrixLike, weight_slice: np.ndarray) -> np.ndarra
 def sgd_step(data, y: np.ndarray, w: np.ndarray,
              step_size: float) -> Tuple[np.ndarray, float]:
     """One fused least-squares mini-batch step; returns ``(w_new, batch_sse)``."""
-    residual = _dense_result(data @ w) - y
-    gradient = _dense_result(data.T @ residual)
+    residual = to_dense_result(data @ w) - y
+    gradient = to_dense_result(data.T @ residual)
     return w - step_size * gradient, float(np.sum(residual ** 2))
 
 
@@ -339,12 +349,12 @@ def sgd_step(data, y: np.ndarray, w: np.ndarray,
 def logistic_sgd_step(data, y: np.ndarray, w: np.ndarray, step_size: float,
                       update: str) -> Tuple[np.ndarray, np.ndarray]:
     """One fused logistic mini-batch step; returns ``(w_new, batch_scores)``."""
-    scores = _dense_result(data @ w)
+    scores = to_dense_result(data @ w)
     if update == "paper":
         p = y / (1.0 + np.exp(_clip(scores)))
     else:
         p = y / (1.0 + np.exp(_clip(y * scores)))
-    w = w + step_size * _dense_result(data.T @ p)
+    w = w + step_size * to_dense_result(data.T @ p)
     return w, scores
 
 

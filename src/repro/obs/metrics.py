@@ -25,7 +25,7 @@ import bisect
 import os
 import threading
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -470,13 +470,3 @@ REGISTRY = MetricsRegistry()
 
 def get_registry() -> MetricsRegistry:
     return REGISTRY
-
-
-def iter_metric_values(
-    registry: Optional[MetricsRegistry] = None,
-) -> Iterable[Tuple[str, dict, object]]:
-    """Yield ``(name, labels, series)`` across all families."""
-    reg = registry if registry is not None else REGISTRY
-    for family in reg.families():
-        for key, series in family.series():
-            yield family.name, dict(zip(family.label_names, key)), series

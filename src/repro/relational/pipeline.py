@@ -138,16 +138,14 @@ def normalized_from_schema(graph: SchemaGraph, tables,
                            target_column: Optional[str] = None,
                            sparse: bool = True,
                            features: Optional[dict] = None,
-                           collapse: str = "auto",
-                           workload=None) -> NormalizedDataset:
+                           collapse: str = "never") -> NormalizedDataset:
     """Lift a declarative snowflake :class:`SchemaGraph` into a normalized matrix.
 
     Walks the graph's joins masters-first, builds one PK-FK hop indicator per
     join (memoized, so a shared dimension joined under two roles reuses the
     same hop matrix), and gives each alias a (possibly multi-hop) indicator:
     the chain of hops along ``graph.join_path(alias)``, kept factorized as a
-    :class:`~repro.la.chain.ChainedIndicator` unless the collapse policy
-    decides materializing the product is cheaper for the workload.
+    :class:`~repro.la.chain.ChainedIndicator` unless ``collapse="always"``.
 
     Parameters
     ----------
@@ -166,16 +164,14 @@ def normalized_from_schema(graph: SchemaGraph, tables,
         dimension table.  Aliases not listed fall back to the schema-derived
         default (feature columns minus the keys the graph uses).
     collapse:
-        Chain-collapse policy: ``"auto"`` (cost-based,
-        :func:`repro.core.planner.chains.decide_collapse`), ``"never"``, or
-        ``"always"``.  Decisions are recorded on the result matrix
-        (``chain_decisions``) so ``Plan.explain()`` can report them.
-    workload:
-        Optional :class:`~repro.core.planner.workload.WorkloadDescriptor`
-        informing the ``"auto"`` collapse decision (how many passes will
-        amortize a materialized chain); defaults to a single generic pass.
+        ``"never"`` (default) keeps each multi-hop chain factorized;
+        ``"always"`` materializes it as one CSR indicator at build time.  Both
+        give the same matrix, and collapsing saves no per-pass work: the
+        Table-1 rewrites reach a chain through its composed row codes, never
+        through per-hop products.
     """
-    from repro.core.planner.chains import maybe_collapse
+    if collapse not in ("never", "always"):
+        raise ValueError(f"collapse must be 'never' or 'always', got {collapse!r}")
 
     graph.validate_tables(tables)
     fact = tables[graph.fact]
@@ -220,20 +216,14 @@ def normalized_from_schema(graph: SchemaGraph, tables,
 
     indicators = []
     attributes = []
-    chain_decisions: List[dict] = []
     overrides = features or {}
-    for table_index, join in enumerate(graph.resolve_order()):
+    for join in graph.resolve_order():
         alias = join.alias
         detail_table = tables[join.detail.table]
         hops = [hop_indicator(j) for j in graph.join_path(alias)]
         indicator = chained_indicator(hops)
-        if len(hops) > 1:
-            indicator, decision = maybe_collapse(
-                indicator, workload, table_index, mode=collapse)
-            if decision.collapse:
-                # Live chains get fresh decisions at plan time; only collapsed
-                # ones must be recorded here or the choice would be invisible.
-                chain_decisions.append(decision.to_json())
+        if collapse == "always" and len(hops) > 1:
+            indicator = indicator.collapse()
         alias_features = overrides.get(alias)
         if alias_features is None:
             alias_features = default_features(alias, detail_table)
@@ -244,8 +234,6 @@ def normalized_from_schema(graph: SchemaGraph, tables,
         feature_names.extend(f"{alias}.{name}" for name in encoded.feature_names)
 
     normalized = NormalizedMatrix(entity_matrix, indicators, attributes)
-    if chain_decisions:
-        normalized.chain_decisions = chain_decisions
 
     target = None
     if target_column is not None:

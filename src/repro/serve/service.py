@@ -25,7 +25,7 @@ import threading
 import time
 import types
 from collections import OrderedDict
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -332,11 +332,6 @@ class ScoringService:
                 "topk_blocks_skipped": int(self._topk_blocks_skipped.value),
                 "topk_rows_scored": int(self._topk_rows_scored.value),
             })
-
-    def clear_cache(self) -> None:
-        """Drop every cached point score."""
-        with self._lock:
-            self._cache.clear()
 
     def close(self) -> None:
         """Release the scorer's background worker."""

@@ -309,6 +309,44 @@ class TestKernelPaths:
             entity = sp.csr_matrix(entity)
         _check("entity_cross_block", entity, indicator, attribute, np.dtype(np.float64))
 
+    @pytest.mark.parametrize("path", ["cross_block", "scatter_right",
+                                      "scatter_right_transposed",
+                                      "entity_cross_block"])
+    def test_sparse_paths_reach_chains_through_codes(self, path, monkeypatch):
+        """Every sparse-product path takes a chain as the CSR of its composed
+        codes: the result matches the oracle and no product folds through
+        the hops."""
+        rng = np.random.default_rng(4)
+        n = 10
+        chain = ChainedIndicator([
+            indicator_from_labels(_labels(rng, n, n), num_columns=n),
+            indicator_from_labels(_labels(rng, n, n), num_columns=n)])
+        attribute = rng.standard_normal((n, 3))
+        f64 = np.dtype(np.float64)
+        if path == "cross_block":
+            # 10 x 20 code pairs exceed the density limit at 10 rows.
+            other = indicator_from_labels(rng.integers(0, 20, size=n), num_columns=20)
+            args = (chain, other, attribute, rng.standard_normal((20, 2)), f64)
+        elif path == "scatter_right":
+            x = sp.csr_matrix(np.where(rng.random((2, n)) < 0.5, 1.5, 0.0))
+            args = (x, chain, attribute, f64)
+        elif path == "scatter_right_transposed":
+            # K_A^T with 200 clusters: past the density limit.
+            x = indicator_from_labels(rng.integers(0, 200, size=n), num_columns=200).T
+            args = (x, chain, attribute, f64)
+        else:
+            entity = sp.csr_matrix(np.where(rng.random((n, 4)) < 0.5, 2.0, 0.0))
+            args = (entity, chain, attribute, f64)
+        name = "scatter_right" if path.startswith("scatter_right") else path
+        expected = ORACLES[name](*_copies(args))
+
+        def hop_product(self, other):
+            raise AssertionError("a kernel folded a product through the hops")
+
+        monkeypatch.setattr(ChainedIndicator, "__matmul__", hop_product)
+        monkeypatch.setattr(ChainedIndicator, "__rmatmul__", hop_product)
+        _assert_close(getattr(kernels, name)(*args), expected, path)
+
     @pytest.mark.parametrize("kind", ["chain", "dense"])
     def test_take_indicator_rows_chain_and_dense_indicators(self, kind):
         rng = np.random.default_rng(3)

@@ -247,7 +247,7 @@ class TestNormalizedFromSchema:
         from repro.la.chain import ChainedIndicator
 
         graph, tables = snowflake
-        dataset = normalized_from_schema(graph, tables, collapse="never")
+        dataset = normalized_from_schema(graph, tables)
         chains = [k for k in dataset.matrix.indicators
                   if isinstance(k, ChainedIndicator)]
         assert len(chains) == 1
@@ -260,10 +260,6 @@ class TestNormalizedFromSchema:
         dataset = normalized_from_schema(graph, tables, collapse="always")
         assert not any(isinstance(k, ChainedIndicator)
                        for k in dataset.matrix.indicators)
-        decisions = dataset.matrix.chain_decisions
-        assert len(decisions) == 1
-        assert decisions[0]["collapse"] is True
-        assert "forced" in decisions[0]["reason"]
 
     def test_collapse_results_identical(self, snowflake):
         graph, tables = snowflake

@@ -4,9 +4,10 @@ The schema is orders -> customers -> regions (a two-hop chain: the regions
 indicator is the product of the customers and regions hops) plus one shared
 ``locations`` dimension joined under two roles (``ship_loc`` / ``bill_loc``).
 Built through :func:`normalized_from_schema`, all four ML algorithms must
-reproduce the dense materialized reference to 1e-8 on every engine, the
-planner must explain its chain-collapse decision, and the serving scorer must
-score the chained matrix exactly.
+reproduce the dense materialized reference to 1e-8 on every engine, no fit
+may multiply through the kept chain's hops (a materialized plan's one-time
+join build aside), and the serving scorer must score the chained matrix
+exactly.
 """
 
 import numpy as np
@@ -173,26 +174,69 @@ class TestAllAlgorithmsAllEngines:
         np.testing.assert_allclose(model.h_, reference.h_, **TOL)
 
 
-class TestPlannerExplainsChains:
-    def test_auto_plan_reports_chain_decision(self, snowflake):
-        _, _, dataset, _ = snowflake
-        model = _fit(LinearRegressionGD, "auto", dataset.matrix, dataset.target,
-                     max_iter=ITERS, step_size=1e-4)
-        explanation = model.plan_.explain()
-        assert "multi-hop indicator chains:" in explanation
-        assert "2 hops" in explanation
-        assert "kept factorized" in explanation or "collapsed" in explanation
+def _fit_estimator(name, engine, dataset):
+    labels = np.where(dataset.target > np.median(dataset.target), 1.0, -1.0)
+    if name == "linreg":
+        return _fit(LinearRegressionGD, engine, dataset.matrix, dataset.target,
+                    max_iter=ITERS, step_size=1e-4)
+    if name == "logreg":
+        return _fit(LogisticRegressionGD, engine, dataset.matrix, labels,
+                    max_iter=ITERS, step_size=1e-3)
+    if name == "kmeans":
+        return _fit(KMeans, engine, dataset.matrix,
+                    num_clusters=3, max_iter=ITERS, seed=0)
+    return _fit(GNMF, engine, dataset.matrix, rank=3, max_iter=ITERS, seed=1)
 
-    def test_collapsed_build_records_decision(self, snowflake):
-        graph, tables, _, dense = snowflake
-        dataset = normalized_from_schema(graph, tables, target_column="total",
-                                         collapse="always")
-        assert not any(isinstance(k, ChainedIndicator)
-                       for k in dataset.matrix.indicators)
-        [decision] = dataset.matrix.chain_decisions
-        assert decision["collapse"] is True
-        np.testing.assert_allclose(np.asarray(dataset.matrix.to_dense()),
-                                   dense, **TOL)
+
+class TestKeptChainRunsNoHopProduct:
+    """Training reaches a kept chain through its composed codes only.
+
+    This is why ``normalized_from_schema`` makes no collapse decision:
+    collapsing a chain would save no per-pass work, because a fit never
+    multiplies through its hops.  A plan that materializes the join builds it once, and that build
+    is the only place a product may fold through the hops.
+    """
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("estimator", ["linreg", "logreg", "kmeans", "gnmf"])
+    def test_fit_calls_no_chain_product(self, snowflake, monkeypatch,
+                                        estimator, engine):
+        graph, tables, _, _ = snowflake
+        # A fresh build: no codes or views memoized by earlier tests.
+        dataset = normalized_from_schema(graph, tables, target_column="total")
+        [chain] = [k for k in dataset.matrix.indicators
+                   if isinstance(k, ChainedIndicator)]
+        fit_calls, build_calls = [], []
+        building = []
+
+        def materialize(self, _original=NormalizedMatrix.materialize):
+            building.append(True)
+            try:
+                return _original(self)
+            finally:
+                building.pop()
+
+        monkeypatch.setattr(NormalizedMatrix, "materialize", materialize)
+        for name in ("__matmul__", "__rmatmul__"):
+            def counted(self, other, _original=getattr(ChainedIndicator, name),
+                        _name=name):
+                (build_calls if building else fit_calls).append(_name)
+                return _original(self, other)
+            monkeypatch.setattr(ChainedIndicator, name, counted)
+
+        _fit_estimator(estimator, engine, dataset)
+        assert fit_calls == []
+        assert build_calls in ([], ["__matmul__"])
+
+        # The counters are live: a direct product through the chain counts.
+        chain @ np.ones((chain.shape[1], 1))
+        np.ones((1, chain.shape[0])) @ chain
+        assert fit_calls == ["__matmul__", "__rmatmul__"]
+
+    def test_auto_collapse_mode_rejected(self, snowflake):
+        graph, tables, _, _ = snowflake
+        with pytest.raises(ValueError, match="collapse"):
+            normalized_from_schema(graph, tables, collapse="auto")
 
 
 class TestServingOverChains:
