@@ -78,7 +78,7 @@ def validate_pk_fk_indicator(matrix: MatrixLike, require_full_columns: bool = Tr
         if require_full_columns and matrix.shape[1]:
             # Column coverage of the product via composed codes -- O(rows),
             # no need to materialize the collapsed chain.
-            col_counts = np.bincount(indicator_codes(matrix),
+            col_counts = np.bincount(writable_codes(matrix),
                                      minlength=matrix.shape[1])
             if np.any(col_counts == 0):
                 bad = int(np.argmax(col_counts == 0))
@@ -110,8 +110,11 @@ def validate_pk_fk_indicator(matrix: MatrixLike, require_full_columns: bool = Tr
 # fused kernels all work in code space, so each indicator's codes are computed
 # once and shared.  Keyed by id() with a weakref liveness check (id reuse after
 # garbage collection must not serve stale codes); entries evict themselves when
-# the indicator dies.  Cached arrays are read-only so sharing is safe.
-_CODES_CACHE: Dict[int, Tuple[weakref.ref, np.ndarray]] = {}
+# the indicator dies.  Each entry holds one writable array and a read-only view
+# of it: callers get the view, so sharing is safe, while the kernels index with
+# the array itself (NumPy copies a read-only index array on every take or
+# bincount).
+_CODES_CACHE: Dict[int, Tuple[weakref.ref, np.ndarray, np.ndarray]] = {}
 
 
 def reset_codes_cache() -> None:
@@ -121,9 +124,9 @@ def reset_codes_cache() -> None:
 
 def _compute_codes(matrix: MatrixLike) -> np.ndarray:
     if isinstance(matrix, ChainedIndicator) and not matrix.transposed:
-        codes = indicator_codes(matrix.hops[0])
+        codes = writable_codes(matrix.hops[0])
         for hop in matrix.hops[1:]:
-            codes = indicator_codes(hop)[codes]
+            codes = writable_codes(hop)[codes]
         return codes
     csr = to_sparse(matrix, "csr")
     row_counts = np.diff(csr.indptr)
@@ -133,6 +136,26 @@ def _compute_codes(matrix: MatrixLike) -> np.ndarray:
             f"indicator: row {bad} has {int(row_counts[bad])} non-zeros, expected exactly 1"
         )
     return csr.indices.astype(np.int64)
+
+
+def _memoized_codes(matrix: MatrixLike) -> Tuple[np.ndarray, np.ndarray]:
+    """``(codes, read-only view of codes)`` for *matrix*, computed once."""
+    key = id(matrix)
+    entry = _CODES_CACHE.get(key)
+    if entry is not None:
+        ref, codes, view = entry
+        if ref() is matrix:
+            return codes, view
+        del _CODES_CACHE[key]
+    codes = _compute_codes(matrix)
+    view = codes.view()
+    view.setflags(write=False)
+    try:
+        ref = weakref.ref(matrix, lambda _r, _key=key: _CODES_CACHE.pop(_key, None))
+    except TypeError:
+        return codes, view
+    _CODES_CACHE[key] = (ref, codes, view)
+    return codes, view
 
 
 def indicator_codes(matrix: MatrixLike) -> np.ndarray:
@@ -148,21 +171,14 @@ def indicator_codes(matrix: MatrixLike) -> np.ndarray:
     Results are memoized per indicator object and returned read-only; copy
     before mutating.
     """
-    key = id(matrix)
-    entry = _CODES_CACHE.get(key)
-    if entry is not None:
-        ref, codes = entry
-        if ref() is matrix:
-            return codes
-        del _CODES_CACHE[key]
-    codes = np.ascontiguousarray(_compute_codes(matrix), dtype=np.int64)
-    codes.setflags(write=False)
-    try:
-        ref = weakref.ref(matrix, lambda _r, _key=key: _CODES_CACHE.pop(_key, None))
-    except TypeError:
-        return codes
-    _CODES_CACHE[key] = (ref, codes)
-    return codes
+    return _memoized_codes(matrix)[1]
+
+
+def writable_codes(matrix: MatrixLike) -> np.ndarray:
+    """The memoized codes of *matrix* as the writable array behind
+    :func:`indicator_codes`' view, for gathers that must not pay NumPy's
+    copy of a read-only index.  Shared: never write to it."""
+    return _memoized_codes(matrix)[0]
 
 
 def indicator_stats(matrix: MatrixLike) -> IndicatorStats:

@@ -15,8 +15,27 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.la.ops import hstack, matmul
-from repro.la.types import MatrixLike
+import numpy as np
+
+from repro.core.indicator import writable_codes
+from repro.la.ops import hstack
+from repro.la.types import MatrixLike, ensure_2d, is_sparse
+
+
+def _join_block(indicator: MatrixLike, attribute: MatrixLike) -> MatrixLike:
+    """``K R`` as a row gather: each row of ``K`` holds a single ``1``.
+
+    Gathering ``R`` by the indicator's memoized codes never multiplies, so a
+    :class:`~repro.la.chain.ChainedIndicator` costs no per-hop product.  The
+    result has the product's dtype, and each entry equals the product's
+    (``1.0 * r`` is ``r``, except that a stored ``-0.0`` keeps its sign).
+    """
+    attribute = ensure_2d(attribute)
+    codes = writable_codes(indicator)
+    dtype = np.result_type(indicator.dtype, attribute.dtype)
+    if is_sparse(attribute):
+        return attribute.tocsr()[codes].astype(dtype, copy=False)
+    return attribute.take(codes, axis=0).astype(dtype, copy=False)
 
 
 def materialize_star(entity: Optional[MatrixLike], indicators: Sequence[MatrixLike],
@@ -26,7 +45,7 @@ def materialize_star(entity: Optional[MatrixLike], indicators: Sequence[MatrixLi
     if entity is not None and entity.shape[1] > 0:
         blocks.append(entity)
     for indicator, attribute in zip(indicators, attributes):
-        blocks.append(matmul(indicator, attribute))
+        blocks.append(_join_block(indicator, attribute))
     return hstack(blocks)
 
 

@@ -106,16 +106,18 @@ _CROSSING_DENSITY_LIMIT = 16
 # versa at module load -- resolving these inside the call breaks the cycle).
 # ---------------------------------------------------------------------------
 
-_indicator_codes: Optional[Callable] = None
+_writable_codes: Optional[Callable] = None
 _clip_scores: Optional[Callable] = None
 
 
 def _codes(indicator: MatrixLike) -> np.ndarray:
-    global _indicator_codes
-    if _indicator_codes is None:
-        from repro.core.indicator import indicator_codes
-        _indicator_codes = indicator_codes
-    return _indicator_codes(indicator)
+    """The indicator's memoized codes, writable so ``take``/``bincount`` index
+    with them without copying (kernels never write to them)."""
+    global _writable_codes
+    if _writable_codes is None:
+        from repro.core.indicator import writable_codes
+        _writable_codes = writable_codes
+    return _writable_codes(indicator)
 
 
 def _clip(scores: np.ndarray) -> np.ndarray:

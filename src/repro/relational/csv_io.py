@@ -24,7 +24,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.exceptions import SchemaError
-from repro.relational.table import Table
+from repro.relational.table import Table, dense_features
 
 PathLike = Union[str, Path]
 
@@ -176,14 +176,19 @@ def stream_normalized_batches(path: PathLike, edges: Sequence,
     Entity feature columns must be numeric: a chunk sees only its own rows,
     so a one-hot vocabulary inferred per chunk would drift between batches
     (the attribute tables, encoded whole, may of course be categorical).
-    *target_column* is parsed as a numeric column and sliced per chunk.  Pass
-    *memory_budget* (bytes) instead of *chunk_rows* to derive the chunk size
-    from the planner's memory model, matching how ``engine="auto"`` sizes
-    streamed plans.
+    *target_column* is parsed as a numeric column and sliced per chunk.
+    Each chunk's foreign keys resolve through the attribute table's cached
+    :meth:`~repro.relational.table.Table.positions_for_keys` index -- the
+    key path every frontend shares, built once before the first chunk is
+    read -- and a dangling key raises :class:`SchemaError` naming the value
+    and both columns.  Pass *memory_budget* (bytes) instead of *chunk_rows*
+    to derive the chunk size from the planner's memory model, matching how
+    ``engine="auto"`` sizes streamed plans.
     """
     from repro.core.normalized_matrix import NormalizedMatrix
     from repro.la.ops import indicator_from_labels
     from repro.relational.encoding import encode_features
+    from repro.relational.join import foreign_key_positions
     from repro.relational.pipeline import NormalizedDataset
 
     if not edges:
@@ -191,13 +196,14 @@ def stream_normalized_batches(path: PathLike, edges: Sequence,
     entity_features = list(entity_features)
 
     # Per-edge state hoisted out of the chunk loop: the attribute features are
-    # encoded once, the PK position index is built once (rebuilding it per
-    # chunk would make ingestion quadratic in the attribute size), and the
-    # foreign-key parse mode is pinned from the attribute PK dtype -- numeric
-    # PKs force a numeric fk parse, string PKs keep the fk raw -- so key
-    # typing can never drift with chunk boundaries.
+    # encoded once, the PK position index is built once and cached on the
+    # attribute table (rebuilding it per chunk would make ingestion quadratic
+    # in the attribute size; building it here also rejects a duplicate PK
+    # before any chunk is read), and the foreign-key parse mode is pinned
+    # from the attribute PK dtype -- numeric PKs force a numeric fk parse,
+    # string PKs keep the fk raw -- so key typing can never drift with chunk
+    # boundaries.
     encoded_attributes = []
-    pk_indexes = []
     numeric = set(entity_features)
     raw: set = set()
     feature_names: List[str] = list(entity_features)
@@ -208,7 +214,7 @@ def stream_normalized_batches(path: PathLike, edges: Sequence,
         feature_names.extend(
             f"{attribute_table.name}.{col}" for col in encoded.feature_names
         )
-        pk_indexes.append(attribute_table.key_position_index(pk_column))
+        attribute_table._key_index(pk_column)
         if np.issubdtype(attribute_table.column(pk_column).dtype, np.number):
             numeric.add(fk_column)
         else:
@@ -229,33 +235,22 @@ def stream_normalized_batches(path: PathLike, edges: Sequence,
                                  raw_columns=sorted(raw)):
         entity_matrix = None
         if entity_features:
-            blocks = []
             for col in entity_features:
-                values = chunk.column(col)
-                if not np.issubdtype(values.dtype, np.number):
+                if not np.issubdtype(chunk.column(col).dtype, np.number):
                     raise SchemaError(
                         f"entity feature column {col!r} is not numeric; streaming "
                         "ingestion cannot infer a consistent one-hot vocabulary "
                         "per chunk -- encode it into an attribute table instead"
                     )
-                blocks.append(values.astype(np.float64).reshape(-1, 1))
-            entity_matrix = np.hstack(blocks)
+            entity_matrix = dense_features(
+                chunk.num_rows, [(chunk.column(col), None) for col in entity_features])
             if sparse:
                 import scipy.sparse as sp
 
                 entity_matrix = sp.csr_matrix(entity_matrix)
         indicators = []
-        for (fk_column, attribute_table, pk_column, _), pk_index in zip(
-                edges, pk_indexes):
-            labels = np.empty(chunk.num_rows, dtype=np.int64)
-            for i, value in enumerate(chunk.column(fk_column).tolist()):
-                position = pk_index.get(value)
-                if position is None:
-                    raise SchemaError(
-                        f"foreign key value {value!r} in {chunk.name}.{fk_column} "
-                        f"has no match in {attribute_table.name}.{pk_column}"
-                    )
-                labels[i] = position
+        for fk_column, attribute_table, pk_column, _ in edges:
+            labels = foreign_key_positions(chunk, fk_column, attribute_table, pk_column)
             indicators.append(
                 indicator_from_labels(labels, num_columns=attribute_table.num_rows))
         target = None

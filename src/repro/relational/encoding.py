@@ -11,7 +11,7 @@ categorical columns are one-hot encoded, key/target columns are skipped).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -19,7 +19,7 @@ import scipy.sparse as sp
 from repro.exceptions import SchemaError
 from repro.la.types import MatrixLike
 from repro.relational.schema import ColumnType
-from repro.relational.table import Table
+from repro.relational.table import Table, dense_features
 
 
 @dataclass
@@ -100,22 +100,27 @@ class OneHotEncoder:
         self._index = {v: i for i, v in enumerate(self.categories_)}
         return self
 
-    def transform(self, values: Sequence) -> sp.csr_matrix:
+    def _codes(self, values: Sequence) -> np.ndarray:
+        """Each value's category index; ``-1`` for an ignored unknown value."""
         if self.categories_ is None:
             raise SchemaError("OneHotEncoder.transform called before fit")
         values = self._canonicalize(values, "transform")
-        rows, cols = [], []
+        codes = np.empty(len(values), dtype=np.int64)
         for i, v in enumerate(values):
             j = self._index.get(v)
             if j is None:
                 if self.handle_unknown == "error":
                     raise SchemaError(f"unknown category {v!r} at row {i}")
-                continue
-            rows.append(i)
-            cols.append(j)
-        data = np.ones(len(rows), dtype=np.float64)
+                j = -1
+            codes[i] = j
+        return codes
+
+    def transform(self, values: Sequence) -> sp.csr_matrix:
+        codes = self._codes(values)
+        rows = np.flatnonzero(codes >= 0)
+        data = np.ones(rows.size, dtype=np.float64)
         return sp.csr_matrix(
-            (data, (rows, cols)), shape=(len(values), len(self.categories_))
+            (data, (rows, codes[rows])), shape=(codes.size, len(self.categories_))
         )
 
     def fit_transform(self, values: Sequence) -> sp.csr_matrix:
@@ -138,7 +143,8 @@ def encode_features(table: Table, columns: Optional[Sequence[str]] = None,
     """
     if columns is None:
         columns = [c.name for c in table.schema.feature_columns()]
-    blocks: List[MatrixLike] = []
+    blocks: List[sp.csr_matrix] = []
+    parts: List[Tuple[np.ndarray, Optional[int]]] = []
     names: List[str] = []
     for name in columns:
         column = table.schema.column(name) if name in table.schema.column_names else None
@@ -148,19 +154,21 @@ def encode_features(table: Table, columns: Optional[Sequence[str]] = None,
             column is None or column.ctype in (ColumnType.NUMERIC, ColumnType.TARGET)
         )
         if treat_as_numeric:
-            block = values.astype(np.float64).reshape(-1, 1)
-            blocks.append(sp.csr_matrix(block) if sparse else block)
+            if sparse:
+                blocks.append(sp.csr_matrix(values.astype(np.float64).reshape(-1, 1)))
+            else:
+                parts.append((values, None))
             names.append(name)
         else:
-            encoder = OneHotEncoder()
-            encoded = encoder.fit_transform(values)
-            blocks.append(encoded if sparse else np.asarray(encoded.todense()))
+            encoder = OneHotEncoder().fit(values)
+            if sparse:
+                blocks.append(encoder.transform(values))
+            else:
+                parts.append((encoder._codes(values), len(encoder.categories_)))
             names.extend(encoder.feature_names(name))
+    if not sparse:
+        # One preallocated matrix, filled in cache-sized row tiles.
+        return FeatureMatrix(dense_features(table.num_rows, parts), names)
     if not blocks:
-        empty = sp.csr_matrix((table.num_rows, 0)) if sparse else np.zeros((table.num_rows, 0))
-        return FeatureMatrix(empty, [])
-    if sparse:
-        matrix: MatrixLike = sp.hstack([sp.csr_matrix(b) for b in blocks], format="csr")
-    else:
-        matrix = np.hstack([np.asarray(b.todense()) if sp.issparse(b) else b for b in blocks])
-    return FeatureMatrix(matrix, names)
+        return FeatureMatrix(sp.csr_matrix((table.num_rows, 0)), [])
+    return FeatureMatrix(sp.hstack(blocks, format="csr"), names)

@@ -98,13 +98,25 @@ def pk_fk_indicator(entity: Table, fk_column: str, attribute: Table,
     Returns the indicator matrix together with the integer row labels used to
     build it (``labels[i] = j``).
     """
-    fk_values = entity.column(fk_column)
     _check_key_nan(entity, fk_column, "foreign key")
     # A NaN primary key is just as broken as a NaN foreign key: no FK value
     # can ever reference it, so the row is silently unreachable.
     _check_key_nan(attribute, pk_column, "primary key")
+    labels = foreign_key_positions(entity, fk_column, attribute, pk_column)
+    indicator = indicator_from_labels(labels, num_columns=attribute.num_rows)
+    return indicator, labels
+
+
+def foreign_key_positions(entity: Table, fk_column: str, attribute: Table,
+                          pk_column: str) -> np.ndarray:
+    """The attribute-row position each ``entity.fk_column`` value references.
+
+    The one key path of every frontend: the attribute table's cached
+    :meth:`~repro.relational.table.Table.positions_for_keys` index, with a
+    dangling key re-raised naming both sides of the edge.
+    """
     try:
-        labels = attribute.positions_for_keys(pk_column, fk_values)
+        return attribute.positions_for_keys(pk_column, entity.column(fk_column))
     except SchemaError as exc:
         value = getattr(exc, "key", None)
         if value is None:
@@ -113,8 +125,6 @@ def pk_fk_indicator(entity: Table, fk_column: str, attribute: Table,
             f"foreign key value {value!r} in {entity.name}.{fk_column} "
             f"has no match in {attribute.name}.{pk_column}"
         ) from None
-    indicator = indicator_from_labels(labels, num_columns=attribute.num_rows)
-    return indicator, labels
 
 
 def chained_indicator(hops: Sequence[sp.spmatrix]):
@@ -218,24 +228,59 @@ def mn_join_indicators(left: Table, left_column: str, right: Table,
     """
     _check_key_nan(left, left_column, "M:N join key")
     _check_key_nan(right, right_column, "M:N join key")
-    right_groups = right.group_positions(right_column)
-    left_values = left.column(left_column)
-    left_rows: List[int] = []
-    right_rows: List[int] = []
-    for i, value in enumerate(left_values.tolist()):
-        matches = right_groups.get(value)
-        if not matches:
-            continue
-        for j in matches:
-            left_rows.append(i)
-            right_rows.append(j)
-    if not left_rows:
+    left_codes, right_codes, num_codes = _join_key_codes(
+        left.column(left_column), right.column(right_column))
+    # Right rows grouped by key code, ascending position within a group.
+    counts = np.bincount(right_codes, minlength=num_codes)
+    right_order = np.argsort(right_codes, kind="stable")
+    starts = np.cumsum(counts) - counts
+    matched = left_codes >= 0
+    lengths = np.zeros(left_codes.size, dtype=np.int64)
+    lengths[matched] = counts[left_codes[matched]]
+    total = int(lengths.sum())
+    if not total:
         raise SchemaError(
             f"M:N join between {left.name}.{left_column} and {right.name}.{right_column} is empty"
         )
-    i_s = indicator_from_labels(np.asarray(left_rows), num_columns=left.num_rows)
-    i_r = indicator_from_labels(np.asarray(right_rows), num_columns=right.num_rows)
+    # Left row i emits lengths[i] output rows, each the next right row of its
+    # group: output row t maps to right_order[starts[code_i] + t - first_t(i)].
+    shift = np.zeros(left_codes.size, dtype=np.int64)
+    shift[matched] = starts[left_codes[matched]]
+    shift -= np.cumsum(lengths) - lengths
+    left_rows = np.repeat(np.arange(left_codes.size), lengths)
+    right_rows = right_order[np.repeat(shift, lengths) + np.arange(total)]
+    i_s = indicator_from_labels(left_rows, num_columns=left.num_rows)
+    i_r = indicator_from_labels(right_rows, num_columns=right.num_rows)
     return i_s, i_r
+
+
+def _join_key_codes(left_values: np.ndarray, right_values: np.ndarray):
+    """Integer codes for an equi-join: ``(left_codes, right_codes, num_codes)``.
+
+    Equal keys share a code in ``0..num_codes-1``; a left key absent on the
+    right gets ``-1``.  Keys NumPy compares exactly (both sides numeric, or
+    both the same string kind) are coded with ``unique`` and
+    ``searchsorted``; any other pair -- object keys, mixed kinds, or
+    integers past 2**53 meeting floats -- is coded by Python equality.
+    """
+    lk, rk = left_values.dtype.kind, right_values.dtype.kind
+    numeric = lk in "biuf" and rk in "biuf"
+    if numeric and np.result_type(left_values, right_values).kind == "f":
+        # Float comparison rounds integers past 2**53; Python's does not.
+        numeric = all(v.dtype.kind == "f" or not v.size
+                      or max(abs(int(v.min())), abs(int(v.max()))) <= 2 ** 53
+                      for v in (left_values, right_values))
+    if (numeric or (lk == rk and lk in "US")) and right_values.size:
+        keys, right_codes = np.unique(right_values, return_inverse=True)
+        pos = np.minimum(np.searchsorted(keys, left_values), keys.size - 1)
+        left_codes = np.where(keys[pos] == left_values, pos, -1)
+        return left_codes.astype(np.int64), right_codes.astype(np.int64), keys.size
+    codes: Dict[object, int] = {}
+    right_codes = np.fromiter((codes.setdefault(v, len(codes)) for v in right_values.tolist()),
+                              dtype=np.int64, count=right_values.size)
+    left_codes = np.fromiter((codes.get(v, -1) for v in left_values.tolist()),
+                             dtype=np.int64, count=left_values.size)
+    return left_codes, right_codes, len(codes)
 
 
 def join_mn(left: Table, left_column: str, right: Table, right_column: str,

@@ -445,6 +445,17 @@ class TestCodesMemoization:
         assert first is second
         assert not first.flags.writeable
 
+    def test_kernels_index_with_the_writable_array(self):
+        """NumPy copies a read-only index on every take/bincount; the kernels
+        get the memo's writable array, callers a read-only view of it."""
+        rng = np.random.default_rng(6)
+        indicator = indicator_from_labels(_labels(rng, 17, 5), num_columns=5)
+        shared = kernels._codes(indicator)
+        assert shared.flags.writeable
+        assert kernels._codes(indicator) is shared
+        view = indicator_codes(indicator)
+        assert not view.flags.writeable and view.base is shared
+
     def test_codes_values_match_argmax(self):
         rng = np.random.default_rng(1)
         labels = _labels(rng, 17, 5)

@@ -162,3 +162,72 @@ class TestMissingValues:
         assert encoded.feature_names == ["city=<missing>", "city=la", "city=sf"]
         np.testing.assert_array_equal(
             np.asarray(encoded.matrix.sum(axis=1)).ravel(), np.ones(3))
+
+
+def hstack_reference(table: Table, columns) -> np.ndarray:
+    """The dense encoding as per-column float64 blocks joined by ``np.hstack``."""
+    blocks = []
+    for name in columns:
+        values = table.column(name)
+        numeric = (np.issubdtype(values.dtype, np.number)
+                   and table.schema.column(name).ctype is not ColumnType.CATEGORICAL)
+        if numeric:
+            blocks.append(values.astype(np.float64).reshape(-1, 1))
+        else:
+            blocks.append(np.asarray(OneHotEncoder().fit_transform(values).todense()))
+    return np.hstack(blocks)
+
+
+class TestDenseAssembly:
+    """``encode_features(sparse=False)`` fills one matrix in row tiles."""
+
+    def _table(self, rows: int) -> Table:
+        rng = np.random.default_rng(rows)
+        return Table("t", {
+            "i": rng.integers(-5, 5, size=rows),
+            "u": rng.integers(0, 9, size=rows).astype(np.uint16),
+            "f": rng.standard_normal(rows),
+            "flag": rng.random(rows) < 0.5,
+            "city": rng.choice(np.array(["ams", "ber", "cph"]), size=rows),
+            "code": rng.integers(0, 4, size=rows),
+        }, schema=TableSchema("t", [
+            Column("i", ColumnType.NUMERIC), Column("u", ColumnType.NUMERIC),
+            Column("f", ColumnType.NUMERIC), Column("flag", ColumnType.CATEGORICAL),
+            Column("city", ColumnType.CATEGORICAL), Column("code", ColumnType.CATEGORICAL),
+        ]))
+
+    @pytest.mark.parametrize("rows", [0, 1, 7, 100_000])
+    @pytest.mark.parametrize("columns", [
+        ["f"], ["i"], ["flag"], ["city"],
+        ["i", "u", "f"], ["f", "city", "i", "flag", "code", "u"],
+    ])
+    def test_equals_hstack_reference(self, rows, columns):
+        table = self._table(rows)
+        if rows == 0 and set(columns) & {"flag", "city", "code"}:
+            pytest.skip("np.hstack cannot join a (0, 0) one-hot block")
+        dense = encode_features(table, columns=columns, sparse=False).matrix
+        reference = hstack_reference(table, columns)
+        assert dense.dtype == np.float64 and dense.flags.c_contiguous
+        assert dense.shape == reference.shape
+        assert np.array_equal(dense, reference)
+
+    def test_dense_matches_sparse_values(self):
+        table = self._table(500)
+        columns = ["f", "city", "i", "code"]
+        dense = encode_features(table, columns=columns, sparse=False)
+        sparse = encode_features(table, columns=columns, sparse=True)
+        assert dense.feature_names == sparse.feature_names
+        assert np.array_equal(dense.matrix, sparse.matrix.toarray())
+
+    def test_no_columns(self):
+        dense = encode_features(self._table(5), columns=[], sparse=False).matrix
+        assert dense.shape == (5, 0) and dense.dtype == np.float64
+
+    @pytest.mark.parametrize("rows", [0, 3, 50_000])
+    def test_numeric_matrix_equals_column_stack(self, rows):
+        table = self._table(rows)
+        names = ["i", "u", "f"]
+        stacked = np.column_stack([table.column(n).astype(np.float64) for n in names])
+        matrix = table.numeric_matrix(names)
+        assert matrix.dtype == np.float64 and matrix.flags.c_contiguous
+        assert np.array_equal(matrix, stacked)

@@ -252,3 +252,45 @@ class TestJoinedSchemaPreservation:
         right = Table("r", {"k": np.array([1]), "y": np.array([0.5])})
         joined = join_mn(left, "k", right, "k")
         assert joined.schema.column("code").ctype is ColumnType.CATEGORICAL
+
+
+def nested_loop_mn(left_keys, right_keys):
+    """The M:N join as a nested loop: left row order, then ascending right rows."""
+    groups = {}
+    for j, value in enumerate(np.asarray(right_keys).tolist()):
+        groups.setdefault(value, []).append(j)
+    pairs = [(i, j) for i, value in enumerate(np.asarray(left_keys).tolist())
+             for j in groups.get(value, [])]
+    return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+
+
+class TestMNJoinMatchesNestedLoop:
+    @pytest.mark.parametrize("left_keys,right_keys", [
+        # Random keys; values 0..3 exist on the left only, 25..29 on the right only.
+        (np.random.default_rng(0).integers(0, 25, 300),
+         np.random.default_rng(1).integers(4, 30, 200)),
+        (np.random.default_rng(2).integers(0, 8, 50).astype(np.float64),
+         np.random.default_rng(3).integers(0, 10, 40)),
+        (np.random.default_rng(4).integers(0, 6, 60).astype(np.uint8),
+         np.random.default_rng(5).integers(-3, 6, 30)),
+        (np.array(["a", "b", "z", "a"]), np.array(["b", "a", "c", "a", "b"])),
+        (np.array(["a", 1, None, "b"], dtype=object),
+         np.array([1, "a", "a", None], dtype=object)),
+        (np.array([2 ** 60, 2 ** 60 + 1]), np.array([float(2 ** 60), 3.0])),
+    ], ids=["int", "float-int", "uint8-int", "string", "object", "past-2**53"])
+    def test_rows_and_order(self, left_keys, right_keys):
+        left = Table("l", {"k": left_keys})
+        right = Table("r", {"k": right_keys})
+        i_s, i_r = mn_join_indicators(left, "k", right, "k")
+        left_rows, right_rows = nested_loop_mn(left_keys, right_keys)
+        np.testing.assert_array_equal(i_s.indices, left_rows)
+        np.testing.assert_array_equal(i_r.indices, right_rows)
+        assert i_s.shape == (left_rows.size, left.num_rows)
+        assert i_r.shape == (right_rows.size, right.num_rows)
+
+    @pytest.mark.parametrize("right_keys", [np.array([7, 8]), np.array([], dtype=np.int64)])
+    def test_empty_join_rejected(self, right_keys):
+        left = Table("l", {"k": np.array([1, 2])})
+        right = Table("r", {"k": right_keys})
+        with pytest.raises(SchemaError, match="M:N join between l.k and r.k is empty"):
+            mn_join_indicators(left, "k", right, "k")

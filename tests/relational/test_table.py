@@ -121,11 +121,6 @@ class TestKeyUtilities:
         with pytest.raises(SchemaError):
             table.key_position_index("k")
 
-    def test_group_positions(self, customers):
-        groups = customers.group_positions("employer_id")
-        assert groups[0] == [0, 4]
-        assert groups[1] == [1, 2]
-
     def test_positions_for_keys_batch_lookup(self):
         table = Table("products", {
             "sku": np.array(["p9", "p2", "p5"]),

@@ -193,8 +193,9 @@ class TestKeptChainRunsNoHopProduct:
 
     This is why ``normalized_from_schema`` makes no collapse decision:
     collapsing a chain would save no per-pass work, because a fit never
-    multiplies through its hops.  A plan that materializes the join builds it once, and that build
-    is the only place a product may fold through the hops.
+    multiplies through its hops.  A plan that materializes the join gathers
+    each join block by the chain's codes, so its one-time build runs no hop
+    product either.
     """
 
     @pytest.mark.parametrize("engine", ENGINES)
@@ -226,7 +227,7 @@ class TestKeptChainRunsNoHopProduct:
 
         _fit_estimator(estimator, engine, dataset)
         assert fit_calls == []
-        assert build_calls in ([], ["__matmul__"])
+        assert build_calls == []
 
         # The counters are live: a direct product through the chain counts.
         chain @ np.ones((chain.shape[1], 1))
