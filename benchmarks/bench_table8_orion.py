@@ -44,7 +44,7 @@ class TestOrionComparison:
     def test_orion(self, benchmark, feature_ratio):
         benchmark.group = group_name("table8", "logreg", f"FR{feature_ratio}")
         dataset = _dataset(feature_ratio)
-        labels = np.asarray(dataset.indicators[0].argmax(axis=1)).ravel()
+        labels = dataset.indicators[0].codes
         model = OrionLogisticRegression(max_iter=ITERATIONS, step_size=1e-3)
         benchmark.pedantic(
             lambda: model.fit(dataset.entity, labels, dataset.attributes[0], dataset.target),

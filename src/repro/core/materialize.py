@@ -17,7 +17,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.indicator import writable_codes
 from repro.la.ops import hstack
 from repro.la.types import MatrixLike, ensure_2d, is_sparse
 
@@ -25,13 +24,12 @@ from repro.la.types import MatrixLike, ensure_2d, is_sparse
 def _join_block(indicator: MatrixLike, attribute: MatrixLike) -> MatrixLike:
     """``K R`` as a row gather: each row of ``K`` holds a single ``1``.
 
-    Gathering ``R`` by the indicator's memoized codes never multiplies, so a
-    :class:`~repro.la.chain.ChainedIndicator` costs no per-hop product.  The
-    result has the product's dtype, and each entry equals the product's
-    (``1.0 * r`` is ``r``, except that a stored ``-0.0`` keeps its sign).
+    Gathering ``R`` by the indicator's codes never multiplies.  The result
+    has the product's dtype, and each entry equals the product's (``1.0 * r``
+    is ``r``, except that a stored ``-0.0`` keeps its sign).
     """
     attribute = ensure_2d(attribute)
-    codes = writable_codes(indicator)
+    codes = indicator._codes
     dtype = np.result_type(indicator.dtype, attribute.dtype)
     if is_sparse(attribute):
         return attribute.tocsr()[codes].astype(dtype, copy=False)

@@ -31,11 +31,10 @@ from repro.la.types import (
     MatrixLike,
     ensure_2d,
     is_matrix_like,
-    is_sparse,
     normalize_row_indices,
     to_dense,
 )
-from repro.core.indicator import validate_pk_fk_indicator
+from repro.core.indicator import as_indicator, validate_pk_fk_indicator
 from repro.core.materialize import materialize_star
 from repro.core.rewrite import aggregation, crossprod as crossprod_rules
 from repro.core.rewrite import inversion, multiplication, scalar_ops
@@ -58,9 +57,11 @@ class NormalizedMatrix:
         as in several of the paper's real datasets, or when every table is
         indicator-routed (the M:N form).
     indicators:
-        Sparse indicator matrices ``K_i`` of shape ``(n_S, n_Ri)``, one per
+        Indicator matrices ``K_i`` of shape ``(n_S, n_Ri)``, one per
         attribute table, each with exactly one non-zero per row (for the M:N
-        form ``n_S`` is the join output size).
+        form ``n_S`` is the join output size): an
+        :class:`~repro.la.indicator.Indicator`, or a sparse or dense 0/1
+        matrix, which is stored as its row codes.
     attributes:
         Attribute-table feature matrices ``R_i`` of shape ``(n_Ri, d_Ri)``.
     transposed:
@@ -93,7 +94,8 @@ class NormalizedMatrix:
             raise ValueError("crossprod_method must be 'efficient' or 'naive'")
 
         self.entity = ensure_2d(entity) if entity is not None else None
-        self.indicators = [validate_pk_fk_indicator(k) if validate else k for k in indicators]
+        self.indicators = [validate_pk_fk_indicator(k) if validate else as_indicator(k)
+                           for k in indicators]
         self.attributes = [ensure_2d(r) for r in attributes]
         self.transposed = bool(transposed)
         self.crossprod_method = crossprod_method
@@ -515,10 +517,10 @@ class NormalizedMatrix:
         other = ensure_2d(other)
         if self.transposed:
             # T^T X -> (X^T T)^T  (Appendix A), which is a factorized RMM.  A
-            # sparse X stays sparse: X = K_A scatters as a code-pair histogram.
-            other_t = other.T if is_sparse(other) else to_dense(other).T
+            # sparse X stays sparse, and an indicator X = K_A scatters as a
+            # code-pair histogram.
             result = multiplication.rmm_star(
-                self.entity, self.indicators, self.attributes, other_t
+                self.entity, self.indicators, self.attributes, other.T
             )
             return result.T
         return multiplication.lmm_star(self.entity, self.indicators, self.attributes, other)

@@ -6,8 +6,8 @@ deciding whether an operand can be executed in memory at all:
 
 * the **materialized** footprint -- the dense join output ``n_S x d`` a
   materialized plan would have to hold, and
-* the **factorized** footprint -- the base matrices plus the sparse
-  indicators a factorized plan keeps resident (usually far smaller, which is
+* the **factorized** footprint -- the base matrices plus the indicator
+  codes a factorized plan keeps resident (usually far smaller, which is
   the paper's redundancy argument in byte form).
 
 When a :class:`~repro.core.planner.planner.Planner` is given a
@@ -27,6 +27,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
+
+from repro.la.indicator import Indicator
 
 #: Bytes per dense float64 element.
 DENSE_ELEMENT_BYTES = 8
@@ -51,10 +53,9 @@ def matrix_nbytes(matrix) -> int:
         return total
     if isinstance(matrix, np.ndarray):
         return int(matrix.nbytes)
-    hops = getattr(matrix, "hops", None)
-    if hops is not None:
-        # A ChainedIndicator keeps its hop matrices resident, not the product.
-        return sum(matrix_nbytes(h) for h in hops)
+    if isinstance(matrix, Indicator):
+        # Its codes; the CSR form is built only for generic sparse products.
+        return int(matrix.codes.nbytes)
     shape = getattr(matrix, "shape", None)
     if shape is None:
         return 0

@@ -168,15 +168,12 @@ def canonical_snowflake_schema():
     """A deterministic two-hop snowflake schema (8 entity rows).
 
     Returns ``(normalized, named_operands)``: ``S`` 8x2; a single-hop join
-    ``(K1, R1)`` with 4 attribute rows of width 3; and a two-hop chain
-    ``C1 = H1 H2`` (8 -> 4 -> 2) kept factorized, routing to ``R2`` (2 rows,
-    width 2).  The chain itself is registered as ``C1`` so the goldens pin
-    exactly where the rewrites touch the chain as one indicator -- the
-    per-hop folds live inside :class:`~repro.la.chain.ChainedIndicator`,
-    below the rewrite algebra.
+    ``(K1, R1)`` with 4 attribute rows of width 3; and a two-hop alias
+    ``C1 = H1 H2`` (8 -> 4 -> 2) routing to ``R2`` (2 rows, width 2), stored
+    as its composed codes.  ``C1`` is registered so the goldens pin exactly
+    where the rewrites touch the alias's indicator.
     """
     from repro.core.normalized_matrix import NormalizedMatrix
-    from repro.la.chain import ChainedIndicator
     from repro.la.ops import indicator_from_labels
 
     rng = np.random.default_rng(42)
@@ -186,7 +183,7 @@ def canonical_snowflake_schema():
     k1 = indicator_from_labels(np.array([0, 1, 2, 3, 0, 1, 2, 3]), num_columns=4)
     h1 = indicator_from_labels(np.array([0, 1, 2, 3, 3, 2, 1, 0]), num_columns=4)
     h2 = indicator_from_labels(np.array([0, 1, 0, 1]), num_columns=2)
-    chain = ChainedIndicator([h1, h2])
+    chain = h1 @ h2
     normalized = NormalizedMatrix(entity, [k1, chain], [r1, r2])
     named = {"S": entity, "K1": k1, "H1": h1, "H2": h2, "C1": chain,
              "R1": r1, "R2": r2}

@@ -72,10 +72,9 @@ def slice_rows(data, start: int, stop: int) -> object:
     """Contiguous row range ``[start, stop)`` of *data* -- the hot batch cut.
 
     Equivalent to ``take_rows(data, np.arange(start, stop))`` but slices with
-    Python ranges, which keeps dense entity slices zero-copy views and turns
-    the indicator cut into a cheap CSR ``indptr`` slice instead of a fancy
-    gather -- the difference is most of the per-batch overhead of an
-    unshuffled epoch.
+    Python ranges, which keeps dense entity slices and each indicator's codes
+    zero-copy views instead of fancy gathers -- the difference is most of the
+    per-batch overhead of an unshuffled epoch.
     """
     try:
         return _slice_piece(data, start, stop)

@@ -4,6 +4,8 @@ This subpackage is the substrate every other part of the library builds on.
 It provides:
 
 * :mod:`repro.la.types` -- shared type aliases and dense/sparse predicates.
+* :mod:`repro.la.indicator` -- :class:`Indicator`, the PK-FK / M:N indicator
+  matrix stored as one integer code per row.
 * :mod:`repro.la.ops` -- a uniform set of LA primitives (``rowsums``,
   ``colsums``, ``crossprod``, ``ginv`` ...) that behave identically for dense
   NumPy arrays and SciPy sparse matrices.  The Morpheus rewrite rules are
@@ -17,6 +19,7 @@ It provides:
   through.
 """
 
+from repro.la.indicator import Indicator
 from repro.la.types import (
     MatrixLike,
     is_sparse,
@@ -56,6 +59,7 @@ from repro.la.parallel import (
 )
 
 __all__ = [
+    "Indicator",
     "MatrixLike",
     "is_sparse",
     "is_dense",

@@ -6,8 +6,8 @@ structure on every call: ``K @ (R @ X)`` is a sparse matmul whose only job is
 to *gather* rows of the small product, ``colSums(K)`` is a sparse reduction
 whose only job is to *count* codes, and so on.  Every one of those inner loops
 is really one of a handful of fused shapes over the indicator **codes**
-(:func:`repro.core.indicator.indicator_codes` -- the per-row attribute-table
-row index that the CSR structure encodes):
+(:attr:`repro.la.indicator.Indicator.codes` -- the per-row attribute-table
+row index each indicator stores):
 
 ======================  =====================================================
 kernel                  fused shape
@@ -26,22 +26,22 @@ kernel                  fused shape
 ``partial_scores``      ``R_k @ W_k`` partial-score block     (serving)
 ``sgd_step``            fused residual/gradient/update        (streaming)
 ``logistic_sgd_step``   fused score/clip/sigmoid-step         (streaming)
-``take_indicator_rows`` CSR row take rebuilt straight from codes
+``take_indicator_rows`` row take: ``codes[rows]``, still an indicator
 ======================  =====================================================
 
 Each kernel is one function: gathers are ``ndarray.take``, scatters are
 ``bincount``, and the small base-table products go through the
 :mod:`repro.la.ops` primitives.  A few kernels keep a path chosen by their
-input: ``cross_block`` falls back to the sparse ``K_i^T K_j`` product when
+input: ``cross_block`` counts the code pairs into a sparse ``K_i^T K_j`` when
 the dense code-pair histogram would dwarf the join
 (``_CROSSING_DENSITY_LIMIT``), ``scatter_right`` counts code pairs when
 ``X`` is a transposed indicator ``K_A^T`` (through the same histogram helper
-and density fallback as ``cross_block``), ``scatter_right`` /
+and density fallback as ``cross_block``), and ``scatter_right`` /
 ``entity_cross_block`` multiply other non-ndarray operands through the
-indicator, and
-``take_indicator_rows`` row-indexes chained and non-CSR indicators.  The
-primitive chains the kernels replace live in ``tests/la/kernel_oracles.py``
-as test oracles.
+indicator's CSR form.  Kernels index with each indicator's writable codes
+(``Indicator._codes``): NumPy copies a read-only index on every ``take`` or
+``bincount``.  The primitive chains the kernels replace live in
+``tests/la/kernel_oracles.py`` as test oracles.
 
 Callers reach every kernel through this module's attributes
 (``kernels.gather_add(...)``), so golden-trace recording
@@ -59,15 +59,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro import obs
-from repro.la.chain import ChainedIndicator
 from repro.la.generic import to_dense_result
-from repro.la.ops import (
-    diag_scale_rows,
-    indicator_from_labels,
-    matmul,
-    rowsums,
-    transpose,
-)
+from repro.la.indicator import Indicator
+from repro.la.ops import diag_scale_rows, matmul, rowsums, transpose
 from repro.la.types import MatrixLike, to_dense
 
 __all__ = [
@@ -97,27 +91,16 @@ KERNEL_NAMES = (
 )
 
 #: When a fused cross_block would materialize a code-pair count matrix this
-#: many times larger than the join itself, the sparse product wins.
+#: many times larger than the join itself, sparse counts win.
 _CROSSING_DENSITY_LIMIT = 16
 
 
 # ---------------------------------------------------------------------------
-# Lazy late-bound helpers (repro.core / repro.ml import repro.la, not vice
-# versa at module load -- resolving these inside the call breaks the cycle).
+# Late-bound helper: repro.ml imports repro.la, so resolving it inside the
+# call breaks the import cycle.
 # ---------------------------------------------------------------------------
 
-_writable_codes: Optional[Callable] = None
 _clip_scores: Optional[Callable] = None
-
-
-def _codes(indicator: MatrixLike) -> np.ndarray:
-    """The indicator's memoized codes, writable so ``take``/``bincount`` index
-    with them without copying (kernels never write to them)."""
-    global _writable_codes
-    if _writable_codes is None:
-        from repro.core.indicator import writable_codes
-        _writable_codes = writable_codes
-    return _writable_codes(indicator)
 
 
 def _clip(scores: np.ndarray) -> np.ndarray:
@@ -136,42 +119,20 @@ def _scatter_columns(x: np.ndarray, codes: np.ndarray, n_cols: int) -> np.ndarra
     return out
 
 
-def _transposed_indicator_codes(x: MatrixLike) -> Optional[np.ndarray]:
-    """Row codes of ``K_A`` when *x* is ``K_A^T``, else ``None``.
-
-    ``x`` qualifies when it is CSC (the transpose of a CSR indicator) and
-    every column holds exactly one stored ``1.0``; the check is O(n).
-    """
-    if not sp.issparse(x) or x.format != "csc" or x.nnz != x.shape[1]:
-        return None
-    if not (np.all(np.diff(x.indptr) == 1) and np.all(x.data == 1.0)):
-        return None
-    return x.indices.astype(np.int64)
-
-
-def _code_pair_counts(codes_i: np.ndarray, codes_j: np.ndarray, n_i: int, n_j: int,
-                      sparse_product: Callable[[], MatrixLike]) -> MatrixLike:
+def _code_pair_counts(codes_i: np.ndarray, codes_j: np.ndarray, n_i: int,
+                      n_j: int) -> MatrixLike:
     """``K_i^T K_j`` from the two code vectors: the dense code-pair histogram,
-    or *sparse_product* when that histogram would dwarf the join."""
+    or the same counts as a sparse matrix when the histogram would dwarf the
+    join."""
     if n_i * n_j > _CROSSING_DENSITY_LIMIT * max(codes_i.size, 1):
-        # The dense code-pair histogram would dwarf the data; let the sparse
-        # K_i^T K_j product exploit its own structure instead.
-        return sparse_product()
+        return sp.csr_matrix((np.ones(codes_i.size), (codes_i, codes_j)), shape=(n_i, n_j))
     counts = np.bincount(codes_i * n_j + codes_j, minlength=n_i * n_j)
     return counts.astype(np.float64).reshape(n_i, n_j)
 
 
-def _product_operand(indicator: MatrixLike) -> MatrixLike:
-    """*indicator* for a sparse product: a chain becomes the CSR of its
-    composed codes, so no fallback folds a product through the hops."""
-    if isinstance(indicator, ChainedIndicator):
-        return indicator_from_labels(_codes(indicator), indicator.shape[1])
-    return indicator
-
-
 def _counts(indicator: MatrixLike) -> np.ndarray:
     """``colSums(K)`` as float64 fan-out counts, one per attribute row."""
-    counts = np.bincount(_codes(indicator), minlength=indicator.shape[1])
+    counts = np.bincount(indicator._codes, minlength=indicator.shape[1])
     return counts.astype(np.float64)
 
 
@@ -225,7 +186,7 @@ def gather_add(out: np.ndarray, indicator: MatrixLike, attribute: MatrixLike,
     small = np.ascontiguousarray(to_dense(matmul(attribute, block)))
     # ndarray.take on a contiguous array is the fast gather path -- it beats
     # both generic fancy indexing and the one-nnz-per-row CSR matmul.
-    out += small.take(_codes(indicator), axis=0)
+    out += small.take(indicator._codes, axis=0)
     return out
 
 
@@ -235,15 +196,13 @@ def scatter_right(x: MatrixLike, indicator: MatrixLike, attribute: MatrixLike,
     """``(X K) R``: one RMM output block, cast to the operator result dtype."""
     if isinstance(x, np.ndarray):
         xk = _scatter_columns(np.ascontiguousarray(x, dtype=np.float64),
-                              _codes(indicator), indicator.shape[1])
-    elif (row_codes := _transposed_indicator_codes(x)) is not None:
+                              indicator._codes, indicator.shape[1])
+    elif isinstance(x, Indicator) and x.transposed:
         # X = K_A^T: X K = K_A^T K is the code-pair histogram of the two codes.
-        xk = _code_pair_counts(row_codes, _codes(indicator), x.shape[0],
-                               indicator.shape[1],
-                               lambda: matmul(x, _product_operand(indicator)))
+        xk = _code_pair_counts(x._codes, indicator._codes, x.shape[0], indicator.shape[1])
     else:
         # Sparse X: the intermediate X K is only m x nR.
-        xk = matmul(x, _product_operand(indicator))
+        xk = matmul(x, indicator)
     return np.asarray(to_dense(matmul(xk, attribute)), dtype=dtype)
 
 
@@ -264,11 +223,8 @@ def cross_block(indicator_i: MatrixLike, indicator_j: MatrixLike,
                 attribute_i: MatrixLike, attribute_j: MatrixLike,
                 dtype: np.dtype) -> np.ndarray:
     """``R_i^T (K_i^T K_j) R_j``: one off-diagonal cross-product block."""
-    crossing = _code_pair_counts(
-        _codes(indicator_i), _codes(indicator_j),
-        indicator_i.shape[1], indicator_j.shape[1],
-        lambda: matmul(transpose(_product_operand(indicator_i)),
-                       _product_operand(indicator_j)))
+    crossing = _code_pair_counts(indicator_i._codes, indicator_j._codes,
+                                 indicator_i.shape[1], indicator_j.shape[1])
     inner = matmul(crossing, attribute_j)
     block = to_dense(matmul(transpose(attribute_i), inner))
     return np.asarray(block, dtype=dtype)
@@ -280,10 +236,10 @@ def entity_cross_block(entity: MatrixLike, indicator: MatrixLike,
     """``(S^T K) R``: the entity/table cross-product block."""
     if isinstance(entity, np.ndarray):
         sk = _scatter_columns(np.ascontiguousarray(entity.T, dtype=np.float64),
-                              _codes(indicator), indicator.shape[1])
+                              indicator._codes, indicator.shape[1])
     else:
         # Sparse S: small intermediate of size dS x nR.
-        sk = matmul(transpose(entity), _product_operand(indicator))
+        sk = matmul(transpose(entity), indicator)
     return np.asarray(to_dense(matmul(sk, attribute)), dtype=dtype)
 
 
@@ -292,7 +248,7 @@ def gather_gram(out: np.ndarray, indicator: MatrixLike,
                 attribute: MatrixLike) -> np.ndarray:
     """Accumulate ``K (R R^T) K^T`` into *out* (the Gramian per-table term)."""
     inner = np.ascontiguousarray(to_dense(matmul(attribute, transpose(attribute))))
-    codes = _codes(indicator)
+    codes = indicator._codes
     out += inner.take(codes, axis=0).take(codes, axis=1)
     return out
 
@@ -301,7 +257,7 @@ def gather_gram(out: np.ndarray, indicator: MatrixLike,
 def gather_rows(indicator: MatrixLike, attribute: MatrixLike) -> np.ndarray:
     """``K rowSums(R)`` as an ``(n, 1)`` column (rowSums per-table term)."""
     rs = np.ascontiguousarray(rowsums(attribute), dtype=np.float64)
-    return rs.take(_codes(indicator), axis=0)
+    return rs.take(indicator._codes, axis=0)
 
 
 @_kernel
@@ -362,14 +318,5 @@ def logistic_sgd_step(data, y: np.ndarray, w: np.ndarray, step_size: float,
 
 @_kernel
 def take_indicator_rows(indicator: MatrixLike, indices: np.ndarray) -> MatrixLike:
-    """Row-take of an indicator; CSR indicators rebuild straight from codes."""
-    if isinstance(indicator, ChainedIndicator) or not sp.issparse(indicator):
-        return indicator[indices, :]
-    # One non-zero per row: the sliced CSR is fully determined by the gathered
-    # codes, so build it directly instead of running generic fancy indexing.
-    taken = np.ascontiguousarray(_codes(indicator)[indices], dtype=np.int64)
-    n = taken.shape[0]
-    return sp.csr_matrix(
-        (np.ones(n, dtype=indicator.dtype), taken, np.arange(n + 1, dtype=np.int64)),
-        shape=(n, indicator.shape[1]),
-    )
+    """Row-take of an indicator: an :class:`Indicator` gathers its codes."""
+    return indicator[indices, :]

@@ -20,7 +20,8 @@ import scipy.sparse as sp
 from numpy.linalg import pinv as _dense_pinv
 
 from repro.exceptions import ShapeError
-from repro.la.types import MatrixLike, ensure_2d, integral_int64, is_chain, is_sparse, to_dense
+from repro.la.indicator import Indicator
+from repro.la.types import MatrixLike, ensure_2d, integral_int64, is_sparse, to_dense
 
 Scalar = Union[int, float, np.floating, np.integer]
 
@@ -36,7 +37,7 @@ def rowsums(x: MatrixLike) -> np.ndarray:
     K-Means (squared-norm pre-computation).
     """
     x = ensure_2d(x)
-    if is_sparse(x) or is_chain(x):
+    if is_sparse(x) or isinstance(x, Indicator):
         return np.asarray(x.sum(axis=1)).reshape(-1, 1)
     return np.asarray(x).sum(axis=1, keepdims=True)
 
@@ -44,7 +45,7 @@ def rowsums(x: MatrixLike) -> np.ndarray:
 def colsums(x: MatrixLike) -> np.ndarray:
     """Column-wise sum of *x* as a ``(1, d)`` dense row vector (R's ``colSums``)."""
     x = ensure_2d(x)
-    if is_sparse(x) or is_chain(x):
+    if is_sparse(x) or isinstance(x, Indicator):
         return np.asarray(x.sum(axis=0)).reshape(1, -1)
     return np.asarray(x).sum(axis=0, keepdims=True)
 
@@ -69,7 +70,7 @@ def row_min(x: MatrixLike) -> np.ndarray:
 
 def nnz(x: MatrixLike) -> int:
     """Number of structurally non-zero elements of *x*."""
-    if is_sparse(x) or is_chain(x):
+    if is_sparse(x) or isinstance(x, Indicator):
         return int(x.nnz)
     return int(np.count_nonzero(np.asarray(x)))
 
@@ -87,11 +88,10 @@ def matmul(a: MatrixLike, b: MatrixLike) -> MatrixLike:
     a2, b2 = ensure_2d(a), ensure_2d(b)
     if a2.shape[1] != b2.shape[0]:
         raise ShapeError(f"matmul: inner dimensions do not agree {a2.shape} @ {b2.shape}")
-    if is_chain(a2):
-        # Chained indicators fold their hops one sparse product at a time
-        # (small end first), never materializing the chain product.
+    if isinstance(a2, Indicator):
+        # Through the cached CSR form, or composed codes for two indicators.
         return a2 @ b2
-    if is_chain(b2):
+    if isinstance(b2, Indicator):
         return b2.__rmatmul__(a2)
     if is_sparse(a2) and is_sparse(b2):
         return a2 @ b2
@@ -209,18 +209,18 @@ def block_grid(blocks: Sequence[Sequence[MatrixLike]]) -> np.ndarray:
     return np.vstack(rows)
 
 
-def indicator_from_labels(labels: MatrixLike, num_columns: int | None = None) -> sp.csr_matrix:
-    """Build a sparse 0/1 indicator matrix from integer row labels.
+def indicator_from_labels(labels: MatrixLike, num_columns: int | None = None) -> Indicator:
+    """Build a 0/1 indicator matrix from integer row labels.
 
     ``labels[i] = j`` produces a matrix ``K`` with ``K[i, j] = 1``.  This is
     exactly the paper's construction of the PK-FK indicator matrix from the
     foreign-key column (Section 3.1) and of ``IS``/``IR`` for M:N joins
-    (Section 3.6).  Labels are zero-based.
+    (Section 3.6).  Labels are zero-based; the result stores them as its
+    codes (:class:`~repro.la.indicator.Indicator`).
     """
     lab = integral_int64(to_dense(labels), "indicator_from_labels: labels")
     if lab.size and lab.min() < 0:
         raise ShapeError("indicator_from_labels: labels must be non-negative")
-    n_rows = lab.shape[0]
     n_cols = int(lab.max()) + 1 if lab.size else 0
     if num_columns is not None:
         if lab.size and num_columns <= lab.max():
@@ -228,14 +228,7 @@ def indicator_from_labels(labels: MatrixLike, num_columns: int | None = None) ->
                 f"indicator_from_labels: num_columns={num_columns} too small for max label {lab.max()}"
             )
         n_cols = num_columns
-    # One non-zero per row: the CSR arrays are the labels themselves, so build
-    # them directly instead of sorting a COO (row, col) pair list.
-    index_dtype = np.int32 if max(n_rows, n_cols) < 2 ** 31 else np.int64
-    return sp.csr_matrix(
-        (np.ones(n_rows, dtype=np.float64), lab.astype(index_dtype),
-         np.arange(n_rows + 1, dtype=index_dtype)),
-        shape=(n_rows, n_cols),
-    )
+    return Indicator._wrap(lab.astype(np.intp, copy=False), int(n_cols))
 
 
 # ---------------------------------------------------------------------------

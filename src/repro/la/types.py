@@ -4,7 +4,8 @@ The library works with three families of operand:
 
 * dense ``numpy.ndarray`` (2-D, or 1-D vectors that we promote to 2-D),
 * SciPy sparse matrices (any format; CSR is the canonical internal format),
-* the library's own logical types (``NormalizedMatrix``, ``Partitioned``).
+* the library's own logical types (``NormalizedMatrix``, ``Partitioned``),
+  and the :class:`~repro.la.indicator.Indicator` matrices they route through.
 
 The helpers in this module normalize the first two so the rest of the code
 never needs to branch on ``isinstance`` checks scattered around.
@@ -18,20 +19,15 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.exceptions import ShapeError
-from repro.la.chain import ChainedIndicator
+from repro.la.indicator import Indicator
 
 #: Anything accepted as a plain (non-normalized) matrix operand.
-MatrixLike = Union[np.ndarray, sp.spmatrix]
+MatrixLike = Union[np.ndarray, sp.spmatrix, Indicator]
 
 
 def is_sparse(x: object) -> bool:
     """Return ``True`` if *x* is a SciPy sparse matrix (any format)."""
     return sp.issparse(x)
-
-
-def is_chain(x: object) -> bool:
-    """Return ``True`` if *x* is a multi-hop :class:`ChainedIndicator`."""
-    return isinstance(x, ChainedIndicator)
 
 
 def is_dense(x: object) -> bool:
@@ -40,8 +36,8 @@ def is_dense(x: object) -> bool:
 
 
 def is_matrix_like(x: object) -> bool:
-    """Return ``True`` if *x* is a plain dense or sparse matrix."""
-    return is_dense(x) or is_sparse(x)
+    """Return ``True`` if *x* is a plain dense, sparse or indicator matrix."""
+    return is_dense(x) or is_sparse(x) or isinstance(x, Indicator)
 
 
 def is_vector(x: object) -> bool:
@@ -59,7 +55,7 @@ def ensure_2d(x: MatrixLike) -> MatrixLike:
     Sparse matrices are always 2-D already.  Raises :class:`ShapeError` for
     inputs with more than two dimensions.
     """
-    if is_sparse(x) or is_chain(x):
+    if is_sparse(x) or isinstance(x, Indicator):
         return x
     arr = np.asarray(x)
     if arr.ndim == 1:
@@ -71,17 +67,15 @@ def ensure_2d(x: MatrixLike) -> MatrixLike:
 
 def to_dense(x: MatrixLike) -> np.ndarray:
     """Return a dense ``ndarray`` view/copy of *x*."""
-    if is_chain(x):
-        x = x.tocsr()
-    if is_sparse(x):
-        return np.asarray(x.todense())
+    if is_sparse(x) or isinstance(x, Indicator):
+        return x.toarray()
     return np.asarray(x)
 
 
 def to_sparse(x: MatrixLike, fmt: str = "csr") -> sp.spmatrix:
     """Return *x* as a SciPy sparse matrix in the requested format."""
-    if is_chain(x):
-        x = x.tocsr()
+    if isinstance(x, Indicator):
+        x = x.sparse()
     if is_sparse(x):
         return x.asformat(fmt)
     return sp.csr_matrix(np.atleast_2d(np.asarray(x))).asformat(fmt)
@@ -89,7 +83,7 @@ def to_sparse(x: MatrixLike, fmt: str = "csr") -> sp.spmatrix:
 
 def shape_of(x: MatrixLike) -> tuple:
     """Return the 2-D shape of *x*, promoting 1-D vectors to column shape."""
-    if is_sparse(x) or is_chain(x):
+    if is_sparse(x) or isinstance(x, Indicator):
         return x.shape
     arr = np.asarray(x)
     if arr.ndim == 1:
@@ -126,7 +120,7 @@ def integral_int64(values, what: str) -> np.ndarray:
                 f"{what} must be integral; got non-integral float values "
                 "(truncating them would silently select the wrong rows)"
             )
-    return values.astype(np.int64).ravel()
+    return values.ravel().astype(np.int64)
 
 
 def normalize_row_indices(row_indices, n_rows: int) -> np.ndarray:

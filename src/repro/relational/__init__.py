@@ -34,7 +34,6 @@ from repro.relational.schema import (
 from repro.relational.table import Table
 from repro.relational.join import (
     JoinResult,
-    chained_indicator,
     pk_fk_indicator,
     join_pk_fk,
     join_star,
@@ -68,7 +67,6 @@ __all__ = [
     "Table",
     "to_mapping",
     "JoinResult",
-    "chained_indicator",
     "pk_fk_indicator",
     "join_pk_fk",
     "join_star",

@@ -5,7 +5,7 @@ Given base tables it can either
 
 * **materialize** the join output (what the paper calls the materialized
   approach, "M"), or
-* build the sparse **indicator matrices** that define the normalized matrix
+* build the **indicator matrices** that define the normalized matrix
   (the factorized approach, "F"): ``K_i`` for star-schema PK-FK joins
   (Section 3.1 and 3.5) and ``(I_S, I_R)`` for M:N equi-joins (Section 3.6).
 
@@ -19,10 +19,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.exceptions import SchemaError
-from repro.la.chain import ChainedIndicator
+from repro.la.indicator import Indicator
 from repro.la.ops import indicator_from_labels
 from repro.relational.schema import Column, TableSchema
 from repro.relational.table import Table
@@ -37,16 +36,13 @@ class JoinResult:
     materialized:
         The joined :class:`Table` when materialization was requested.
     indicators:
-        List of sparse indicator matrices (one per attribute table for star
-        schemas; ``[I_S, I_R]`` for M:N joins).
-    row_mappings:
-        For each indicator matrix, the integer row labels it was built from
-        (useful for debugging and for tests).
+        List of indicator matrices (one per attribute table for star
+        schemas; ``[I_S, I_R]`` for M:N joins); each one's ``codes`` are
+        the integer row labels it was built from.
     """
 
     materialized: Optional[Table] = None
-    indicators: List[sp.csr_matrix] = field(default_factory=list)
-    row_mappings: List[np.ndarray] = field(default_factory=list)
+    indicators: List[Indicator] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +74,7 @@ def _check_key_nan(table: Table, column: str, role: str) -> None:
 
 
 def pk_fk_indicator(entity: Table, fk_column: str, attribute: Table,
-                    pk_column: str) -> Tuple[sp.csr_matrix, np.ndarray]:
+                    pk_column: str) -> Tuple[Indicator, np.ndarray]:
     """Build the PK-FK indicator matrix ``K`` for one foreign-key edge.
 
     ``K`` has shape ``(n_S, n_R)`` with ``K[i, j] = 1`` iff row ``i`` of the
@@ -127,21 +123,6 @@ def foreign_key_positions(entity: Table, fk_column: str, attribute: Table,
         ) from None
 
 
-def chained_indicator(hops: Sequence[sp.spmatrix]):
-    """Compose per-hop PK-FK indicators into one (possibly chained) indicator.
-
-    A single hop is returned as-is; multiple hops become a factorized
-    :class:`~repro.la.chain.ChainedIndicator` representing the product
-    ``K_1 K_2 ... K_h`` without materializing it.
-    """
-    hops = list(hops)
-    if not hops:
-        raise SchemaError("chained_indicator needs at least one hop")
-    if len(hops) == 1:
-        return hops[0]
-    return ChainedIndicator(hops)
-
-
 def drop_unreferenced(entity: Table, fk_column: str, attribute: Table,
                       pk_column: str) -> Table:
     """Remove attribute-table rows never referenced by the entity table.
@@ -150,11 +131,13 @@ def drop_unreferenced(entity: Table, fk_column: str, attribute: Table,
     least one tuple of ``S`` and notes that unreferenced tuples can be removed
     a priori (Section 3.1).  This helper performs that pre-processing step.
     """
-    referenced = set(entity.column(fk_column).tolist())
-    keep = [i for i, v in enumerate(attribute.column(pk_column).tolist()) if v in referenced]
-    if len(keep) == attribute.num_rows:
+    # Equal keys share a code; a foreign key with no match codes to -1.
+    fk_codes, pk_codes, _ = _join_key_codes(entity.column(fk_column),
+                                            attribute.column(pk_column))
+    keep = np.isin(pk_codes, fk_codes)
+    if keep.all():
         return attribute
-    return attribute.select_rows(keep)
+    return attribute.select_rows(np.flatnonzero(keep))
 
 
 def join_pk_fk(entity: Table, fk_column: str, attribute: Table, pk_column: str,
@@ -205,9 +188,7 @@ def star_indicators(entity: Table, edges: Sequence[Tuple[str, Table, str]]
     """Build the indicator matrices ``K_1 .. K_q`` for a star schema."""
     result = JoinResult()
     for fk_column, attribute, pk_column in edges:
-        indicator, labels = pk_fk_indicator(entity, fk_column, attribute, pk_column)
-        result.indicators.append(indicator)
-        result.row_mappings.append(labels)
+        result.indicators.append(pk_fk_indicator(entity, fk_column, attribute, pk_column)[0])
     return result
 
 
@@ -216,7 +197,7 @@ def star_indicators(entity: Table, edges: Sequence[Tuple[str, Table, str]]
 # ---------------------------------------------------------------------------
 
 def mn_join_indicators(left: Table, left_column: str, right: Table,
-                       right_column: str) -> Tuple[sp.csr_matrix, sp.csr_matrix]:
+                       right_column: str) -> Tuple[Indicator, Indicator]:
     """Build the pair of indicator matrices ``(I_S, I_R)`` for an M:N equi-join.
 
     Following Section 3.6, we conceptually compute the non-deduplicating
@@ -288,8 +269,7 @@ def join_mn(left: Table, left_column: str, right: Table, right_column: str,
             right_columns: Optional[Sequence[str]] = None) -> Table:
     """Materialize an M:N equi-join with the same row order as the indicators."""
     i_s, i_r = mn_join_indicators(left, left_column, right, right_column)
-    left_labels = np.asarray(i_s.argmax(axis=1)).ravel()
-    right_labels = np.asarray(i_r.argmax(axis=1)).ravel()
+    left_labels, right_labels = i_s.codes, i_r.codes
     if left_columns is None:
         left_columns = list(left.column_names)
     if right_columns is None:
@@ -318,13 +298,12 @@ def mn_drop_noncontributing(left: Table, left_column: str, right: Table,
     This mirrors the paper's assumption that every column of ``I_S`` and
     ``I_R`` has at least one non-zero (Section 3.6).
     """
-    left_values = set(left.column(left_column).tolist())
-    right_values = set(right.column(right_column).tolist())
-    common = left_values & right_values
-    left_keep = [i for i, v in enumerate(left.column(left_column).tolist()) if v in common]
-    right_keep = [i for i, v in enumerate(right.column(right_column).tolist()) if v in common]
-    if not left_keep or not right_keep:
+    left_codes, right_codes, _ = _join_key_codes(left.column(left_column),
+                                                 right.column(right_column))
+    left_keep = left_codes >= 0
+    right_keep = np.isin(right_codes, left_codes)
+    if not left_keep.any() or not right_keep.any():
         raise SchemaError("M:N join would be empty after dropping non-contributing rows")
-    left_out = left if len(left_keep) == left.num_rows else left.select_rows(left_keep)
-    right_out = right if len(right_keep) == right.num_rows else right.select_rows(right_keep)
+    left_out = left if left_keep.all() else left.select_rows(np.flatnonzero(left_keep))
+    right_out = right if right_keep.all() else right.select_rows(np.flatnonzero(right_keep))
     return left_out, right_out

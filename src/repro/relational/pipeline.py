@@ -12,6 +12,8 @@ what a user of the original Morpheus R package would assemble by hand.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -22,11 +24,7 @@ from repro.core.normalized_matrix import NormalizedMatrix
 from repro.exceptions import SchemaError
 from repro.la.types import MatrixLike
 from repro.relational.encoding import encode_features
-from repro.relational.join import (
-    chained_indicator,
-    mn_join_indicators,
-    pk_fk_indicator,
-)
+from repro.relational.join import mn_join_indicators, pk_fk_indicator
 from repro.relational.schema import SchemaGraph
 from repro.relational.table import Table
 
@@ -143,9 +141,9 @@ def normalized_from_schema(graph: SchemaGraph, tables,
 
     Walks the graph's joins masters-first, builds one PK-FK hop indicator per
     join (memoized, so a shared dimension joined under two roles reuses the
-    same hop matrix), and gives each alias a (possibly multi-hop) indicator:
-    the chain of hops along ``graph.join_path(alias)``, kept factorized as a
-    :class:`~repro.la.chain.ChainedIndicator` unless ``collapse="always"``.
+    same hop), and gives each alias one indicator: the product of the hops
+    along ``graph.join_path(alias)``, whose codes compose once here
+    (``c2[c1]``), so a multi-hop alias stores one code per fact row.
 
     Parameters
     ----------
@@ -164,11 +162,9 @@ def normalized_from_schema(graph: SchemaGraph, tables,
         dimension table.  Aliases not listed fall back to the schema-derived
         default (feature columns minus the keys the graph uses).
     collapse:
-        ``"never"`` (default) keeps each multi-hop chain factorized;
-        ``"always"`` materializes it as one CSR indicator at build time.  Both
-        give the same matrix, and collapsing saves no per-pass work: the
-        Table-1 rewrites reach a chain through its composed row codes, never
-        through per-hop products.
+        ``"never"`` (default) or ``"always"``; both build the same matrix,
+        since every multi-hop alias is stored as its composed codes.  Any
+        other value raises :class:`ValueError`.
     """
     if collapse not in ("never", "always"):
         raise ValueError(f"collapse must be 'never' or 'always', got {collapse!r}")
@@ -220,10 +216,8 @@ def normalized_from_schema(graph: SchemaGraph, tables,
     for join in graph.resolve_order():
         alias = join.alias
         detail_table = tables[join.detail.table]
-        hops = [hop_indicator(j) for j in graph.join_path(alias)]
-        indicator = chained_indicator(hops)
-        if collapse == "always" and len(hops) > 1:
-            indicator = indicator.collapse()
+        indicator = functools.reduce(
+            operator.matmul, [hop_indicator(j) for j in graph.join_path(alias)])
         alias_features = overrides.get(alias)
         if alias_features is None:
             alias_features = default_features(alias, detail_table)

@@ -36,7 +36,6 @@ import time
 import numpy as np
 
 from repro import obs
-from repro.core.indicator import indicator_codes
 from repro.la import kernels
 from repro.core.normalized_matrix import NormalizedMatrix
 from repro.core.segments import schema_fingerprint
@@ -115,7 +114,7 @@ class FactorizedScorer:
                                 if entity_segment is not None else None)
         #: segments routed through indicators, in attribute-table order.
         self._table_segments = [s for s in self.segments if not s.is_entity]
-        self._codes = [indicator_codes(k) for k in matrix.indicators]
+        self._codes = [k.codes for k in matrix.indicators]
         self._n_rows = matrix.logical_rows
 
         # The attribute tables are not retained: once the partials exist the

@@ -16,7 +16,7 @@ from repro.ml.logistic_regression import LogisticRegressionGD
 
 class TestOrionLogisticRegression:
     def _labels(self, dataset):
-        return np.asarray(dataset.indicators[0].argmax(axis=1)).ravel()
+        return dataset.indicators[0].codes
 
     @pytest.mark.parametrize("update", ["paper", "exact"])
     def test_matches_morpheus_logistic(self, single_join_dense, update):

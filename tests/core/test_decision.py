@@ -70,9 +70,10 @@ class TestBoundaryAndDegenerateInputs:
 
     def test_normalized_matrix_zero_row_attribute_table(self):
         # A degenerate empty attribute table must not raise ZeroDivisionError;
-        # it contributes an infinite tuple ratio, which factorizes.
-        entity = np.zeros((5, 2))
-        indicator = sp.csr_matrix((5, 0))
+        # it contributes an infinite tuple ratio, which factorizes.  (No entity
+        # row can reference it: an indicator row holds exactly one code.)
+        entity = np.zeros((0, 2))
+        indicator = sp.csr_matrix((0, 0))
         attribute = np.zeros((0, 3))
         normalized = NormalizedMatrix(entity, [indicator], [attribute], validate=False)
         assert normalized.tuple_ratio == float("inf")

@@ -9,10 +9,11 @@ from repro.core.indicator import (
     validate_pk_fk_indicator,
 )
 from repro.exceptions import IndicatorError
+from repro.la.indicator import Indicator
 from repro.la.ops import indicator_from_labels
 
 
-def valid_indicator() -> sp.csr_matrix:
+def valid_indicator() -> Indicator:
     return indicator_from_labels(np.array([0, 1, 2, 1, 0]))
 
 
@@ -21,14 +22,24 @@ class TestPkFkValidation:
         out = validate_pk_fk_indicator(valid_indicator())
         assert out.shape == (5, 3)
 
-    def test_returns_csr(self):
-        out = validate_pk_fk_indicator(valid_indicator().tocoo())
-        assert out.format == "csr"
+    def test_returns_indicator(self):
+        """A sparse input of any format is stored as its row codes."""
+        out = validate_pk_fk_indicator(valid_indicator().tocsr().tocoo())
+        assert isinstance(out, Indicator)
+        np.testing.assert_array_equal(out.codes, [0, 1, 2, 1, 0])
+
+    def test_indicator_passes_through(self):
+        indicator = valid_indicator()
+        assert validate_pk_fk_indicator(indicator) is indicator
+
+    def test_transposed_indicator_rejected(self):
+        with pytest.raises(IndicatorError, match="transposed"):
+            validate_pk_fk_indicator(valid_indicator().T)
 
     def test_dense_input_accepted(self):
         dense = valid_indicator().toarray()
         out = validate_pk_fk_indicator(dense)
-        assert sp.issparse(out)
+        assert isinstance(out, Indicator)
 
     def test_row_with_two_nonzeros_rejected(self):
         bad = valid_indicator().toarray()

@@ -231,7 +231,7 @@ class TestDescribeData:
 
         from repro.core.normalized_matrix import NormalizedMatrix
 
-        degenerate = NormalizedMatrix(np.zeros((5, 2)), [sp.csr_matrix((5, 0))],
+        degenerate = NormalizedMatrix(np.zeros((0, 2)), [sp.csr_matrix((0, 0))],
                                       [np.zeros((0, 3))], validate=False)
         profile = describe_data(degenerate)
         assert profile.tuple_ratio == float("inf")

@@ -11,14 +11,15 @@ every factorized rewrite, so their contract is strict:
 * every call counts in ``repro_kernel_dispatch_total{kernel}`` while
   observability is enabled;
 * operand dtypes survive the rewrite layer (the float32 round-trip pin);
-* ``indicator_codes`` is memoized per indicator object and invalidated when
-  the indicator dies.
+* an indicator's codes are computed once, owned by the indicator and freed
+  with it.
 """
 
 from __future__ import annotations
 
 import contextlib
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -26,11 +27,11 @@ import scipy.sparse as sp
 
 from repro import obs
 from repro.core.delta import MatrixDelta
-from repro.core.indicator import indicator_codes, reset_codes_cache
+from repro.core.indicator import indicator_codes
 from repro.core import MNNormalizedMatrix
 from repro.core.normalized_matrix import NormalizedMatrix
 from repro.la import kernels
-from repro.la.chain import ChainedIndicator
+from repro.la.indicator import Indicator
 from repro.la.ops import indicator_from_labels
 from tests.la.kernel_oracles import ORACLES, oracle_kernels, swap_kernels
 
@@ -80,7 +81,7 @@ def _snowflake(seed: int) -> NormalizedMatrix:
         hops.append(indicator_from_labels(_labels(rng, rows, n_next), num_columns=n_next))
         rows = n_next
     attribute = rng.standard_normal((rows, 3))
-    return NormalizedMatrix(entity, [ChainedIndicator(hops)], [attribute])
+    return NormalizedMatrix(entity, [hops[0] @ hops[1]], [attribute])
 
 
 MATRICES = {
@@ -96,7 +97,7 @@ MATRICES = {
 # -- kernel-vs-oracle equivalence ---------------------------------------------
 
 def _as_array(value) -> np.ndarray:
-    if hasattr(value, "toarray"):  # sparse and chained indicators
+    if hasattr(value, "toarray"):  # sparse matrices and indicators
         return value.toarray()
     return np.asarray(value, dtype=np.float64)
 
@@ -210,13 +211,14 @@ def test_fused_sets_agree_on_zero_row_batches(seed):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_take_indicator_rows_matches_fancy_indexing(seed):
-    """The CSR slice rebuilt from codes equals the generic fancy-indexing slice."""
+    """The row take gathers codes and equals the CSR fancy-indexing slice."""
     rng = np.random.default_rng(seed)
     indicator = indicator_from_labels(_labels(rng, 31, 9), num_columns=9)
     indices = rng.integers(0, 31, size=12)
     sliced = kernels.take_indicator_rows(indicator, indices)
-    assert sp.isspmatrix_csr(sliced)
-    assert np.array_equal(sliced.toarray(), indicator[indices, :].toarray())
+    assert isinstance(sliced, Indicator)
+    assert np.array_equal(sliced.codes, indicator.codes[indices])
+    assert np.array_equal(sliced.toarray(), indicator.tocsr()[indices, :].toarray())
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -283,14 +285,16 @@ class TestKernelPaths:
     @pytest.mark.parametrize("schema", ["star-dense", "star-f32", "snowflake"])
     def test_scatter_right_transposed_indicator_x(self, schema, num_clusters, value):
         """X = K_A^T scatters as a code-pair histogram (past the density limit,
-        as the sparse product), on plain and chained indicators; one stored
-        2.0 per column is no indicator and takes the general sparse path."""
+        as the sparse product), on single- and two-hop indicators; a sparse
+        matrix with one stored 2.0 per column is no indicator and takes the
+        general sparse path."""
         matrix = MATRICES[schema](5)
         n = matrix.shape[0]
         rng = np.random.default_rng(5)
-        x = (value * indicator_from_labels(rng.integers(0, num_clusters, size=n),
-                                           num_columns=num_clusters)).T
-        assert (kernels._transposed_indicator_codes(x) is not None) == (value == 1.0)
+        k_a = indicator_from_labels(rng.integers(0, num_clusters, size=n),
+                                    num_columns=num_clusters)
+        x = k_a.T if value == 1.0 else (value * k_a.tocsr()).T
+        assert isinstance(x, Indicator) == (value == 1.0)
         dtype = kernels.result_dtype(*matrix.attributes)
         for indicator, attribute in zip(matrix.indicators, matrix.attributes):
             dense_side = (num_clusters * indicator.shape[1]
@@ -312,15 +316,13 @@ class TestKernelPaths:
     @pytest.mark.parametrize("path", ["cross_block", "scatter_right",
                                       "scatter_right_transposed",
                                       "entity_cross_block"])
-    def test_sparse_paths_reach_chains_through_codes(self, path, monkeypatch):
-        """Every sparse-product path takes a chain as the CSR of its composed
-        codes: the result matches the oracle and no product folds through
-        the hops."""
+    def test_sparse_paths_reach_chains_through_codes(self, path):
+        """Every sparse-product path takes a two-hop alias's indicator -- its
+        composed codes -- through its CSR form and matches the oracle."""
         rng = np.random.default_rng(4)
         n = 10
-        chain = ChainedIndicator([
-            indicator_from_labels(_labels(rng, n, n), num_columns=n),
-            indicator_from_labels(_labels(rng, n, n), num_columns=n)])
+        chain = (indicator_from_labels(_labels(rng, n, n), num_columns=n)
+                 @ indicator_from_labels(_labels(rng, n, n), num_columns=n))
         attribute = rng.standard_normal((n, 3))
         f64 = np.dtype(np.float64)
         if path == "cross_block":
@@ -339,12 +341,6 @@ class TestKernelPaths:
             args = (entity, chain, attribute, f64)
         name = "scatter_right" if path.startswith("scatter_right") else path
         expected = ORACLES[name](*_copies(args))
-
-        def hop_product(self, other):
-            raise AssertionError("a kernel folded a product through the hops")
-
-        monkeypatch.setattr(ChainedIndicator, "__matmul__", hop_product)
-        monkeypatch.setattr(ChainedIndicator, "__rmatmul__", hop_product)
         _assert_close(getattr(kernels, name)(*args), expected, path)
 
     @pytest.mark.parametrize("kind", ["chain", "dense"])
@@ -353,7 +349,7 @@ class TestKernelPaths:
         indicator = indicator_from_labels(_labels(rng, 23, 8), num_columns=8)
         if kind == "chain":
             hop = indicator_from_labels(_labels(rng, 8, 3), num_columns=3)
-            indicator = ChainedIndicator([indicator, hop])
+            indicator = indicator @ hop
         elif kind == "dense":
             indicator = indicator.toarray()
         indices = rng.integers(0, 23, size=9)
@@ -434,7 +430,7 @@ class TestDtypePreservation:
         assert kernels.result_dtype(None, f32) == np.float32
 
 
-# -- indicator-code memoization -----------------------------------------------
+# -- indicator codes ------------------------------------------------------------
 
 class TestCodesMemoization:
     def test_codes_cached_per_indicator_object(self):
@@ -447,12 +443,13 @@ class TestCodesMemoization:
 
     def test_kernels_index_with_the_writable_array(self):
         """NumPy copies a read-only index on every take/bincount; the kernels
-        get the memo's writable array, callers a read-only view of it."""
+        index with the indicator's writable array, callers get a read-only
+        view of it."""
         rng = np.random.default_rng(6)
         indicator = indicator_from_labels(_labels(rng, 17, 5), num_columns=5)
-        shared = kernels._codes(indicator)
+        shared = indicator._codes
         assert shared.flags.writeable
-        assert kernels._codes(indicator) is shared
+        assert indicator.T._codes is shared
         view = indicator_codes(indicator)
         assert not view.flags.writeable and view.base is shared
 
@@ -466,32 +463,21 @@ class TestCodesMemoization:
         rng = np.random.default_rng(2)
         hop1 = indicator_from_labels(_labels(rng, 12, 6), num_columns=6)
         hop2 = indicator_from_labels(_labels(rng, 6, 3), num_columns=3)
-        chain = ChainedIndicator([hop1, hop2])
+        chain = hop1 @ hop2
         expected = indicator_codes(hop2)[indicator_codes(hop1)]
         assert np.array_equal(indicator_codes(chain), expected)
 
     def test_cache_evicts_dead_indicators(self):
-        from repro.core import indicator as indicator_module
-
-        reset_codes_cache()
+        """The codes (and the lazily built CSR) are owned by the indicator,
+        so nothing outlives it."""
         rng = np.random.default_rng(3)
         k = indicator_from_labels(_labels(rng, 9, 4), num_columns=4)
+        codes = weakref.ref(k._codes)
+        csr = weakref.ref(k.sparse())
         indicator_codes(k)
-        assert len(indicator_module._CODES_CACHE) == 1
         del k
         gc.collect()
-        assert len(indicator_module._CODES_CACHE) == 0
-
-    def test_reset_codes_cache(self):
-        from repro.core import indicator as indicator_module
-
-        rng = np.random.default_rng(4)
-        k = indicator_from_labels(_labels(rng, 9, 4), num_columns=4)
-        indicator_codes(k)
-        reset_codes_cache()
-        assert len(indicator_module._CODES_CACHE) == 0
-        # Still correct after a reset (recomputed and re-cached).
-        assert indicator_codes(k).shape == (9,)
+        assert codes() is None and csr() is None
 
     def test_scorer_and_zone_map_share_cached_codes(self):
         """The serving scorer and the zone-map index hit the same cache entry."""

@@ -186,7 +186,7 @@ class TestIndicatorFromLabels:
         assert np.allclose(k.toarray(), [[1, 0, 0], [0, 0, 1], [0, 1, 0], [1, 0, 0]])
 
     def test_one_nonzero_per_row(self):
-        k = ops.indicator_from_labels(np.array([1, 1, 1, 0]))
+        k = ops.indicator_from_labels(np.array([1, 1, 1, 0])).tocsr()
         assert np.all(np.diff(k.indptr) == 1)
 
     def test_num_columns_padding(self):
@@ -221,8 +221,8 @@ class TestIndicatorFromLabels:
         (np.array([3, 0, 3, 1]), 9),
     ], ids=["random", "empty", "empty-padded", "padded"])
     def test_csr_arrays_equal_coo_construction(self, labels, num_columns):
-        """Built straight from the labels, the CSR matches the COO round trip."""
-        k = ops.indicator_from_labels(labels, num_columns)
+        """Built straight from the codes, the CSR matches the COO round trip."""
+        k = ops.indicator_from_labels(labels, num_columns).tocsr()
         n = labels.size
         n_cols = num_columns if num_columns is not None else (labels.max() + 1 if n else 0)
         ref = sp.csr_matrix((np.ones(n), (np.arange(n), labels)), shape=(n, n_cols))

@@ -18,7 +18,6 @@ import pytest
 from repro.core import MNNormalizedMatrix
 from repro.core.normalized_matrix import NormalizedMatrix
 from repro.core.planner import CalibrationProfile, Planner
-from repro.la.chain import ChainedIndicator
 from repro.la.ops import indicator_from_labels
 from repro.ml import LinearRegressionGD
 
@@ -69,12 +68,10 @@ def _mn(rng):
 
 
 def _snowflake(rng):
-    """Entity -> store -> region (a two-hop chain) plus a direct product join."""
+    """Entity -> store -> region (a two-hop alias) plus a direct product join."""
     n_s, n_store, n_region, n_product = 100, 12, 4, 7
-    chain = ChainedIndicator([
-        indicator_from_labels(_labels(rng, n_s, n_store), num_columns=n_store),
-        indicator_from_labels(_labels(rng, n_store, n_region), num_columns=n_region),
-    ])
+    chain = (indicator_from_labels(_labels(rng, n_s, n_store), num_columns=n_store)
+             @ indicator_from_labels(_labels(rng, n_store, n_region), num_columns=n_region))
     product = indicator_from_labels(_labels(rng, n_s, n_product), num_columns=n_product)
     return NormalizedMatrix(rng.standard_normal((n_s, 2)), [chain, product],
                             [rng.standard_normal((n_region, 3)),

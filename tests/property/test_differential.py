@@ -90,8 +90,10 @@ def _random_pk_fk(rng: np.random.Generator, seed: int, sparse_bases: bool) -> Ca
 
 
 def _random_snowflake(rng: np.random.Generator, seed: int, sparse_bases: bool) -> Case:
-    """A snowflake case: one 2-3 hop chained indicator, optional extra star join."""
-    from repro.la.chain import ChainedIndicator
+    """A snowflake case: one 2-3 hop alias (its composed codes), optional extra
+    star join."""
+    import functools
+    import operator
 
     n_s = int(rng.integers(2, 41))
     d_s = int(rng.integers(0, 4))
@@ -115,7 +117,7 @@ def _random_snowflake(rng: np.random.Generator, seed: int, sparse_bases: bool) -
     attribute = rng.standard_normal((rows, d_r))
     if sparse_bases:
         attribute = sp.csr_matrix(np.where(rng.random((rows, d_r)) < 0.6, attribute, 0.0))
-    indicators: list = [ChainedIndicator(hops)]
+    indicators: list = [functools.reduce(operator.matmul, hops)]
     attributes: list = [attribute]
     if rng.random() < 0.5:  # mix a plain single-hop join next to the chain
         n_r = int(rng.integers(1, n_s + 1))

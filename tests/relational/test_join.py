@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.exceptions import SchemaError
+from repro.la.indicator import Indicator
 from repro.relational.join import (
-    chained_indicator,
     drop_unreferenced,
     join_mn,
     join_pk_fk,
@@ -203,26 +203,18 @@ class TestJoinKeyGuards:
             mn_join_indicators(dirty, "k", clean, "k")
 
 
-class TestChainedIndicatorBuilder:
-    def test_empty_hops_rejected(self):
-        with pytest.raises(SchemaError, match="at least one hop"):
-            chained_indicator([])
-
-    def test_single_hop_passes_through(self, entity, stores):
-        hop, _ = pk_fk_indicator(entity, "store_id", stores, "store_id")
-        assert chained_indicator([hop]) is hop
-
-    def test_multi_hop_builds_chain(self, entity, stores):
-        from repro.la.chain import ChainedIndicator
+class TestComposedHopIndicator:
+    def test_multi_hop_composes_codes(self, entity, stores):
         hop1, _ = pk_fk_indicator(entity, "store_id", stores, "store_id")
         regions = Table("regions", {"region_id": np.array([0, 1])})
         stores_with_region = stores.with_column("region_id", np.array([0, 1, 0]))
         hop2, _ = pk_fk_indicator(stores_with_region, "region_id", regions, "region_id")
-        chain = chained_indicator([hop1, hop2])
-        assert isinstance(chain, ChainedIndicator)
-        assert chain.shape == (entity.num_rows, 2)
+        composed = hop1 @ hop2
+        assert isinstance(composed, Indicator)
+        assert composed.shape == (entity.num_rows, 2)
+        np.testing.assert_array_equal(composed.codes, hop2.codes[hop1.codes])
         np.testing.assert_array_equal(
-            chain.toarray(), (hop1 @ hop2).toarray())
+            composed.toarray(), (hop1.tocsr() @ hop2.tocsr()).toarray())
 
 
 class TestJoinedSchemaPreservation:
@@ -283,8 +275,8 @@ class TestMNJoinMatchesNestedLoop:
         right = Table("r", {"k": right_keys})
         i_s, i_r = mn_join_indicators(left, "k", right, "k")
         left_rows, right_rows = nested_loop_mn(left_keys, right_keys)
-        np.testing.assert_array_equal(i_s.indices, left_rows)
-        np.testing.assert_array_equal(i_r.indices, right_rows)
+        np.testing.assert_array_equal(i_s.codes, left_rows)
+        np.testing.assert_array_equal(i_r.codes, right_rows)
         assert i_s.shape == (left_rows.size, left.num_rows)
         assert i_r.shape == (right_rows.size, right.num_rows)
 
@@ -294,3 +286,66 @@ class TestMNJoinMatchesNestedLoop:
         right = Table("r", {"k": right_keys})
         with pytest.raises(SchemaError, match="M:N join between l.k and r.k is empty"):
             mn_join_indicators(left, "k", right, "k")
+
+
+def set_drop_unreferenced(fk_keys, pk_keys):
+    """The set-based reference: attribute rows whose key some foreign key equals."""
+    referenced = set(np.asarray(fk_keys).tolist())
+    return [i for i, v in enumerate(np.asarray(pk_keys).tolist()) if v in referenced]
+
+
+def set_mn_drop(left_keys, right_keys):
+    """The set-based reference: rows of each side whose key the other side holds."""
+    common = set(np.asarray(left_keys).tolist()) & set(np.asarray(right_keys).tolist())
+    return ([i for i, v in enumerate(np.asarray(left_keys).tolist()) if v in common],
+            [i for i, v in enumerate(np.asarray(right_keys).tolist()) if v in common])
+
+
+DROP_KEY_CASES = [
+    (np.array([5, 3, 5, 9, -2]), np.array([3, 4, 5, 7, -2, 9, 11])),
+    (np.array([1 << 40, 7, 1 << 40]), np.array([7, 8, 1 << 40])),
+    (np.array([1.5, np.nan, 2.0, 1.5]), np.array([np.nan, 1.5, 2.0, 3.0])),
+    (np.array([1, 2, 2, 4]), np.array([1.0, 2.5, 4.0, 4.5])),
+    (np.array(["b", "a", "b"]), np.array(["a", "c", "b", "d"])),
+    (np.array(["a", 1, None, (2, 3)], dtype=object),
+     np.array([1, "z", None, "a", (2, 3), 2.0], dtype=object)),
+]
+DROP_KEY_IDS = ["int", "int-sparse-range", "float-nan", "int-float", "string", "object"]
+
+
+class TestDropHelpersMatchSetReference:
+    """The key-code rebuilds of the drop helpers keep exactly the rows the
+    Python-set reference keeps, on every key kind."""
+
+    @pytest.mark.parametrize("fk_keys, pk_keys", DROP_KEY_CASES, ids=DROP_KEY_IDS)
+    def test_drop_unreferenced(self, fk_keys, pk_keys):
+        entity = Table("s", {"fk": fk_keys})
+        attribute = Table("r", {"pk": pk_keys, "row": np.arange(pk_keys.size)})
+        kept = drop_unreferenced(entity, "fk", attribute, "pk")
+        np.testing.assert_array_equal(kept.column("row"),
+                                      set_drop_unreferenced(fk_keys, pk_keys))
+
+    @pytest.mark.parametrize("left_keys, right_keys", DROP_KEY_CASES, ids=DROP_KEY_IDS)
+    def test_mn_drop_noncontributing(self, left_keys, right_keys):
+        left = Table("l", {"k": left_keys, "row": np.arange(left_keys.size)})
+        right = Table("r", {"k": right_keys, "row": np.arange(right_keys.size)})
+        new_left, new_right = mn_drop_noncontributing(left, "k", right, "k")
+        left_rows, right_rows = set_mn_drop(left_keys, right_keys)
+        np.testing.assert_array_equal(new_left.column("row"), left_rows)
+        np.testing.assert_array_equal(new_right.column("row"), right_rows)
+        # Swapped sides give the mirrored answer.
+        swapped_right, swapped_left = mn_drop_noncontributing(right, "k", left, "k")
+        np.testing.assert_array_equal(swapped_left.column("row"), left_rows)
+        np.testing.assert_array_equal(swapped_right.column("row"), right_rows)
+
+    def test_nothing_dropped_returns_the_inputs(self):
+        keys = np.array([3, 1, 2])
+        left, right = Table("l", {"k": keys}), Table("r", {"k": keys[::-1].copy()})
+        assert drop_unreferenced(left, "k", right, "k") is right
+        new_left, new_right = mn_drop_noncontributing(left, "k", right, "k")
+        assert new_left is left and new_right is right
+
+    def test_empty_result_rejected(self):
+        left, right = Table("l", {"k": np.array([1, 2])}), Table("r", {"k": np.array([3])})
+        with pytest.raises(SchemaError, match="empty"):
+            mn_drop_noncontributing(left, "k", right, "k")

@@ -199,7 +199,7 @@ class TestStreamingSharesKeyPath:
         batches = list(stream_normalized_batches(
             path, [("fk", attribute, "pk", ["price"])],
             entity_features=["amount"], chunk_rows=2, sparse=False))
-        labels = np.concatenate([b.matrix.indicators[0].indices for b in batches])
+        labels = np.concatenate([b.matrix.indicators[0].codes for b in batches])
         np.testing.assert_array_equal(labels, [2, 0, 1, 1, 0])
         entity_block = np.vstack([b.matrix.entity for b in batches])
         assert entity_block.dtype == np.float64 and entity_block.flags.c_contiguous

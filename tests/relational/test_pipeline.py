@@ -6,6 +6,8 @@ import pytest
 from repro.core.decision import DecisionRule
 from repro.core.normalized_matrix import NormalizedMatrix
 from repro.exceptions import SchemaError
+from repro.la.indicator import Indicator
+from repro.relational.join import pk_fk_indicator
 from repro.relational.pipeline import (
     NormalizedDataset,
     mn_normalized_from_tables,
@@ -244,22 +246,17 @@ class TestNormalizedFromSchema:
             dataset.target.ravel(), tables["orders"].column("total"))
 
     def test_two_hop_alias_stays_factorized_by_default(self, snowflake):
-        from repro.la.chain import ChainedIndicator
-
+        """The two-hop alias is one indicator over the fact rows: the hop
+        codes composed, never the joined attribute rows."""
         graph, tables = snowflake
         dataset = normalized_from_schema(graph, tables)
-        chains = [k for k in dataset.matrix.indicators
-                  if isinstance(k, ChainedIndicator)]
-        assert len(chains) == 1
-        assert chains[0].num_hops == 2
-
-    def test_collapse_always_materializes_chain(self, snowflake):
-        from repro.la.chain import ChainedIndicator
-
-        graph, tables = snowflake
-        dataset = normalized_from_schema(graph, tables, collapse="always")
-        assert not any(isinstance(k, ChainedIndicator)
-                       for k in dataset.matrix.indicators)
+        hops = [pk_fk_indicator(tables[graph.table_for(j.master.table)], j.master.column,
+                                tables[j.detail.table], j.detail.column)[0]
+                for j in graph.join_path("regions")]
+        assert len(hops) == 2
+        regions = dataset.matrix.indicators[graph.aliases.index("regions")]
+        assert isinstance(regions, Indicator)
+        np.testing.assert_array_equal(regions.codes, hops[1].codes[hops[0].codes])
 
     def test_collapse_results_identical(self, snowflake):
         graph, tables = snowflake
@@ -283,7 +280,7 @@ class TestNormalizedFromSchema:
         # the same column count but different row labels.
         ship, bill = dataset.matrix.indicators[1], dataset.matrix.indicators[2]
         assert ship.shape == bill.shape == (40, 5)
-        assert (ship != bill).nnz > 0
+        assert (ship.tocsr() != bill.tocsr()).nnz > 0
 
     def test_missing_table_rejected(self, snowflake):
         graph, tables = snowflake

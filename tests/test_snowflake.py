@@ -1,13 +1,12 @@
 """Acceptance test: a two-hop snowflake schema behind the declarative frontend.
 
-The schema is orders -> customers -> regions (a two-hop chain: the regions
-indicator is the product of the customers and regions hops) plus one shared
-``locations`` dimension joined under two roles (``ship_loc`` / ``bill_loc``).
-Built through :func:`normalized_from_schema`, all four ML algorithms must
-reproduce the dense materialized reference to 1e-8 on every engine, no fit
-may multiply through the kept chain's hops (a materialized plan's one-time
-join build aside), and the serving scorer must score the chained matrix
-exactly.
+The schema is orders -> customers -> regions (a two-hop alias: the regions
+indicator is the product of the customers and regions hops, stored as its
+composed codes) plus one shared ``locations`` dimension joined under two
+roles (``ship_loc`` / ``bill_loc``).  Built through
+:func:`normalized_from_schema`, all four ML algorithms must reproduce the
+dense materialized reference to 1e-8 on every engine, and the serving scorer
+must score the two-hop matrix exactly.
 """
 
 import numpy as np
@@ -16,7 +15,8 @@ import pytest
 from repro.core.normalized_matrix import NormalizedMatrix
 from repro.core.planner import CalibrationProfile, Planner
 from repro.core.partitioned import Partitioned
-from repro.la.chain import ChainedIndicator
+from repro.core.planner.memory import matrix_nbytes
+from repro.la.indicator import Indicator
 from repro.ml import (
     GNMF,
     KMeans,
@@ -126,11 +126,15 @@ class TestSchemaConstruction:
         ]
 
     def test_two_hop_chain_kept_factorized(self, snowflake):
-        _, _, dataset, _ = snowflake
-        chains = [k for k in dataset.matrix.indicators
-                  if isinstance(k, ChainedIndicator)]
-        assert len(chains) == 1
-        assert chains[0].num_hops == 2
+        """The regions alias routes each order through its customer: its
+        indicator holds the customer hop's codes mapped through the region
+        hop's, one per order."""
+        graph, tables, dataset, _ = snowflake
+        orders, customers = tables["orders"], tables["customers"]
+        regions = dataset.matrix.indicators[graph.aliases.index("regions")]
+        customer_of = orders.column("cust_id")
+        region_of = customers.column("region_id")
+        np.testing.assert_array_equal(regions.codes, region_of[customer_of])
 
     def test_materializes_to_reference(self, snowflake):
         _, _, dataset, dense = snowflake
@@ -174,65 +178,27 @@ class TestAllAlgorithmsAllEngines:
         np.testing.assert_allclose(model.h_, reference.h_, **TOL)
 
 
-def _fit_estimator(name, engine, dataset):
-    labels = np.where(dataset.target > np.median(dataset.target), 1.0, -1.0)
-    if name == "linreg":
-        return _fit(LinearRegressionGD, engine, dataset.matrix, dataset.target,
-                    max_iter=ITERS, step_size=1e-4)
-    if name == "logreg":
-        return _fit(LogisticRegressionGD, engine, dataset.matrix, labels,
-                    max_iter=ITERS, step_size=1e-3)
-    if name == "kmeans":
-        return _fit(KMeans, engine, dataset.matrix,
-                    num_clusters=3, max_iter=ITERS, seed=0)
-    return _fit(GNMF, engine, dataset.matrix, rank=3, max_iter=ITERS, seed=1)
+class TestTwoHopAliasStoresComposedCodes:
+    """A multi-hop alias is one indicator: its hop codes composed once at
+    build time, so no hop and no CSR form stays resident."""
 
-
-class TestKeptChainRunsNoHopProduct:
-    """Training reaches a kept chain through its composed codes only.
-
-    This is why ``normalized_from_schema`` makes no collapse decision:
-    collapsing a chain would save no per-pass work, because a fit never
-    multiplies through its hops.  A plan that materializes the join gathers
-    each join block by the chain's codes, so its one-time build runs no hop
-    product either.
-    """
-
-    @pytest.mark.parametrize("engine", ENGINES)
-    @pytest.mark.parametrize("estimator", ["linreg", "logreg", "kmeans", "gnmf"])
-    def test_fit_calls_no_chain_product(self, snowflake, monkeypatch,
-                                        estimator, engine):
+    def test_alias_stores_one_code_per_fact_row(self, snowflake):
         graph, tables, _, _ = snowflake
-        # A fresh build: no codes or views memoized by earlier tests.
         dataset = normalized_from_schema(graph, tables, target_column="total")
-        [chain] = [k for k in dataset.matrix.indicators
-                   if isinstance(k, ChainedIndicator)]
-        fit_calls, build_calls = [], []
-        building = []
+        n_s = tables["orders"].num_rows
+        for indicator in dataset.matrix.indicators:
+            assert isinstance(indicator, Indicator)
+            assert indicator._codes.shape == (n_s,)
+            assert indicator._csr is None
+            assert matrix_nbytes(indicator) == n_s * indicator.codes.itemsize
 
-        def materialize(self, _original=NormalizedMatrix.materialize):
-            building.append(True)
-            try:
-                return _original(self)
-            finally:
-                building.pop()
-
-        monkeypatch.setattr(NormalizedMatrix, "materialize", materialize)
-        for name in ("__matmul__", "__rmatmul__"):
-            def counted(self, other, _original=getattr(ChainedIndicator, name),
-                        _name=name):
-                (build_calls if building else fit_calls).append(_name)
-                return _original(self, other)
-            monkeypatch.setattr(ChainedIndicator, name, counted)
-
-        _fit_estimator(estimator, engine, dataset)
-        assert fit_calls == []
-        assert build_calls == []
-
-        # The counters are live: a direct product through the chain counts.
-        chain @ np.ones((chain.shape[1], 1))
-        np.ones((1, chain.shape[0])) @ chain
-        assert fit_calls == ["__matmul__", "__rmatmul__"]
+    def test_collapse_modes_build_identical_codes(self, snowflake):
+        graph, tables, _, _ = snowflake
+        kept = normalized_from_schema(graph, tables, collapse="never").matrix
+        collapsed = normalized_from_schema(graph, tables, collapse="always").matrix
+        for a, b in zip(kept.indicators, collapsed.indicators):
+            assert a.shape == b.shape
+            np.testing.assert_array_equal(a.codes, b.codes)
 
     def test_auto_collapse_mode_rejected(self, snowflake):
         graph, tables, _, _ = snowflake
