@@ -120,7 +120,7 @@ def csv_streaming_demo(attribute_rows: int = 400, tuple_ratio: int = 10,
     are finite -- the acceptance criterion of the streaming issue.
     """
     from repro.core.planner.memory import DENSE_ELEMENT_BYTES
-    from repro.relational import Table, stream_normalized_batches, write_csv
+    from repro.relational import Join, SchemaGraph, Table, stream_normalized_batches, write_csv
 
     rng = np.random.default_rng(7)
     n_r, n_s = attribute_rows, attribute_rows * tuple_ratio
@@ -137,7 +137,7 @@ def csv_streaming_demo(attribute_rows: int = 400, tuple_ratio: int = 10,
         "amount": rng.standard_normal(n_s),
         "label": np.where(rng.standard_normal(n_s) > 0, 1.0, -1.0),
     })
-    edges = [("fk", attribute, "pk", ["x1", "x2", "cat"])]
+    graph = SchemaGraph("entity", [Join("entity.fk", "attr.pk")])
 
     d = 1 + 2 + 5  # entity feature + numeric attrs + one-hot categories
     materialized_bytes = n_s * d * DENSE_ELEMENT_BYTES
@@ -152,7 +152,7 @@ def csv_streaming_demo(attribute_rows: int = 400, tuple_ratio: int = 10,
         for _ in range(epochs):
             rows_seen = 0
             for batch in stream_normalized_batches(
-                    path, edges, entity_features=["amount"],
+                    path, graph, {"attr": attribute}, entity_features=["amount"],
                     target_column="label", memory_budget=budget):
                 assert batch.is_factorized
                 footprint = batch.matrix.shape[0] * d * DENSE_ELEMENT_BYTES

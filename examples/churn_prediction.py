@@ -68,7 +68,7 @@ def main() -> None:
         employers, columns=["revenue", "headcount", "founded", "country", "industry"],
         sparse=False).matrix
     attribute[:, :3] = standardize(attribute[:, :3])
-    indicator, fk_labels = pk_fk_indicator(customers, "employer_id", employers, "employer_id")
+    indicator = pk_fk_indicator(customers, "employer_id", employers, "employer_id")
 
     normalized = NormalizedMatrix(entity, [indicator], [attribute])
     rule = DecisionRule()

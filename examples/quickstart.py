@@ -63,7 +63,7 @@ def main() -> None:
         #    base feature matrices in a normalized matrix.
         entity_features = standardize(customers.numeric_matrix(["age", "income"]))
         attribute_features = standardize(employers.numeric_matrix(["revenue", "employees"]))
-        indicator, _ = pk_fk_indicator(customers, "employer_id", employers, "employer_id")
+        indicator = pk_fk_indicator(customers, "employer_id", employers, "employer_id")
         normalized = NormalizedMatrix(entity_features, [indicator], [attribute_features])
         print(f"normalized matrix: shape={normalized.shape}, "
               f"tuple ratio={normalized.tuple_ratio:.1f}, "

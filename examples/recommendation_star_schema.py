@@ -69,8 +69,8 @@ def main() -> None:
     # distances in K-Means are not dominated by the raw year/budget scales.
     user_features[:, :2] = standardize(user_features[:, :2])
     movie_features[:, :2] = standardize(movie_features[:, :2])
-    k_users, _ = pk_fk_indicator(ratings, "user_id", users, "user_id")
-    k_movies, _ = pk_fk_indicator(ratings, "movie_id", movies, "movie_id")
+    k_users = pk_fk_indicator(ratings, "user_id", users, "user_id")
+    k_movies = pk_fk_indicator(ratings, "movie_id", movies, "movie_id")
 
     # The ratings table itself contributes no features (like Movies/Yelp in the
     # paper): the entity block is empty and the normalized matrix has two joins.

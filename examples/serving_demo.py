@@ -30,7 +30,7 @@ import numpy as np
 
 from repro import LogisticRegressionGD, ModelRegistry, ScoringService
 from repro.ml import binarize_labels
-from repro.relational import Table, normalized_from_tables
+from repro.relational import Join, SchemaGraph, Table, normalized_from_schema
 
 
 def build_tables(num_customers: int = 2_000, num_employers: int = 80,
@@ -78,12 +78,13 @@ def train_and_register(customers: Table, employers: Table, registry_dir: Path):
     """Fit logistic regression on the normalized matrix and save it versioned."""
     customers_scaled, customer_scaler = zscore_columns(customers, ["age", "income"])
     employers_scaled, employer_scaler = zscore_columns(employers, ["revenue", "employees"])
-    dataset = normalized_from_tables(
-        customers_scaled,
-        edges=[("employer_id", employers_scaled, "employer_id",
-                ["revenue", "employees"])],
+    # A star schema is a one-level join graph: every join leaves the fact table.
+    graph = SchemaGraph("customers", [Join("customers.employer_id", "employers.employer_id")])
+    dataset = normalized_from_schema(
+        graph, {"customers": customers_scaled, "employers": employers_scaled},
         entity_features=["age", "income"],
         target_column="churned",
+        features={"employers": ["revenue", "employees"]},
         sparse=False,
     )
     labels = binarize_labels(dataset.target)

@@ -8,35 +8,38 @@ data to the matrices the Morpheus core consumes:
 
 * :class:`repro.relational.table.Table` -- a small column-oriented table with
   typed columns and schema metadata.
-* :mod:`repro.relational.schema` -- column/key/schema descriptors and
-  validation.
-* :mod:`repro.relational.join` -- PK-FK joins, star-schema joins and M:N
-  equi-joins, including construction of the sparse indicator matrices ``K``
-  and ``(IS, IR)`` that define the normalized matrix.
+* :mod:`repro.relational.schema` -- column and table descriptors, and the one
+  way to declare PK-FK joins: a :class:`SchemaGraph` of :class:`Join` edges
+  rooted at the fact table.  A star schema is a one-level graph (every join
+  starts at the fact table); a snowflake adds alias -> alias hops.
+* :mod:`repro.relational.join` -- PK-FK joins and M:N equi-joins, including
+  construction of the indicator matrices ``K`` and ``(IS, IR)`` that define
+  the normalized matrix.
+* :mod:`repro.relational.pipeline` -- :func:`normalized_from_schema` lifts a
+  graph into a normalized matrix; :func:`mn_normalized_from_tables` builds
+  the M:N form.
 * :mod:`repro.relational.encoding` -- one-hot encoding of categorical columns
   into sparse feature matrices (how the paper's "real" datasets become sparse
   matrices, Table 6).
 * :mod:`repro.relational.csv_io` -- CSV reading/writing so the quickstart
-  mirrors the paper's R snippet (``read.csv`` followed by ``sparseMatrix``).
+  mirrors the paper's R snippet (``read.csv`` followed by ``sparseMatrix``),
+  and :func:`stream_normalized_batches`, which streams the same graph's fact
+  table from a CSV as factorized mini-batches.
 """
 
 from repro.relational.schema import (
     Column,
     ColumnType,
-    ForeignKey,
     Join,
     Mapping,
     SchemaGraph,
-    StarSchema,
     TableSchema,
     to_mapping,
 )
 from repro.relational.table import Table
 from repro.relational.join import (
-    JoinResult,
     pk_fk_indicator,
     join_pk_fk,
-    join_star,
     mn_join_indicators,
     join_mn,
     drop_unreferenced,
@@ -51,25 +54,20 @@ from repro.relational.csv_io import (
 from repro.relational.pipeline import (
     NormalizedDataset,
     normalized_from_schema,
-    normalized_from_tables,
     mn_normalized_from_tables,
 )
 
 __all__ = [
     "Column",
     "ColumnType",
-    "ForeignKey",
     "Join",
     "Mapping",
     "SchemaGraph",
     "TableSchema",
-    "StarSchema",
     "Table",
     "to_mapping",
-    "JoinResult",
     "pk_fk_indicator",
     "join_pk_fk",
-    "join_star",
     "mn_join_indicators",
     "join_mn",
     "drop_unreferenced",
@@ -82,6 +80,5 @@ __all__ = [
     "write_csv",
     "NormalizedDataset",
     "normalized_from_schema",
-    "normalized_from_tables",
     "mn_normalized_from_tables",
 ]

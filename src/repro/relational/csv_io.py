@@ -5,12 +5,14 @@ The paper's quickstart constructs the normalized matrix from two CSV files
 follow the same shape: ``read_csv`` infers numeric columns automatically and
 returns a :class:`Table`; ``write_csv`` round-trips it.
 
-For entity tables too large to hold in memory, :func:`read_csv_chunks`
+For fact tables too large to hold in memory, :func:`read_csv_chunks`
 streams the file one row chunk at a time and
 :func:`stream_normalized_batches` turns each chunk directly into a factorized
-mini-batch -- a :class:`~repro.core.normalized_matrix.NormalizedMatrix` whose
-entity block and indicators cover only the chunk while the (small,
-one-time-encoded) attribute tables are shared across every batch.  The full
+mini-batch of a :class:`~repro.relational.schema.SchemaGraph` -- the same
+graph the in-memory builder takes -- as a
+:class:`~repro.core.normalized_matrix.NormalizedMatrix` whose entity block
+and indicators cover only the chunk while the (small, one-time-encoded)
+dimension tables are shared across every batch.  The full
 entity matrix ``S`` is never built, which is what makes out-of-core
 ``partial_fit`` training possible (see ``docs/streaming.md``).
 """
@@ -24,21 +26,27 @@ from typing import Dict, Iterator, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.exceptions import SchemaError
+from repro.relational.schema import SchemaGraph
 from repro.relational.table import Table, dense_features
 
 PathLike = Union[str, Path]
 
 
-def _check_unique_header(header: List[str], path: Path) -> None:
-    """Reject duplicate column names up front, naming the offenders.
+def _header(reader, path: Path) -> List[str]:
+    """The header row of a CSV file, rejecting an empty file and duplicates.
 
     Both CSV readers key columns by name: letting a duplicate through either
     merges both occurrences into one column (``read_csv``, which then dies
     later with a confusing row-count mismatch) or silently drops the earlier
-    occurrence's data (``read_csv_chunks``, last one wins).
+    occurrence's data (``read_csv_chunks``, last one wins), so duplicates are
+    rejected up front, naming the offenders.
     """
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError(f"CSV file {path} is empty") from None
     if len(set(header)) == len(header):
-        return
+        return header
     seen: set = set()
     duplicates: set = set()
     for col in header:
@@ -70,11 +78,7 @@ def read_csv(path: PathLike, name: Optional[str] = None,
     path = Path(path)
     with path.open(newline="") as handle:
         reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"CSV file {path} is empty") from None
-        _check_unique_header(header, path)
+        header = _header(reader, path)
         raw: Dict[str, List[str]] = {col: [] for col in header}
         for row in reader:
             if len(row) != len(header):
@@ -134,11 +138,7 @@ def read_csv_chunks(path: PathLike, chunk_rows: int, name: Optional[str] = None,
     table_name = name or path.stem
     with path.open(newline="") as handle:
         reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"CSV file {path} is empty") from None
-        _check_unique_header(header, path)
+        header = _header(reader, path)
         rows: List[List[str]] = []
         for row in reader:
             if len(row) != len(header):
@@ -155,82 +155,83 @@ def read_csv_chunks(path: PathLike, chunk_rows: int, name: Optional[str] = None,
                                   raw_columns)
 
 
-def stream_normalized_batches(path: PathLike, edges: Sequence,
+def stream_normalized_batches(path: PathLike, graph: SchemaGraph, tables,
                               entity_features: Sequence[str] = (),
                               target_column: Optional[str] = None,
                               chunk_rows: int = 1024, sparse: bool = True,
-                              name: Optional[str] = None,
+                              features: Optional[dict] = None,
                               memory_budget: Optional[float] = None):
-    """Stream an entity CSV as factorized normalized mini-batches.
+    """Stream a fact-table CSV as factorized normalized mini-batches.
 
     The out-of-core counterpart of
-    :func:`repro.relational.pipeline.normalized_from_tables`: the attribute
-    tables of *edges* (``(fk_column, attribute_table, pk_column,
-    feature_columns)`` tuples) are encoded **once** up front, then the entity
-    CSV at *path* is read in *chunk_rows*-row chunks and each chunk becomes a
-    :class:`~repro.relational.pipeline.NormalizedDataset` whose matrix is a
-    chunk-sized :class:`~repro.core.normalized_matrix.NormalizedMatrix`
-    sharing those attribute matrices.  The full entity matrix ``S`` is never
-    built.
+    :func:`repro.relational.pipeline.normalized_from_schema`, over the same
+    :class:`~repro.relational.schema.SchemaGraph`: the CSV at *path* holds
+    the fact table ``graph.fact``, and *tables* the dimension tables.  The
+    dimension side -- feature defaults and *features* overrides, every
+    dimension encoded **once**, the composed tail of each alias's hops -- is
+    built up front, then the CSV is read in *chunk_rows*-row chunks and each
+    chunk becomes a :class:`~repro.relational.pipeline.NormalizedDataset`
+    whose matrix is a chunk-sized
+    :class:`~repro.core.normalized_matrix.NormalizedMatrix` sharing those
+    attribute matrices: a chunk resolves only its first hops, and each alias
+    composes its tail in, so snowflakes stream as well as stars.  The full
+    entity matrix ``S`` is never built.
 
     Entity feature columns must be numeric: a chunk sees only its own rows,
     so a one-hot vocabulary inferred per chunk would drift between batches
-    (the attribute tables, encoded whole, may of course be categorical).
-    *target_column* is parsed as a numeric column and sliced per chunk.
-    Each chunk's foreign keys resolve through the attribute table's cached
-    :meth:`~repro.relational.table.Table.positions_for_keys` index -- the
-    key path every frontend shares, built once before the first chunk is
-    read -- and a dangling key raises :class:`SchemaError` naming the value
-    and both columns.  Pass *memory_budget* (bytes) instead of *chunk_rows*
-    to derive the chunk size from the planner's memory model, matching how
+    (the dimension tables, encoded whole, may of course be categorical).
+    *target_column* is parsed as a numeric column and sliced per chunk (and,
+    as in memory, never used as an entity feature).
+    Each chunk's foreign keys go through the key path of the in-memory
+    build (:func:`~repro.relational.join.foreign_key_positions`): a NaN key
+    raises the same :class:`SchemaError`, naming its row in the file, and a
+    dangling key one naming the value and both columns.  The dimension-side
+    primary-key checks (NaN, duplicates) run once, before the first chunk
+    is read.  Pass *memory_budget* (bytes) instead of *chunk_rows* to derive
+    the chunk size from the planner's memory model, matching how
     ``engine="auto"`` sizes streamed plans.
     """
     from repro.core.normalized_matrix import NormalizedMatrix
     from repro.la.ops import indicator_from_labels
-    from repro.relational.encoding import encode_features
-    from repro.relational.join import foreign_key_positions
-    from repro.relational.pipeline import NormalizedDataset
+    from repro.relational.join import _check_key_nan, foreign_key_positions
+    from repro.relational.pipeline import NormalizedDataset, _Dimensions
 
-    if not edges:
-        raise SchemaError("stream_normalized_batches needs at least one join edge")
-    entity_features = list(entity_features)
+    path = Path(path)
+    with path.open(newline="") as handle:
+        graph.validate_tables({**tables, graph.fact: _header(csv.reader(handle), path)})
+    dimensions = _Dimensions(graph, tables, features, sparse)
+    entity_features = [c for c in entity_features if c != target_column]
+    feature_names = entity_features + dimensions.feature_names
 
-    # Per-edge state hoisted out of the chunk loop: the attribute features are
-    # encoded once, the PK position index is built once and cached on the
-    # attribute table (rebuilding it per chunk would make ingestion quadratic
-    # in the attribute size; building it here also rejects a duplicate PK
-    # before any chunk is read), and the foreign-key parse mode is pinned
-    # from the attribute PK dtype -- numeric PKs force a numeric fk parse,
-    # string PKs keep the fk raw -- so key typing can never drift with chunk
-    # boundaries.
-    encoded_attributes = []
+    # Each first hop's primary key is checked and indexed once, before any
+    # chunk is read (rebuilding the index per chunk would make ingestion
+    # quadratic in the dimension size).  The foreign-key parse mode is pinned
+    # from the primary-key dtype -- numeric keys force a numeric parse,
+    # string keys keep the column raw -- so key typing cannot drift with
+    # chunk boundaries.
     numeric = set(entity_features)
     raw: set = set()
-    feature_names: List[str] = list(entity_features)
-    for fk_column, attribute_table, pk_column, attribute_columns in edges:
-        encoded = encode_features(attribute_table, columns=list(attribute_columns),
-                                  sparse=sparse)
-        encoded_attributes.append(encoded.matrix)
-        feature_names.extend(
-            f"{attribute_table.name}.{col}" for col in encoded.feature_names
-        )
-        attribute_table._key_index(pk_column)
-        if np.issubdtype(attribute_table.column(pk_column).dtype, np.number):
-            numeric.add(fk_column)
+    for join in dict.fromkeys(first for first, _ in dimensions.paths):
+        detail = tables[join.detail.table]
+        _check_key_nan(detail, join.detail.column, "primary key")
+        detail._key_index(join.detail.column)
+        if np.issubdtype(detail.column(join.detail.column).dtype, np.number):
+            numeric.add(join.master.column)
         else:
-            raw.add(fk_column)
+            raw.add(join.master.column)
 
     if memory_budget is not None:
         from repro.core.planner.memory import batch_rows_for_dims
 
-        total_cols = len(entity_features) + sum(m.shape[1] for m in encoded_attributes)
+        total_cols = len(entity_features) + sum(m.shape[1] for m in dimensions.attributes)
         chunk_rows = batch_rows_for_dims(
-            n_rows=0, n_cols=total_cols, num_joins=len(edges),
+            n_rows=0, n_cols=total_cols, num_joins=len(graph.joins),
             memory_budget=memory_budget)
 
     if target_column is not None:
         numeric.add(target_column)
-    for chunk in read_csv_chunks(path, chunk_rows, name=name,
+    first_row = 0
+    for chunk in read_csv_chunks(path, chunk_rows, name=graph.fact,
                                  numeric_columns=sorted(numeric),
                                  raw_columns=sorted(raw)):
         entity_matrix = None
@@ -248,11 +249,14 @@ def stream_normalized_batches(path: PathLike, edges: Sequence,
                 import scipy.sparse as sp
 
                 entity_matrix = sp.csr_matrix(entity_matrix)
-        indicators = []
-        for fk_column, attribute_table, pk_column, _ in edges:
-            labels = foreign_key_positions(chunk, fk_column, attribute_table, pk_column)
-            indicators.append(
-                indicator_from_labels(labels, num_columns=attribute_table.num_rows))
+
+        def first_hop(join):
+            detail = tables[join.detail.table]
+            labels = foreign_key_positions(chunk, join.master.column, detail,
+                                           join.detail.column, first_row)
+            return indicator_from_labels(labels, num_columns=detail.num_rows)
+
+        indicators = dimensions.indicators(first_hop)
         target = None
         if target_column is not None:
             target = np.asarray(chunk.column(target_column),
@@ -260,8 +264,9 @@ def stream_normalized_batches(path: PathLike, edges: Sequence,
         # validate=False: a chunk references only a subset of each attribute
         # table's rows, so the full-coverage indicator invariant cannot hold
         # per batch (exactly like the slices take_rows produces).
-        matrix = NormalizedMatrix(entity_matrix, indicators, encoded_attributes,
+        matrix = NormalizedMatrix(entity_matrix, indicators, dimensions.attributes,
                                   validate=False)
+        first_row += chunk.num_rows
         yield NormalizedDataset(matrix=matrix, feature_names=feature_names,
                                 target=target)
 

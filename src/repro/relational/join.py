@@ -6,8 +6,10 @@ Given base tables it can either
 * **materialize** the join output (what the paper calls the materialized
   approach, "M"), or
 * build the **indicator matrices** that define the normalized matrix
-  (the factorized approach, "F"): ``K_i`` for star-schema PK-FK joins
-  (Section 3.1 and 3.5) and ``(I_S, I_R)`` for M:N equi-joins (Section 3.6).
+  (the factorized approach, "F"): ``K`` for one PK-FK join (Section 3.1;
+  :mod:`repro.relational.pipeline` builds one per join of a
+  :class:`~repro.relational.schema.SchemaGraph`) and ``(I_S, I_R)`` for M:N
+  equi-joins (Section 3.6).
 
 Both paths are used by the benchmarks so that data-preparation time
 (Table 12) can be compared between the two approaches.
@@ -15,8 +17,7 @@ Both paths are used by the benchmarks so that data-preparation time
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,30 +28,15 @@ from repro.relational.schema import Column, TableSchema
 from repro.relational.table import Table
 
 
-@dataclass
-class JoinResult:
-    """Outcome of a join: either materialized columns or indicator matrices.
-
-    Attributes
-    ----------
-    materialized:
-        The joined :class:`Table` when materialization was requested.
-    indicators:
-        List of indicator matrices (one per attribute table for star
-        schemas; ``[I_S, I_R]`` for M:N joins); each one's ``codes`` are
-        the integer row labels it was built from.
-    """
-
-    materialized: Optional[Table] = None
-    indicators: List[Indicator] = field(default_factory=list)
-
-
 # ---------------------------------------------------------------------------
 # PK-FK joins
 # ---------------------------------------------------------------------------
 
-def _check_key_nan(table: Table, column: str, role: str) -> None:
-    """Reject NaN join-key values with an error naming the table and column."""
+def _check_key_nan(table: Table, column: str, role: str, first_row: int = 0) -> None:
+    """Reject NaN join-key values with an error naming the table and column.
+
+    The reported row is counted from *first_row* (a streamed chunk's offset).
+    """
     values = table.column(column)
     if np.issubdtype(values.dtype, np.floating):
         nan_mask = np.isnan(values)
@@ -67,14 +53,14 @@ def _check_key_nan(table: Table, column: str, role: str) -> None:
     else:
         return
     raise SchemaError(
-        f"{role} column {table.name}.{column} contains NaN at row {row}; "
+        f"{role} column {table.name}.{column} contains NaN at row {first_row + row}; "
         "NaN never equals any key, so the join is undefined -- drop or "
         "impute the rows first"
     )
 
 
 def pk_fk_indicator(entity: Table, fk_column: str, attribute: Table,
-                    pk_column: str) -> Tuple[Indicator, np.ndarray]:
+                    pk_column: str) -> Indicator:
     """Build the PK-FK indicator matrix ``K`` for one foreign-key edge.
 
     ``K`` has shape ``(n_S, n_R)`` with ``K[i, j] = 1`` iff row ``i`` of the
@@ -91,26 +77,27 @@ def pk_fk_indicator(entity: Table, fk_column: str, attribute: Table,
     sweep) reuse one sorted index instead of re-hashing the primary key
     column per call.
 
-    Returns the indicator matrix together with the integer row labels used to
-    build it (``labels[i] = j``).
+    The indicator's ``codes`` are the attribute-row labels it was built from
+    (``codes[i] = j``).
     """
-    _check_key_nan(entity, fk_column, "foreign key")
     # A NaN primary key is just as broken as a NaN foreign key: no FK value
     # can ever reference it, so the row is silently unreachable.
     _check_key_nan(attribute, pk_column, "primary key")
     labels = foreign_key_positions(entity, fk_column, attribute, pk_column)
-    indicator = indicator_from_labels(labels, num_columns=attribute.num_rows)
-    return indicator, labels
+    return indicator_from_labels(labels, num_columns=attribute.num_rows)
 
 
 def foreign_key_positions(entity: Table, fk_column: str, attribute: Table,
-                          pk_column: str) -> np.ndarray:
+                          pk_column: str, first_row: int = 0) -> np.ndarray:
     """The attribute-row position each ``entity.fk_column`` value references.
 
-    The one key path of every frontend: the attribute table's cached
+    The one key path of every frontend: a NaN foreign key is rejected (its
+    row counted from *first_row*, a streamed chunk's offset), then each
+    value resolves through the attribute table's cached
     :meth:`~repro.relational.table.Table.positions_for_keys` index, with a
     dangling key re-raised naming both sides of the edge.
     """
+    _check_key_nan(entity, fk_column, "foreign key", first_row)
     try:
         return attribute.positions_for_keys(pk_column, entity.column(fk_column))
     except SchemaError as exc:
@@ -148,7 +135,7 @@ def join_pk_fk(entity: Table, fk_column: str, attribute: Table, pk_column: str,
     (all non-key columns by default) are gathered via the foreign key.  Column
     name clashes are resolved by prefixing with the attribute table name.
     """
-    _, labels = pk_fk_indicator(entity, fk_column, attribute, pk_column)
+    labels = pk_fk_indicator(entity, fk_column, attribute, pk_column).codes
     if attribute_columns is None:
         attribute_columns = [c for c in attribute.column_names if c != pk_column]
     columns: Dict[str, np.ndarray] = {c: entity.column(c) for c in entity.column_names}
@@ -166,30 +153,8 @@ def join_pk_fk(entity: Table, fk_column: str, attribute: Table, pk_column: str,
     schema = TableSchema(
         name=f"{entity.name}_join_{attribute.name}", columns=schema_cols,
         primary_key=entity.schema.primary_key,
-        foreign_keys=list(entity.schema.foreign_keys),
     )
     return Table(f"{entity.name}_join_{attribute.name}", columns, schema=schema)
-
-
-def join_star(entity: Table, edges: Sequence[Tuple[str, Table, str]]) -> Table:
-    """Materialize a star-schema join of the entity table with several attribute tables.
-
-    *edges* is a sequence of ``(fk_column, attribute_table, pk_column)``
-    triples, applied left to right.
-    """
-    result = entity
-    for fk_column, attribute, pk_column in edges:
-        result = join_pk_fk(result, fk_column, attribute, pk_column)
-    return result
-
-
-def star_indicators(entity: Table, edges: Sequence[Tuple[str, Table, str]]
-                    ) -> JoinResult:
-    """Build the indicator matrices ``K_1 .. K_q`` for a star schema."""
-    result = JoinResult()
-    for fk_column, attribute, pk_column in edges:
-        result.indicators.append(pk_fk_indicator(entity, fk_column, attribute, pk_column)[0])
-    return result
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,13 @@
 
 These helpers tie the relational substrate and the Morpheus core together so a
 user can go from base :class:`~repro.relational.table.Table` objects to a
-ready-to-train normalized matrix in one call -- encoding features, building
-indicator matrices and (optionally) applying the heuristic decision rule.
+ready-to-train normalized matrix in one call -- encoding features and building
+indicator matrices.  PK-FK schemas, star and snowflake alike, are declared as
+one :class:`~repro.relational.schema.SchemaGraph` (:func:`normalized_from_schema`;
+:func:`repro.relational.csv_io.stream_normalized_batches` streams the same
+graph from a fact-table CSV); :func:`mn_normalized_from_tables` builds the
+two-table M:N form.  Whether to factorize at all is the planner's call
+(``engine="auto"``) or :func:`repro.core.decision.morpheus`'s.
 
 They return a :class:`NormalizedDataset` carrying the normalized matrix, the
 feature names (useful for model inspection) and the target vector, mirroring
@@ -12,25 +17,19 @@ what a user of the original Morpheus R package would assemble by hand.
 
 from __future__ import annotations
 
-import functools
-import operator
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.decision import DecisionRule
 from repro.core.normalized_matrix import NormalizedMatrix
 from repro.exceptions import SchemaError
+from repro.la.indicator import Indicator
 from repro.la.types import MatrixLike
 from repro.relational.encoding import encode_features
 from repro.relational.join import mn_join_indicators, pk_fk_indicator
-from repro.relational.schema import SchemaGraph
+from repro.relational.schema import Join, SchemaGraph
 from repro.relational.table import Table
-
-#: A star-schema join edge: (foreign-key column in the entity table,
-#: attribute table, primary-key column, feature columns of the attribute table).
-JoinEdge = Tuple[str, Table, str, Sequence[str]]
 
 
 @dataclass
@@ -48,68 +47,6 @@ class NormalizedDataset:
     @property
     def shape(self) -> tuple:
         return self.matrix.shape
-
-
-def normalized_from_tables(entity: Table, edges: Sequence[JoinEdge],
-                           entity_features: Sequence[str] = (),
-                           target_column: Optional[str] = None,
-                           sparse: bool = True,
-                           decision_rule: Optional[DecisionRule] = None,
-                           force_factorized: bool = True) -> NormalizedDataset:
-    """Build a star-schema normalized matrix from an entity table and join edges.
-
-    Parameters
-    ----------
-    entity:
-        The entity table ``S`` (holds the foreign keys and, optionally, the
-        target column).
-    edges:
-        One :data:`JoinEdge` per attribute table, in the column order the
-        resulting matrix should use.
-    entity_features:
-        Feature columns of the entity table (may be empty, as in the paper's
-        Movies / Yelp datasets).
-    target_column:
-        Optional column of the entity table to return as the target vector.
-    sparse:
-        Encode features as sparse CSR (the default, matching the paper's
-        treatment of one-hot encoded data) or dense.
-    decision_rule / force_factorized:
-        With ``force_factorized=True`` (default) the factorized representation
-        is always returned.  Otherwise the heuristic decision rule decides and
-        the materialized matrix may be returned instead, exactly like the
-        ``morpheus`` factory.
-    """
-    if not edges:
-        raise SchemaError("normalized_from_tables needs at least one join edge")
-
-    feature_names: List[str] = []
-    entity_matrix = None
-    if entity_features:
-        encoded = encode_features(entity, columns=list(entity_features), sparse=sparse)
-        entity_matrix = encoded.matrix
-        feature_names.extend(encoded.feature_names)
-
-    indicators = []
-    attributes = []
-    for fk_column, attribute_table, pk_column, attribute_columns in edges:
-        indicator, _ = pk_fk_indicator(entity, fk_column, attribute_table, pk_column)
-        encoded = encode_features(attribute_table, columns=list(attribute_columns), sparse=sparse)
-        indicators.append(indicator)
-        attributes.append(encoded.matrix)
-        feature_names.extend(f"{attribute_table.name}.{name}" for name in encoded.feature_names)
-
-    normalized = NormalizedMatrix(entity_matrix, indicators, attributes)
-    matrix: Union[NormalizedMatrix, MatrixLike] = normalized
-    if not force_factorized:
-        rule = decision_rule or DecisionRule()
-        if not rule.predict(normalized.tuple_ratio, normalized.feature_ratio):
-            matrix = normalized.materialize()
-
-    target = None
-    if target_column is not None:
-        target = _target_vector(entity, target_column)
-    return NormalizedDataset(matrix=matrix, feature_names=feature_names, target=target)
 
 
 def _target_vector(entity: Table, target_column: str) -> np.ndarray:
@@ -137,13 +74,13 @@ def normalized_from_schema(graph: SchemaGraph, tables,
                            sparse: bool = True,
                            features: Optional[dict] = None,
                            collapse: str = "never") -> NormalizedDataset:
-    """Lift a declarative snowflake :class:`SchemaGraph` into a normalized matrix.
+    """Lift a declarative :class:`SchemaGraph` into a normalized matrix.
 
-    Walks the graph's joins masters-first, builds one PK-FK hop indicator per
-    join (memoized, so a shared dimension joined under two roles reuses the
-    same hop), and gives each alias one indicator: the product of the hops
-    along ``graph.join_path(alias)``, whose codes compose once here
-    (``c2[c1]``), so a multi-hop alias stores one code per fact row.
+    The one in-memory builder for PK-FK schemas: a star is a graph whose
+    joins all start at the fact table, a snowflake adds alias -> alias hops.
+    Each alias gets one indicator over the fact rows -- its first hop times
+    the composed tail of the hops behind it (:class:`_Dimensions`), so a
+    multi-hop alias stores one code per fact row, composed once.
 
     Parameters
     ----------
@@ -157,6 +94,9 @@ def normalized_from_schema(graph: SchemaGraph, tables,
         used as a join key in the graph.  Pass ``()`` for no entity features.
     target_column:
         Optional fact-table column returned as the target vector.
+    sparse:
+        Encode features as sparse CSR (the default, matching the paper's
+        treatment of one-hot encoded data) or dense.
     features:
         Optional per-alias override: alias -> list of feature columns of that
         dimension table.  Aliases not listed fall back to the schema-derived
@@ -172,68 +112,96 @@ def normalized_from_schema(graph: SchemaGraph, tables,
     graph.validate_tables(tables)
     fact = tables[graph.fact]
 
-    # The graph's join keys never default to features: FK columns on the
-    # master side, PK columns on the detail side.
-    keys_used: dict = {graph.fact: set()}
-    for join in graph.resolve_order():
-        keys_used.setdefault(join.alias, set()).add(join.detail.column)
-        master_name = join.master.table
-        keys_used.setdefault(master_name, set()).add(join.master.column)
-
-    def default_features(alias: str, table: Table) -> List[str]:
-        used = keys_used.get(alias, set())
-        return [c.name for c in table.schema.feature_columns() if c.name not in used]
-
     feature_names: List[str] = []
     entity_matrix = None
     if entity_features is None:
-        entity_features = default_features(graph.fact, fact)
+        fact_keys = {j.master.column for j in graph.joins if j.master.table == graph.fact}
+        entity_features = [c.name for c in fact.schema.feature_columns()
+                           if c.name not in fact_keys]
     if target_column is not None:
         entity_features = [c for c in entity_features if c != target_column]
     if entity_features:
         encoded = encode_features(fact, columns=list(entity_features), sparse=sparse)
         entity_matrix = encoded.matrix
         feature_names.extend(encoded.feature_names)
+    # The dimension side is built after the (largest) entity block on purpose:
+    # in the other order, glibc malloc hands the memory of a discarded build
+    # back to the OS, and the next build of a set-up loop page-faults it in
+    # again (about 15% slower set-ups on the ledger's snowflake-auto, 2 vCPU).
+    dimensions = _Dimensions(graph, tables, features, sparse)
+    feature_names.extend(dimensions.feature_names)
 
-    # One hop indicator per join, memoized on the join object: a shared
-    # dimension reached through two roles rebuilds nothing, and the cached
-    # positions_for_keys index inside pk_fk_indicator dedupes the key hashing
-    # across joins against the same detail table.
-    hop_cache: dict = {}
-
-    def hop_indicator(join):
-        if join not in hop_cache:
-            master_table = tables[graph.table_for(join.master.table)]
-            detail_table = tables[join.detail.table]
-            indicator, _ = pk_fk_indicator(
-                master_table, join.master.column, detail_table, join.detail.column)
-            hop_cache[join] = indicator
-        return hop_cache[join]
-
-    indicators = []
-    attributes = []
-    overrides = features or {}
-    for join in graph.resolve_order():
-        alias = join.alias
-        detail_table = tables[join.detail.table]
-        indicator = functools.reduce(
-            operator.matmul, [hop_indicator(j) for j in graph.join_path(alias)])
-        alias_features = overrides.get(alias)
-        if alias_features is None:
-            alias_features = default_features(alias, detail_table)
-        encoded = encode_features(detail_table, columns=list(alias_features),
-                                  sparse=sparse)
-        indicators.append(indicator)
-        attributes.append(encoded.matrix)
-        feature_names.extend(f"{alias}.{name}" for name in encoded.feature_names)
-
-    normalized = NormalizedMatrix(entity_matrix, indicators, attributes)
+    indicators = dimensions.indicators(lambda join: pk_fk_indicator(
+        fact, join.master.column, tables[join.detail.table], join.detail.column))
+    normalized = NormalizedMatrix(entity_matrix, indicators, dimensions.attributes)
 
     target = None
     if target_column is not None:
         target = _target_vector(fact, target_column)
     return NormalizedDataset(matrix=normalized, feature_names=feature_names,
                              target=target)
+
+
+class _Dimensions:
+    """The dimension side of a :class:`SchemaGraph`, shared by both builders.
+
+    Everything that does not depend on the fact rows, built once.  Per alias,
+    in resolve order: its encoded attribute matrix, its ``alias.column``
+    feature names, and its hop path as ``(first, tail)`` -- the join leaving
+    the fact table, and the composed indicator of the hops after it (from
+    the first hop's detail rows to the alias's rows; ``None`` for a one-hop
+    alias).  Each hop behind a tail is built once, and a tail extends its
+    master's tail, so no hop or composition repeats across aliases.  A
+    fact-side builder (the whole fact table in memory, or one streamed
+    chunk) then supplies only the first hops: see :meth:`indicators`.
+
+    Feature defaults: every feature-typed column of the dimension table that
+    the graph does not use as a join key; *features* (alias -> columns)
+    overrides them per alias.
+    """
+
+    def __init__(self, graph: SchemaGraph, tables, features: Optional[dict],
+                 sparse: bool):
+        keys_used: dict = {}
+        for join in graph.joins:
+            keys_used.setdefault(join.alias, set()).add(join.detail.column)
+            keys_used.setdefault(join.master.table, set()).add(join.master.column)
+        overrides = features or {}
+        self.feature_names: List[str] = []
+        self.attributes: list = []
+        paths: dict = {}
+        for join in graph.resolve_order():
+            alias, master, detail = join.alias, join.master.table, tables[join.detail.table]
+            if master == graph.fact:
+                paths[alias] = (join, None)
+            else:
+                first, tail = paths[master]
+                hop = pk_fk_indicator(tables[graph.table_for(master)],
+                                      join.master.column, detail, join.detail.column)
+                paths[alias] = (first, hop if tail is None else tail @ hop)
+            columns = overrides.get(alias)
+            if columns is None:
+                columns = [c.name for c in detail.schema.feature_columns()
+                           if c.name not in keys_used[alias]]
+            encoded = encode_features(detail, columns=list(columns), sparse=sparse)
+            self.attributes.append(encoded.matrix)
+            self.feature_names.extend(f"{alias}.{name}" for name in encoded.feature_names)
+        self.paths: List[Tuple[Join, Optional[Indicator]]] = list(paths.values())
+
+    def indicators(self, first_hop: Callable[[Join], Indicator]) -> List[Indicator]:
+        """One indicator per alias over the fact rows.
+
+        *first_hop* builds the fact-side indicator of one join leaving the
+        fact table; it runs once per such join (the aliases behind it reuse
+        it), and each multi-hop alias composes its tail's codes in once.
+        """
+        built: dict = {}
+        out = []
+        for first, tail in self.paths:
+            if first not in built:
+                built[first] = first_hop(first)
+            out.append(built[first] if tail is None else built[first] @ tail)
+        return out
 
 
 def mn_normalized_from_tables(left: Table, left_join_column: str,

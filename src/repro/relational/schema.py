@@ -1,14 +1,16 @@
 """Schema metadata for the relational substrate.
 
-Schemas are deliberately lightweight: enough structure to describe the
-star-schema PK-FK layouts and M:N joins the paper targets, validate them, and
-drive indicator-matrix construction -- not a full SQL catalog.
+Schemas are deliberately lightweight: column roles per table, and one
+declarative PK-FK join graph (:class:`SchemaGraph` of :class:`Join` edges)
+that describes star and snowflake layouts alike -- a star is a graph whose
+joins all start at the fact table.  Enough to validate the layout and drive
+indicator-matrix construction, not a full SQL catalog.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.exceptions import SchemaError
@@ -42,33 +44,13 @@ class Column:
             raise SchemaError("column name must be non-empty")
 
 
-@dataclass(frozen=True)
-class ForeignKey:
-    """A foreign-key edge from an entity-table column to an attribute table.
-
-    Attributes
-    ----------
-    column:
-        Name of the foreign-key column in the referencing (entity) table.
-    references_table:
-        Name of the referenced attribute table.
-    references_column:
-        Name of the primary-key column in the referenced table.
-    """
-
-    column: str
-    references_table: str
-    references_column: str
-
-
 @dataclass
 class TableSchema:
-    """Schema of one table: ordered columns plus key metadata."""
+    """Schema of one table: ordered columns plus an optional primary key."""
 
     name: str
     columns: List[Column]
     primary_key: Optional[str] = None
-    foreign_keys: List[ForeignKey] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -80,11 +62,6 @@ class TableSchema:
             raise SchemaError(
                 f"table {self.name!r}: primary key {self.primary_key!r} is not a column"
             )
-        for fk in self.foreign_keys:
-            if fk.column not in names:
-                raise SchemaError(
-                    f"table {self.name!r}: foreign key column {fk.column!r} is not a column"
-                )
 
     @property
     def column_names(self) -> List[str]:
@@ -107,54 +84,8 @@ class TableSchema:
         return targets[0] if targets else None
 
 
-@dataclass
-class StarSchema:
-    """A star schema: one entity table plus one or more attribute tables.
-
-    This mirrors the paper's multi-table setting (Section 3.5): the entity
-    table ``S`` has ``q`` foreign keys, each referencing the primary key of an
-    attribute table ``R_i``.  The class validates the referential structure and
-    exposes the foreign-key edges in a stable order so that indicator matrices
-    ``K_1 .. K_q`` and attribute matrices ``R_1 .. R_q`` line up.
-    """
-
-    entity: TableSchema
-    attributes: Dict[str, TableSchema]
-
-    def __post_init__(self) -> None:
-        if not self.entity.foreign_keys:
-            raise SchemaError(
-                f"entity table {self.entity.name!r} declares no foreign keys; a star schema needs at least one"
-            )
-        for fk in self.entity.foreign_keys:
-            if fk.references_table not in self.attributes:
-                raise SchemaError(
-                    f"foreign key {fk.column!r} references unknown table {fk.references_table!r}"
-                )
-            ref = self.attributes[fk.references_table]
-            if ref.primary_key is None:
-                raise SchemaError(
-                    f"attribute table {ref.name!r} must declare a primary key"
-                )
-            if fk.references_column != ref.primary_key:
-                raise SchemaError(
-                    f"foreign key {fk.column!r} must reference the primary key of {ref.name!r}"
-                )
-
-    @property
-    def foreign_keys(self) -> Sequence[ForeignKey]:
-        return list(self.entity.foreign_keys)
-
-    @property
-    def num_attribute_tables(self) -> int:
-        return len(self.entity.foreign_keys)
-
-    def attribute_schema(self, fk: ForeignKey) -> TableSchema:
-        return self.attributes[fk.references_table]
-
-
 # ---------------------------------------------------------------------------
-# Declarative snowflake frontend: mappings, joins, schema graphs
+# Declarative join frontend: mappings, joins, schema graphs
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -208,7 +139,7 @@ def to_mapping(obj: MappingLike) -> Mapping:
 
 @dataclass(frozen=True)
 class Join:
-    """One directed PK-FK edge of a snowflake graph.
+    """One directed PK-FK edge of a join graph.
 
     ``master`` is the foreign-key side (the fact table or an already-joined
     alias -- the latter is what makes a hop attribute -> attribute); ``detail``
@@ -234,9 +165,11 @@ class Join:
 
 
 class SchemaGraph:
-    """A validated snowflake join graph rooted at one fact table.
+    """A validated PK-FK join graph rooted at one fact table.
 
-    The graph is declarative: joins may be listed in any order, each naming
+    A star schema (the paper's Section 3.5) is the one-level case: every join
+    starts at the fact table.  A join whose master is an alias makes a
+    snowflake hop.  The graph is declarative: joins may be listed in any order, each naming
     its master side by fact name or alias.  Construction checks alias
     uniqueness, that every master is reachable, and that the graph is acyclic
     and connected (every alias resolves to a path from the fact table);
@@ -340,7 +273,9 @@ class SchemaGraph:
         """Check that *tables* (name -> Table) can realize this graph.
 
         Verifies every referenced physical table is present and that each
-        join's master/detail columns exist in the corresponding table.
+        join's master/detail columns exist in the corresponding table.  Only
+        ``column in table`` is asked of each entry, so the fact entry may be
+        a plain list of column names (a streamed CSV's header).
         """
         if self.fact not in tables:
             raise SchemaError(f"fact table {self.fact!r} missing from tables")

@@ -119,21 +119,18 @@ class Table:
     def project(self, column_names: Sequence[str]) -> "Table":
         """Return a new table with only the requested columns (preserving order).
 
-        The declared schema follows the projection: column types are kept, the
-        primary key survives if projected, and foreign keys whose column is
-        projected are retained.
+        The declared schema follows the projection: column types are kept and
+        the primary key survives if projected.
         """
         missing = [c for c in column_names if c not in self._columns]
         if missing:
             raise SchemaError(f"table {self.name!r} has no columns {missing}")
         cols = {c: self._columns[c] for c in column_names}
-        kept = set(column_names)
         schema = TableSchema(
             name=self.schema.name,
             columns=[self._column_meta(c) for c in column_names],
             primary_key=(self.schema.primary_key
-                         if self.schema.primary_key in kept else None),
-            foreign_keys=[fk for fk in self.schema.foreign_keys if fk.column in kept],
+                         if self.schema.primary_key in cols else None),
         )
         return Table(self.name, cols, schema=schema)
 
@@ -171,7 +168,6 @@ class Table:
                 name=schema.name,
                 columns=list(schema.columns) + [Column(name, ctype)],
                 primary_key=schema.primary_key,
-                foreign_keys=list(schema.foreign_keys),
             )
         return Table(self.name, cols, schema=schema)
 

@@ -120,7 +120,7 @@ def dense_matrix(rng):
     return rng.standard_normal((23, 5))
 
 
-class TestShardedMatrix:
+class TestPartitionedSharded:
     def test_from_matrix_roundtrip(self, dense_matrix):
         sharded = Partitioned.sharded(dense_matrix, 4, pool="serial")
         assert sharded.shape == dense_matrix.shape
@@ -193,7 +193,7 @@ class TestShardedMatrix:
             Partitioned([np.ones((2, 3)), np.ones((2, 4))])
 
 
-class TestShardedNormalizedMatrix:
+class TestPartitionedShardedNormalized:
     def test_single_join_operators_match_materialized(self, single_join_dense, rng):
         _, normalized, materialized = single_join_dense
         sharded = normalized.shard(4, pool="thread")

@@ -122,7 +122,7 @@ class TestNormalizedBatchIterator:
         assert iterator.batch_size == 9
 
 
-class TestStreamedMatrix:
+class TestPartitionedStreamed:
     @pytest.fixture(params=["star", "mn", "plain"])
     def view_and_dense(self, request, multi_join_dense, mn_dataset, rng):
         if request.param == "star":

@@ -10,6 +10,8 @@ from repro.relational.csv_io import (
     stream_normalized_batches,
     write_csv,
 )
+from repro.relational.pipeline import normalized_from_schema
+from repro.relational.schema import Join, SchemaGraph
 from repro.relational.table import Table
 
 
@@ -155,21 +157,27 @@ class TestReadCsvChunks:
             list(read_csv_chunks(path, 0))
 
 
+def _star_graph():
+    """The star of :func:`_star_fixture` as a one-level graph."""
+    return SchemaGraph("entity", [Join("entity.fk", "attr.pk")])
+
+
 class TestStreamNormalizedBatches:
     def test_batches_match_in_memory_pipeline(self, tmp_path):
-        from repro.relational.pipeline import normalized_from_tables
-
         rng = np.random.default_rng(2)
         entity, attribute = _star_fixture(rng)
         path = tmp_path / "entity.csv"
         write_csv(entity, path)
-        edges = [("fk", attribute, "pk", ["price", "cat"])]
-        reference = normalized_from_tables(entity, edges, entity_features=["amount"],
-                                           target_column="label")
+        graph, features = _star_graph(), {"attr": ["price", "cat"]}
+        reference = normalized_from_schema(graph, {"entity": entity, "attr": attribute},
+                                           entity_features=["amount"],
+                                           target_column="label", features=features)
         ref_dense = np.asarray(reference.matrix.to_dense())
         parts, targets = [], []
-        for batch in stream_normalized_batches(path, edges, entity_features=["amount"],
-                                               target_column="label", chunk_rows=13):
+        for batch in stream_normalized_batches(path, graph, {"attr": attribute},
+                                               entity_features=["amount"],
+                                               target_column="label", chunk_rows=13,
+                                               features=features):
             assert batch.is_factorized
             assert batch.matrix.shape[0] <= 13
             assert batch.feature_names == reference.feature_names
@@ -178,14 +186,64 @@ class TestStreamNormalizedBatches:
         assert np.allclose(np.vstack(parts), ref_dense)
         assert np.allclose(np.vstack(targets), reference.target)
 
+    def test_two_hop_graph_matches_in_memory_pipeline(self, tmp_path):
+        """A snowflake streams too: each chunk resolves its first hops and
+        composes the dimension-side tails, matching the in-memory build."""
+        rng = np.random.default_rng(8)
+        n, n_cust, n_reg, n_loc = 50, 9, 4, 6
+
+        def covering(size, domain):
+            return rng.permutation(np.concatenate(
+                [np.arange(domain), rng.integers(0, domain, size=size - domain)]))
+
+        orders = Table("orders", {
+            "cust_id": covering(n, n_cust).astype(float),
+            "ship_to": covering(n, n_loc).astype(float),
+            "bill_to": covering(n, n_loc).astype(float),
+            "quantity": rng.uniform(1, 9, size=n),
+            "total": rng.uniform(5, 500, size=n),
+        })
+        tables = {
+            "customers": Table("customers", {
+                "id": np.arange(n_cust), "region_id": covering(n_cust, n_reg),
+                "age": rng.uniform(18, 80, size=n_cust)}),
+            "regions": Table("regions", {
+                "id": np.arange(n_reg), "gdp": rng.uniform(1, 10, size=n_reg),
+                "zone": np.asarray([f"z{i % 2}" for i in range(n_reg)], dtype=object)}),
+            "locations": Table("locations", {
+                "id": np.arange(n_loc), "tax": rng.uniform(0, 0.3, size=n_loc)}),
+        }
+        graph = SchemaGraph("orders", [
+            Join("orders.cust_id", "customers.id"),
+            Join("customers.region_id", "regions.id"),
+            Join("orders.ship_to", "locations.id", alias="ship_loc"),
+            Join("orders.bill_to", "locations.id", alias="bill_loc"),
+        ])
+        # Both builders drop the target from the listed entity features.
+        reference = normalized_from_schema(graph, {"orders": orders, **tables},
+                                           entity_features=["quantity", "total"],
+                                           target_column="total")
+        path = tmp_path / "orders.csv"
+        write_csv(orders, path)
+        batches = list(stream_normalized_batches(path, graph, tables,
+                                                 entity_features=["quantity", "total"],
+                                                 target_column="total", chunk_rows=13))
+        assert [b.matrix.shape[0] for b in batches] == [13, 13, 13, 11]
+        assert all(b.feature_names == reference.feature_names for b in batches)
+        assert "regions.zone=z1" in reference.feature_names
+        np.testing.assert_array_equal(np.vstack([b.target for b in batches]),
+                                      reference.target)
+        np.testing.assert_allclose(
+            np.vstack([np.asarray(b.matrix.to_dense()) for b in batches]),
+            np.asarray(reference.matrix.to_dense()), atol=1e-12)
+
     def test_attribute_matrices_shared_across_batches(self, tmp_path):
         rng = np.random.default_rng(3)
         entity, attribute = _star_fixture(rng)
         path = tmp_path / "entity.csv"
         write_csv(entity, path)
-        edges = [("fk", attribute, "pk", ["price", "cat"])]
-        matrices = [b.matrix for b in stream_normalized_batches(path, edges,
-                                                                chunk_rows=13)]
+        matrices = [b.matrix for b in stream_normalized_batches(
+            path, _star_graph(), {"attr": attribute}, chunk_rows=13)]
         first = matrices[0].attributes[0]
         assert all(m.attributes[0] is first for m in matrices)
 
@@ -194,11 +252,11 @@ class TestStreamNormalizedBatches:
         entity, attribute = _star_fixture(rng)
         path = tmp_path / "entity.csv"
         write_csv(entity, path)
-        edges = [("fk", attribute, "pk", ["price", "cat"])]
         d = 1 + 1 + 3  # amount + price + one-hot(cat)
         budget = 11 * d * 8
         sizes = [b.matrix.shape[0] for b in stream_normalized_batches(
-            path, edges, entity_features=["amount"], memory_budget=budget)]
+            path, _star_graph(), {"attr": attribute}, entity_features=["amount"],
+            memory_budget=budget)]
         assert len(sizes) > 1
         assert all(s * d * 8 <= budget + d * 8 for s in sizes)
 
@@ -209,9 +267,9 @@ class TestStreamNormalizedBatches:
         entity, attribute = _star_fixture(rng)
         path = tmp_path / "entity.csv"
         write_csv(entity, path)
-        edges = [("fk", attribute, "pk", ["price", "cat"])]
         model = LogisticRegressionGD(step_size=1e-2)
-        for batch in stream_normalized_batches(path, edges, entity_features=["amount"],
+        for batch in stream_normalized_batches(path, _star_graph(), {"attr": attribute},
+                                               entity_features=["amount"],
                                                target_column="label", chunk_rows=17):
             model.partial_fit(batch.matrix, batch.target)
         assert model.coef_ is not None
@@ -226,15 +284,14 @@ class TestStreamNormalizedBatches:
         entity = Table("entity", columns)
         path = tmp_path / "entity.csv"
         write_csv(entity, path)
-        edges = [("fk", attribute, "pk", ["price"])]
         with pytest.raises(SchemaError):
-            list(stream_normalized_batches(path, edges, entity_features=["city"]))
+            list(stream_normalized_batches(path, _star_graph(), {"attr": attribute},
+                                           entity_features=["city"],
+                                           features={"attr": ["price"]}))
 
     def test_no_edges_rejected(self, tmp_path):
-        path = tmp_path / "entity.csv"
-        path.write_text("a\n1\n")
-        with pytest.raises(SchemaError):
-            list(stream_normalized_batches(path, []))
+        with pytest.raises(SchemaError, match="at least one join"):
+            SchemaGraph("entity", [])
 
     def test_string_primary_keys_survive_chunking(self, tmp_path):
         # Regression: per-chunk type inference used to float-coerce a chunk
@@ -249,15 +306,13 @@ class TestStreamNormalizedBatches:
         })
         path = tmp_path / "entity.csv"
         write_csv(entity, path)
-        edges = [("fk", attribute, "pk", ["price"])]
         # chunk_rows=2: the first chunks contain only numeric-looking keys.
-        batches = list(stream_normalized_batches(path, edges,
+        batches = list(stream_normalized_batches(path, _star_graph(), {"attr": attribute},
                                                  entity_features=["amount"],
                                                  chunk_rows=2))
-        from repro.relational.pipeline import normalized_from_tables
-
-        reference = np.asarray(normalized_from_tables(
-            entity, edges, entity_features=["amount"]).matrix.to_dense())
+        reference = np.asarray(normalized_from_schema(
+            _star_graph(), {"entity": entity, "attr": attribute},
+            entity_features=["amount"]).matrix.to_dense())
         stitched = np.vstack([np.asarray(b.matrix.to_dense()) for b in batches])
         assert np.allclose(stitched, reference)
 
@@ -269,8 +324,32 @@ class TestStreamNormalizedBatches:
         path = tmp_path / "entity.csv"
         write_csv(entity, path)
         with pytest.raises(SchemaError, match="no match"):
-            list(stream_normalized_batches(path, [("fk", attribute, "pk", ["price"])],
+            list(stream_normalized_batches(path, _star_graph(), {"attr": attribute},
                                            chunk_rows=2))
+
+    def test_nan_foreign_key_error_matches_in_memory_build(self, tmp_path):
+        """A NaN key fails with the in-memory build's error, naming its row
+        in the file rather than in the chunk that holds it."""
+        attribute = Table("attr", {"pk": np.asarray([0.0, 1.0]),
+                                   "price": np.asarray([1.0, 2.0])})
+        entity = Table("entity", {"fk": np.asarray([0.0, 1.0, 1.0, np.nan]),
+                                  "amount": np.arange(4.0)})
+        path = tmp_path / "entity.csv"
+        write_csv(entity, path)
+        with pytest.raises(SchemaError) as in_memory:
+            normalized_from_schema(_star_graph(), {"entity": entity, "attr": attribute})
+        assert "foreign key column entity.fk contains NaN at row 3" in str(in_memory.value)
+        with pytest.raises(SchemaError) as streamed:
+            list(stream_normalized_batches(path, _star_graph(), {"attr": attribute},
+                                           chunk_rows=2))
+        assert str(streamed.value) == str(in_memory.value)
+
+    def test_missing_foreign_key_column_rejected_before_first_chunk(self, tmp_path):
+        attribute = Table("attr", {"pk": np.arange(2), "price": np.ones(2)})
+        path = tmp_path / "entity.csv"
+        path.write_text("key,amount\n0,1\n")
+        with pytest.raises(SchemaError, match="master table 'entity' has no column 'fk'"):
+            next(stream_normalized_batches(path, _star_graph(), {"attr": attribute}))
 
 
 class TestDuplicateHeaders:

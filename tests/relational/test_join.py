@@ -9,13 +9,12 @@ from repro.relational.join import (
     drop_unreferenced,
     join_mn,
     join_pk_fk,
-    join_star,
     mn_drop_noncontributing,
     mn_join_indicators,
     pk_fk_indicator,
-    star_indicators,
 )
-from repro.relational.schema import Column, ColumnType, TableSchema
+from repro.relational.pipeline import normalized_from_schema
+from repro.relational.schema import Column, ColumnType, Join, SchemaGraph, TableSchema
 from repro.relational.table import Table
 
 
@@ -47,19 +46,19 @@ def items() -> Table:
 
 class TestPkFkIndicator:
     def test_shape(self, entity, stores):
-        indicator, _ = pk_fk_indicator(entity, "store_id", stores, "store_id")
+        indicator = pk_fk_indicator(entity, "store_id", stores, "store_id")
         assert indicator.shape == (6, 3)
 
     def test_one_nonzero_per_row(self, entity, stores):
-        indicator, _ = pk_fk_indicator(entity, "store_id", stores, "store_id")
+        indicator = pk_fk_indicator(entity, "store_id", stores, "store_id")
         assert np.all(np.asarray(indicator.sum(axis=1)).ravel() == 1)
 
     def test_labels_point_to_correct_rows(self, entity, stores):
-        _, labels = pk_fk_indicator(entity, "store_id", stores, "store_id")
-        assert list(labels) == [0, 1, 1, 2, 0, 2]
+        indicator = pk_fk_indicator(entity, "store_id", stores, "store_id")
+        assert list(indicator.codes) == [0, 1, 1, 2, 0, 2]
 
     def test_expansion_matches_join(self, entity, stores):
-        indicator, _ = pk_fk_indicator(entity, "store_id", stores, "store_id")
+        indicator = pk_fk_indicator(entity, "store_id", stores, "store_id")
         sizes = stores.column("size").reshape(-1, 1)
         expanded = np.asarray((indicator @ sizes)).ravel()
         assert list(expanded) == [1.0, 2.0, 2.0, 3.0, 1.0, 3.0]
@@ -107,16 +106,19 @@ class TestMaterializedPkFkJoin:
         assert "stores.amount" in joined
 
     def test_join_star_two_tables(self, entity, stores, items):
-        joined = join_star(entity, [("store_id", stores, "store_id"), ("item_id", items, "item_id")])
+        joined = join_pk_fk(join_pk_fk(entity, "store_id", stores, "store_id"),
+                            "item_id", items, "item_id")
         assert joined.num_rows == 6
         assert list(joined.column("price")) == [5.0, 9.0, 5.0, 5.0, 9.0, 9.0]
 
     def test_star_indicators_counts(self, entity, stores, items):
-        result = star_indicators(entity, [("store_id", stores, "store_id"),
-                                          ("item_id", items, "item_id")])
-        assert len(result.indicators) == 2
-        assert result.indicators[0].shape == (6, 3)
-        assert result.indicators[1].shape == (6, 2)
+        graph = SchemaGraph("sales", [Join("sales.store_id", "stores.store_id"),
+                                      Join("sales.item_id", "items.item_id")])
+        indicators = normalized_from_schema(
+            graph, {"sales": entity, "stores": stores, "items": items}).matrix.indicators
+        assert len(indicators) == 2
+        assert indicators[0].shape == (6, 3)
+        assert indicators[1].shape == (6, 2)
 
 
 class TestMNJoin:
@@ -205,10 +207,10 @@ class TestJoinKeyGuards:
 
 class TestComposedHopIndicator:
     def test_multi_hop_composes_codes(self, entity, stores):
-        hop1, _ = pk_fk_indicator(entity, "store_id", stores, "store_id")
+        hop1 = pk_fk_indicator(entity, "store_id", stores, "store_id")
         regions = Table("regions", {"region_id": np.array([0, 1])})
         stores_with_region = stores.with_column("region_id", np.array([0, 1, 0]))
-        hop2, _ = pk_fk_indicator(stores_with_region, "region_id", regions, "region_id")
+        hop2 = pk_fk_indicator(stores_with_region, "region_id", regions, "region_id")
         composed = hop1 @ hop2
         assert isinstance(composed, Indicator)
         assert composed.shape == (entity.num_rows, 2)

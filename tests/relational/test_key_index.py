@@ -13,6 +13,7 @@ import pytest
 
 from repro.exceptions import SchemaError
 from repro.relational.csv_io import stream_normalized_batches, write_csv
+from repro.relational.schema import Join, SchemaGraph
 from repro.relational.table import Table
 
 
@@ -188,6 +189,10 @@ class TestDirectIndexFootprint:
         np.testing.assert_array_equal(table.positions_for_keys("k", lookup), [2, 3, 1])
 
 
+#: A one-level graph: the streamed ``entity`` CSV joined to ``attr``.
+STAR = SchemaGraph("entity", [Join("entity.fk", "attr.pk")])
+
+
 class TestStreamingSharesKeyPath:
     def test_integer_keys_resolve_float_parsed_foreign_keys(self, tmp_path):
         attribute = Table("attr", {"pk": np.array([10, 12, 11]),
@@ -197,7 +202,7 @@ class TestStreamingSharesKeyPath:
         path = tmp_path / "entity.csv"
         write_csv(entity, path)
         batches = list(stream_normalized_batches(
-            path, [("fk", attribute, "pk", ["price"])],
+            path, STAR, {"attr": attribute},
             entity_features=["amount"], chunk_rows=2, sparse=False))
         labels = np.concatenate([b.matrix.indicators[0].codes for b in batches])
         np.testing.assert_array_equal(labels, [2, 0, 1, 1, 0])
@@ -212,12 +217,12 @@ class TestStreamingSharesKeyPath:
         write_csv(entity, path)
         expected = "foreign key value 9.0 in entity.fk has no match in attr.pk"
         with pytest.raises(SchemaError, match=re.escape(expected)):
-            list(stream_normalized_batches(path, [("fk", attribute, "pk", ["price"])]))
+            list(stream_normalized_batches(path, STAR, {"attr": attribute}))
 
     def test_duplicate_primary_key_rejected_before_first_chunk(self, tmp_path):
         attribute = Table("attr", {"pk": np.array([0, 1, 1]), "price": np.ones(3)})
         path = tmp_path / "entity.csv"
         path.write_text("fk,amount\n0,1\n")
-        batches = stream_normalized_batches(path, [("fk", attribute, "pk", ["price"])])
+        batches = stream_normalized_batches(path, STAR, {"attr": attribute})
         with pytest.raises(SchemaError, match="duplicate primary key value 1"):
             next(batches)

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.decision import DecisionRule
 from repro.core.normalized_matrix import NormalizedMatrix
 from repro.exceptions import SchemaError
 from repro.la.indicator import Indicator
@@ -12,8 +11,8 @@ from repro.relational.pipeline import (
     NormalizedDataset,
     mn_normalized_from_tables,
     normalized_from_schema,
-    normalized_from_tables,
 )
+from repro.relational.schema import Join, SchemaGraph
 from repro.relational.table import Table
 
 
@@ -42,15 +41,22 @@ def star_tables():
     return orders, products, stores
 
 
+def star_graph(*joins):
+    """A star schema as a one-level graph over ``orders``."""
+    return SchemaGraph("orders", [Join(f"orders.{fk}", f"{table}.{fk}") for fk, table in joins])
+
+
 class TestNormalizedFromTables:
+    """The star schema of :func:`star_tables`, declared as a one-level graph."""
+
     def _build(self, star_tables, **kwargs):
         orders, products, stores = star_tables
-        edges = [
-            ("product_id", products, "product_id", ["price", "category"]),
-            ("store_id", stores, "store_id", ["size"]),
-        ]
-        return normalized_from_tables(orders, edges, entity_features=["quantity"],
-                                      target_column="total", **kwargs)
+        graph = star_graph(("product_id", "products"), ("store_id", "stores"))
+        tables = {"orders": orders, "products": products, "stores": stores}
+        return normalized_from_schema(graph, tables, entity_features=["quantity"],
+                                      target_column="total",
+                                      features={"products": ["price", "category"],
+                                                "stores": ["size"]}, **kwargs)
 
     def test_returns_factorized_dataset(self, star_tables):
         dataset = self._build(star_tables)
@@ -89,21 +95,15 @@ class TestNormalizedFromTables:
 
     def test_no_entity_features(self, star_tables):
         orders, products, stores = star_tables
-        edges = [("product_id", products, "product_id", ["price"])]
-        dataset = normalized_from_tables(orders, edges)
+        dataset = normalized_from_schema(
+            star_graph(("product_id", "products")), {"orders": orders, "products": products},
+            entity_features=(), features={"products": ["price"]})
         assert dataset.matrix.entity_width == 0
         assert dataset.target is None
 
-    def test_decision_rule_can_materialize(self, star_tables):
-        strict = DecisionRule(tuple_ratio_threshold=10_000)
-        dataset = self._build(star_tables, force_factorized=False, decision_rule=strict)
-        assert not dataset.is_factorized
-        assert isinstance(dataset.matrix, np.ndarray) or hasattr(dataset.matrix, "toarray")
-
     def test_requires_edges(self, star_tables):
-        orders, _, _ = star_tables
         with pytest.raises(SchemaError):
-            normalized_from_tables(orders, [], entity_features=["quantity"])
+            star_graph()
 
 
 class TestMNNormalizedFromTables:
@@ -148,9 +148,9 @@ class TestTargetValidation:
                 SchemaError,
                 match=r"target column 'status' of table 'orders' has "
                       r"non-numeric dtype"):
-            normalized_from_tables(
-                entity, [("store_id", stores, "store_id", ["size"])],
-                target_column="status")
+            normalized_from_schema(
+                star_graph(("store_id", "stores")),
+                {"orders": entity, "stores": stores}, target_column="status")
 
     def test_boolean_target_accepted_as_01(self):
         entity = Table("orders", {
@@ -159,9 +159,9 @@ class TestTargetValidation:
         })
         stores = Table("stores", {"store_id": np.array([0, 1]),
                                   "size": np.array([1.0, 2.0])})
-        dataset = normalized_from_tables(
-            entity, [("store_id", stores, "store_id", ["size"])],
-            target_column="churned")
+        dataset = normalized_from_schema(
+            star_graph(("store_id", "stores")),
+            {"orders": entity, "stores": stores}, target_column="churned")
         np.testing.assert_array_equal(dataset.target.ravel(), [1.0, 0.0, 1.0])
         assert dataset.target.dtype == np.float64
         assert dataset.target.shape == (3, 1)
@@ -171,8 +171,6 @@ class TestNormalizedFromSchema:
     @pytest.fixture
     def snowflake(self):
         """orders -> customers -> regions, plus locations under two roles."""
-        from repro.relational import Join, SchemaGraph
-
         rng = np.random.default_rng(11)
         n, n_cust, n_reg, n_loc = 40, 8, 3, 5
         orders = Table("orders", {
@@ -251,7 +249,7 @@ class TestNormalizedFromSchema:
         graph, tables = snowflake
         dataset = normalized_from_schema(graph, tables)
         hops = [pk_fk_indicator(tables[graph.table_for(j.master.table)], j.master.column,
-                                tables[j.detail.table], j.detail.column)[0]
+                                tables[j.detail.table], j.detail.column)
                 for j in graph.join_path("regions")]
         assert len(hops) == 2
         regions = dataset.matrix.indicators[graph.aliases.index("regions")]

@@ -6,8 +6,6 @@ from repro.exceptions import SchemaError
 from repro.relational.schema import (
     Column,
     ColumnType,
-    ForeignKey,
-    StarSchema,
     TableSchema,
 )
 
@@ -23,7 +21,6 @@ def customers_schema() -> TableSchema:
             Column("employer_id", ColumnType.KEY),
         ],
         primary_key="customer_id",
-        foreign_keys=[ForeignKey("employer_id", "employers", "employer_id")],
     )
 
 
@@ -68,10 +65,6 @@ class TestTableSchema:
         with pytest.raises(SchemaError):
             TableSchema("t", [Column("a")], primary_key="b")
 
-    def test_foreign_key_column_must_exist(self):
-        with pytest.raises(SchemaError):
-            TableSchema("t", [Column("a")], foreign_keys=[ForeignKey("b", "r", "rid")])
-
     def test_empty_table_name_rejected(self):
         with pytest.raises(SchemaError):
             TableSchema("", [Column("a")])
@@ -90,36 +83,3 @@ class TestTableSchema:
         schema = TableSchema("t", [Column("a", ColumnType.TARGET), Column("b", ColumnType.TARGET)])
         with pytest.raises(SchemaError):
             schema.target_column()
-
-
-class TestStarSchema:
-    def test_valid_star_schema(self):
-        star = StarSchema(entity=customers_schema(), attributes={"employers": employers_schema()})
-        assert star.num_attribute_tables == 1
-        assert star.foreign_keys[0].references_table == "employers"
-
-    def test_attribute_schema_lookup(self):
-        star = StarSchema(entity=customers_schema(), attributes={"employers": employers_schema()})
-        assert star.attribute_schema(star.foreign_keys[0]).name == "employers"
-
-    def test_missing_attribute_table(self):
-        with pytest.raises(SchemaError):
-            StarSchema(entity=customers_schema(), attributes={})
-
-    def test_entity_without_foreign_keys_rejected(self):
-        with pytest.raises(SchemaError):
-            StarSchema(entity=employers_schema(), attributes={})
-
-    def test_attribute_without_primary_key_rejected(self):
-        bad = TableSchema("employers", [Column("employer_id", ColumnType.KEY)])
-        with pytest.raises(SchemaError):
-            StarSchema(entity=customers_schema(), attributes={"employers": bad})
-
-    def test_foreign_key_must_reference_primary_key(self):
-        other = TableSchema(
-            "employers",
-            [Column("other_id", ColumnType.KEY), Column("employer_id", ColumnType.KEY)],
-            primary_key="other_id",
-        )
-        with pytest.raises(SchemaError):
-            StarSchema(entity=customers_schema(), attributes={"employers": other})

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import SchemaError
-from repro.relational.schema import Column, ColumnType, ForeignKey, TableSchema
+from repro.relational.schema import Column, ColumnType, TableSchema
 from repro.relational.table import Table
 
 
@@ -180,7 +180,6 @@ class TestSchemaPreservation:
                 Column("amount", ColumnType.NUMERIC),
             ],
             primary_key="sale_id",
-            foreign_keys=[ForeignKey("store_id", "stores", "store_id")],
         )
         return Table("sales", {
             "sale_id": np.arange(4),
@@ -196,7 +195,6 @@ class TestSchemaPreservation:
         assert extended.schema.column("channel").ctype is ColumnType.CATEGORICAL
         assert extended.schema.column("store_id").ctype is ColumnType.KEY
         assert extended.schema.primary_key == "sale_id"
-        assert extended.schema.foreign_keys == declared.schema.foreign_keys
 
     def test_with_column_new_column_appended_as_inferred(self, declared):
         extended = declared.with_column("note", np.array(["a", "b", "c", "d"]))
@@ -208,12 +206,10 @@ class TestSchemaPreservation:
         projected = declared.project(["sale_id", "channel", "store_id"])
         assert projected.schema.column("channel").ctype is ColumnType.CATEGORICAL
         assert projected.schema.primary_key == "sale_id"
-        assert projected.schema.foreign_keys == declared.schema.foreign_keys
 
     def test_project_drops_keys_not_projected(self, declared):
         projected = declared.project(["channel", "amount"])
         assert projected.schema.primary_key is None
-        assert projected.schema.foreign_keys == []
 
 
 class TestVectorizedKeyLookup:

@@ -63,7 +63,7 @@ def churn_matrices(churn_tables):
     customers, employers = churn_tables
     entity_features = encode_features(customers, columns=["age", "income"], sparse=False)
     attribute_features = encode_features(employers, columns=["revenue", "country"], sparse=False)
-    indicator, _ = pk_fk_indicator(customers, "employer_id", employers, "employer_id")
+    indicator = pk_fk_indicator(customers, "employer_id", employers, "employer_id")
     normalized = NormalizedMatrix(entity_features.matrix, [indicator], [attribute_features.matrix])
     materialized = np.asarray(normalized.materialize())
     rng = np.random.default_rng(7)
@@ -91,7 +91,7 @@ class TestPipelineConstruction:
         customers, employers = churn_tables
         entity = encode_features(customers, columns=["age", "income"], sparse=False).matrix
         attribute = encode_features(employers, columns=["revenue", "country"], sparse=False).matrix
-        indicator, _ = pk_fk_indicator(customers, "employer_id", employers, "employer_id")
+        indicator = pk_fk_indicator(customers, "employer_id", employers, "employer_id")
         out = morpheus(entity, [indicator], [attribute])
         # tuple ratio 10, feature ratio (1 + 4 countries) / 2 >= 1 -> factorized
         assert isinstance(out, NormalizedMatrix)
@@ -100,7 +100,7 @@ class TestPipelineConstruction:
         customers, employers = churn_tables
         entity = encode_features(customers, columns=["age", "income"], sparse=False).matrix
         attribute = encode_features(employers, columns=["revenue", "country"], sparse=False).matrix
-        indicator, _ = pk_fk_indicator(customers, "employer_id", employers, "employer_id")
+        indicator = pk_fk_indicator(customers, "employer_id", employers, "employer_id")
         out = morpheus(entity, [indicator], [attribute],
                        rule=DecisionRule(tuple_ratio_threshold=1000))
         assert isinstance(out, np.ndarray)
@@ -146,7 +146,7 @@ class TestSparsePipeline:
         customers, employers = churn_tables
         entity = encode_features(customers, columns=["age", "income"], sparse=True).matrix
         attribute = encode_features(employers, columns=["revenue", "country"], sparse=True).matrix
-        indicator, _ = pk_fk_indicator(customers, "employer_id", employers, "employer_id")
+        indicator = pk_fk_indicator(customers, "employer_id", employers, "employer_id")
         normalized = NormalizedMatrix(entity, [indicator], [attribute])
         dense_reference = np.asarray(hstack([entity, indicator @ attribute]).todense())
         assert np.allclose(normalized.to_dense(), dense_reference)
