@@ -219,6 +219,11 @@ def _call(fn, ref):
     return fn(_piece(ref))
 
 
+def _call_rows(args):
+    fn, ref, rows = args
+    return fn(_piece(ref), *rows)
+
+
 def _sum(parts: list):
     """Add partial results starting from the first, so their dtype is kept."""
     total = parts[0]
@@ -447,6 +452,20 @@ class Partitioned:
             # WorkerPool instances (resolve_pool returns them as-is) stay alive.
             if executor is not self.executor and executor.pool is not pool:
                 executor.pool.close()
+
+    def map_rows(self, fn: Callable, *aligned: np.ndarray) -> list:
+        """``fn(piece, *rows)`` for every piece, in row order, through the executor.
+
+        For row-local steps, whose result for a row depends on that row
+        alone: each worker runs the whole step on its piece, and each array
+        in *aligned* (one row per logical row) reaches it as the piece's
+        ``[start:stop]`` view.  Only untransposed operands have pieces of rows.
+        """
+        if self.transposed:
+            raise NotSupportedError("map_rows needs the untransposed operand")
+        items = [(fn, ref, tuple(a[start:stop] for a in aligned))
+                 for ref, (start, stop) in zip(self._refs(), self.bounds)]
+        return self.executor.map(_call_rows, items)
 
     # -- aggregations ------------------------------------------------------------
 

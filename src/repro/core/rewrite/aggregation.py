@@ -14,16 +14,21 @@ Star-schema rules (``T = [S, K1 R1, ..., Kq Rq]``)::
 
 With ``entity=None`` the ``S`` terms drop out and the same functions are the
 M:N rules for ``T = [I1 R1, ..., Iq Rq]``.
+
+The squared row norms K-Means needs follow the rowSums rule with each base
+matrix's own norms, never squaring ``T`` or the base matrices::
+
+    rowSums(T * T) -> rowNorms(S) + sum_i Ki rowNorms(Ri)
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.la import kernels
-from repro.la.ops import colsums, rowsums, total_sum
+from repro.la.ops import colsums, row_norms, rowsums, total_sum
 from repro.la.types import MatrixLike
 
 
@@ -37,6 +42,32 @@ def rowsums_star(entity: Optional[MatrixLike], indicators: Sequence[MatrixLike],
     for indicator, attribute in zip(indicators, attributes):
         acc = acc + kernels.gather_rows(indicator, attribute)
     return acc
+
+
+def row_norms_star(entity: Optional[MatrixLike], indicators: Sequence[MatrixLike],
+                   attributes: Sequence[MatrixLike],
+                   table_norms: Optional[Dict[int, tuple]] = None) -> np.ndarray:
+    """``rowSums(T * T)`` as a flat ``(n_S,)`` vector.
+
+    Each attribute table's squared row norms are one ``(n_R, 1)`` column that
+    :func:`~repro.la.kernels.gather_rows` gathers by code.  *table_norms*, a
+    dict owned by the caller, keeps those columns across calls on matrices
+    sharing their tables -- the batches of one mini-batch fit -- keyed by the
+    table's ``id`` (the entry holds the table, so the key stays valid).
+    """
+    n_rows = indicators[0].shape[0] if indicators else entity.shape[0]
+    if entity is not None and entity.shape[1] > 0:
+        norms = row_norms(entity)
+    else:
+        norms = np.zeros(n_rows)
+    for indicator, attribute in zip(indicators, attributes):
+        entry = table_norms.get(id(attribute)) if table_norms is not None else None
+        if entry is None or entry[0] is not attribute:
+            entry = (attribute, row_norms(attribute).reshape(-1, 1))
+            if table_norms is not None:
+                table_norms[id(attribute)] = entry
+        norms += kernels.gather_rows(indicator, entry[1]).ravel()
+    return norms
 
 
 def colsums_star(entity: Optional[MatrixLike], indicators: Sequence[MatrixLike],

@@ -42,6 +42,18 @@ def rowsums(x: MatrixLike) -> np.ndarray:
     return np.asarray(x).sum(axis=1, keepdims=True)
 
 
+def row_norms(x: MatrixLike) -> np.ndarray:
+    """Squared row norms ``rowSums(x * x)`` of *x* as a flat float64 ``(n,)`` vector.
+
+    Computed without the squared copy of *x*: one ``einsum`` over a dense
+    matrix, an element-wise product of the stored values over a sparse one.
+    """
+    x = ensure_2d(x)
+    if is_sparse(x):
+        return np.asarray(x.multiply(x).sum(axis=1), dtype=np.float64).ravel()
+    return np.einsum("ij,ij->i", x, x, dtype=np.float64)
+
+
 def colsums(x: MatrixLike) -> np.ndarray:
     """Column-wise sum of *x* as a ``(1, d)`` dense row vector (R's ``colSums``)."""
     x = ensure_2d(x)

@@ -16,11 +16,12 @@ them (RMM, ``crossprod``, ``colSums``, ``sum``) -- so the executor only ever
 needs an order-preserving ``map``.  The row-partitioned operand in
 :mod:`repro.core.partitioned` builds on exactly that.
 
-Pool choice matters because of the GIL (see ``docs/parallelism.md``): NumPy
-and SciPy release the GIL inside their C kernels, so :class:`ThreadPool` is
-the right default for LA-bound shard work, while :class:`ProcessPool` only
-pays off when the per-shard work is Python-bound and large enough to amortize
-pickling the shard operands.
+Pool choice matters because of the GIL (see ``docs/parallelism.md``): BLAS,
+ufunc loops, gathers and SciPy's sparse products release the GIL inside
+their C kernels (``np.bincount`` is a measured exception), so
+:class:`ThreadPool` is the right default for LA-bound shard work, while
+:class:`ProcessPool` only pays off when the per-shard work is Python-bound and
+large enough to amortize pickling the shard operands.
 """
 
 from __future__ import annotations
@@ -122,9 +123,9 @@ class _ExecutorBackedPool(WorkerPool):
 class ThreadPool(_ExecutorBackedPool):
     """Shard work over a ``ThreadPoolExecutor`` (the default pool).
 
-    Threads share the shard operands by reference (no pickling) and NumPy /
-    SciPy kernels release the GIL, so this pool parallelizes LA-bound shard
-    work with essentially zero dispatch cost.
+    Threads share the shard operands by reference (no pickling) and the
+    NumPy / SciPy kernels the shards run release the GIL, so this pool
+    parallelizes LA-bound shard work with essentially zero dispatch cost.
     """
 
     name = "thread"

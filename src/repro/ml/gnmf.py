@@ -11,14 +11,21 @@ Each iteration performs one RMM-style product ``T^T W`` and one LMM ``T H``
 over the data matrix -- both factorized when ``T`` is normalized -- plus small
 ``r x r`` regular products, which is why GNMF's speed-ups in Figure 5(d) and
 Table 7 are positive but smaller than logistic/linear regression's.
+
+The ``W`` update is row-local, so it runs as one pass over row tiles of the
+LMM (:mod:`repro.core.tiles`), inside each shard of a sharded fit, and
+overwrites ``W`` in place: ``W[t] <- W[t] * (T H)[t] / (W[t] crossprod(H) +
+eps)``.  No ``n x r`` numerator or denominator is built.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.core.tiles import lmm_row_tiles, map_row_pieces
 from repro.la import ops as la_ops
 from repro.la.generic import to_dense_result
 from repro.ml.base import (
@@ -27,6 +34,27 @@ from repro.ml.base import (
     validate_predict_data,
 )
 from repro.ml.export import ServingExport
+
+
+def _update_rows(piece, w_rows: np.ndarray, h: np.ndarray, gram: np.ndarray,
+                 epsilon: float) -> np.ndarray:
+    """``W <- W * (T H) / (W gram + eps)`` on one row piece, tile by tile, in place.
+
+    Element for element the arithmetic of the whole-matrix update, so tiled,
+    sharded and whole runs agree bit for bit.  The numerator is formed in
+    the LMM tile itself; returns *w_rows*.
+    """
+    for start, stop, tile in lmm_row_tiles(piece, h):
+        rows = w_rows[start:stop]
+        if tile.dtype == rows.dtype:
+            scaled = np.multiply(rows, tile, out=tile)
+        else:
+            scaled = rows * tile
+        denominator = rows @ gram
+        denominator += epsilon
+        np.divide(scaled, denominator, out=rows)
+        del denominator  # freed before the next tile's gather, not after it
+    return w_rows
 
 
 class GNMF(IterativeEstimator):
@@ -96,10 +124,8 @@ class GNMF(IterativeEstimator):
             numerator_h = to_dense_result(data.T @ w)                    # d x r
             denominator_h = h @ la_ops.crossprod(w) + self.epsilon       # d x r
             h = h * numerator_h / denominator_h
-            # W update: numerator T H is a factorized LMM.
-            numerator_w = to_dense_result(data @ h)                      # n x r
-            denominator_w = w @ la_ops.crossprod(h) + self.epsilon       # n x r
-            w = w * numerator_w / denominator_w
+            # W update: numerator T H is a factorized LMM, consumed tile by tile.
+            self._update_w(data, w, h)
             if self.track_history:
                 self.history_.append(self._objective(data, w, h))
 
@@ -111,16 +137,24 @@ class GNMF(IterativeEstimator):
         """One multiplicative update restricted to a batch.
 
         Updates the global topic matrix ``H`` from the batch's statistics,
-        then the batch's own ``W`` rows against the new ``H``; returns the
-        updated rows.  With one batch covering every row this is exactly one
-        full multiplicative iteration.
+        then the batch's own ``W`` rows against the new ``H``, overwriting
+        *w_rows* (each caller passes its own copy) and returning it.  With one
+        batch covering every row this is exactly one full multiplicative
+        iteration.
         """
         numerator_h = to_dense_result(data.T @ w_rows)
         denominator_h = self.h_ @ la_ops.crossprod(w_rows) + self.epsilon
         self.h_ = self.h_ * numerator_h / denominator_h
-        numerator_w = to_dense_result(data @ self.h_)
-        denominator_w = w_rows @ la_ops.crossprod(self.h_) + self.epsilon
-        return w_rows * numerator_w / denominator_w
+        self._update_w(data, w_rows, self.h_)
+        return w_rows
+
+    def _update_w(self, data, w: np.ndarray, h: np.ndarray) -> None:
+        """Overwrite ``w`` (one row per row of *data*) with its multiplicative update."""
+        task = functools.partial(_update_rows, h=h, gram=la_ops.crossprod(h),
+                                 epsilon=self.epsilon)
+        for (start, stop), rows in map_row_pieces(data, task, w):
+            if not np.may_share_memory(rows, w):  # a process pool returns copies
+                w[start:stop] = rows
 
     def _fit_sgd(self, data, w: np.ndarray, h: np.ndarray) -> "GNMF":
         """Mini-batch GNMF: epochs of per-batch multiplicative updates.

@@ -14,9 +14,13 @@ The assignment is itself an indicator ``K_A`` (one 1 per row, in the row's
 cluster column), so the centroid update passes the sparse
 ``indicator_from_labels(labels, k)`` and never builds an n x k one-hot: on a
 normalized matrix ``T^T K_A`` runs each ``K_A^T K_i`` as the code-pair
-histogram Algorithm 2 uses for ``K_i^T K_j``.  The distance step broadcasts
-``rowSums(T^2) + |c|^2 - T (2 C)`` with no ``1``-vector outer products, so
-the only n x k arrays left are the distance matrix and the LMM feeding it.
+histogram Algorithm 2 uses for ``K_i^T K_j``.  The distance step
+``rowSums(T^2) + |c|^2 - T (2 C)`` is row-local, so it runs as one pass over
+row tiles of the LMM (:mod:`repro.core.tiles`), inside each shard of a
+sharded fit, and keeps only each row's label and nearest distance; the
+inertia is the sum of those distances.  ``rowSums(T^2)`` is computed once
+per fit from each base matrix's own row norms, gathered by code, without
+squaring ``T``.  No n x k array is built.
 
 One deliberate deviation from the paper's pseudo-code: the paper assigns
 points with a boolean equality test ``A = (D == rowMin(D))``, which can assign
@@ -27,11 +31,12 @@ partition and makes factorized and materialized runs bit-identical.
 
 from __future__ import annotations
 
-from typing import Optional
+import functools
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.la import generic
+from repro.core.tiles import lmm_row_tiles, map_row_pieces, squared_row_norms
 from repro.la.generic import to_dense_result
 from repro.la.ops import indicator_from_labels
 from repro.ml.base import (
@@ -40,6 +45,49 @@ from repro.ml.base import (
     validate_predict_data,
 )
 from repro.ml.export import ServingExport
+
+
+def _nearest_in_piece(piece, point_norms: np.ndarray, labels: np.ndarray,
+                      nearest: np.ndarray, doubled: np.ndarray,
+                      centroid_norms: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Fill one row piece's *labels* and *nearest* squared distances, tile by tile.
+
+    Each LMM tile ``(T (2 C))[t]`` becomes its distance tile in place,
+    ``(|c|^2 - (T (2 C))[t]) + rowSums(T^2)[t]``; every path (whole, tiled,
+    sharded, mini-batch, materialized) runs this arithmetic, so they agree
+    bit for bit.
+    """
+    for start, stop, tile in lmm_row_tiles(piece, doubled):
+        distances = tile if tile.dtype == np.float64 else tile.astype(np.float64)
+        np.subtract(centroid_norms, distances, out=distances)
+        distances += point_norms[start:stop, None]
+        rows = np.argmin(distances, axis=1)
+        labels[start:stop] = rows
+        nearest[start:stop] = np.take_along_axis(distances, rows[:, None], axis=1)[:, 0]
+    return labels, nearest
+
+
+def nearest_centroids(data, centroids: np.ndarray, point_norms: np.ndarray,
+                      labels: Optional[np.ndarray] = None,
+                      nearest: Optional[np.ndarray] = None
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(labels, nearest)``: each row's closest centroid column and squared distance.
+
+    *point_norms* is ``rowSums(T^2)`` (:func:`~repro.core.tiles.squared_row_norms`);
+    ties go to the lowest cluster index.  The results fill *labels* and
+    *nearest* when given (a fit reuses them across iterations), each shard of
+    a partitioned *data* writing its own rows.
+    """
+    n = data.shape[0]
+    labels = np.empty(n, dtype=np.intp) if labels is None else labels
+    nearest = np.empty(n) if nearest is None else nearest
+    task = functools.partial(_nearest_in_piece, doubled=2 * centroids,
+                             centroid_norms=np.sum(centroids ** 2, axis=0))
+    for (start, stop), (rows, distances) in map_row_pieces(data, task, point_norms,
+                                                           labels, nearest):
+        if not np.may_share_memory(rows, labels):  # a process pool returns copies
+            labels[start:stop], nearest[start:stop] = rows, distances
+    return labels, nearest
 
 
 class KMeans(IterativeEstimator):
@@ -75,6 +123,9 @@ class KMeans(IterativeEstimator):
         #: mini-batch path; reset at every sgd epoch (see partial_fit).
         self._stream_sums: Optional[np.ndarray] = None
         self._stream_counts: Optional[np.ndarray] = None
+        #: per-table squared row norms shared by the batches of one sgd fit
+        #: (see repro.core.rewrite.aggregation.row_norms_star); None outside it.
+        self._table_norms: Optional[dict] = None
 
     def _initial_centroids(self, data) -> np.ndarray:
         """Random Gaussian initialization, seeded so F and M runs coincide."""
@@ -90,7 +141,6 @@ class KMeans(IterativeEstimator):
     @fit_telemetry
     def fit(self, data, initial_centroids: Optional[np.ndarray] = None) -> "KMeans":
         _, data = self._resolve_engine(data)
-        n = data.shape[0]
         k = self.num_clusters
         centroids = (np.asarray(initial_centroids, dtype=np.float64)
                      if initial_centroids is not None else self._initial_centroids(data))
@@ -105,48 +155,24 @@ class KMeans(IterativeEstimator):
             return self._fit_sgd(data, centroids)
 
         # Loop-invariant term, hoisted: the per-point squared norms rowSums(T ^ 2).
-        point_norms = self._point_norms(data)
+        point_norms = squared_row_norms(data)
 
-        labels = None
-        distances = None
+        labels = np.empty(data.shape[0], dtype=np.intp)
+        nearest = np.empty(data.shape[0])
         for _ in range(self.max_iter):
-            del distances  # free the previous n x k block before building the next
-            distances = self._distances_to(data, centroids, point_norms)
-            labels = np.argmin(distances, axis=1)
+            nearest_centroids(data, centroids, point_norms, labels, nearest)
             counts, sums = self._cluster_sums(data, labels)
             # Keep the previous centroid for empty clusters instead of dividing by zero.
             safe_counts = np.where(counts > 0, counts, 1.0)
             updated = sums / safe_counts
             centroids = np.where(counts > 0, updated, centroids)
             if self.track_history:
-                self.history_.append(float(np.sum(distances[np.arange(n), labels])))
+                self.history_.append(float(np.sum(nearest)))
 
         self.centroids_ = centroids
         self.labels_ = labels
-        if distances is not None:
-            self.inertia_ = float(np.sum(distances[np.arange(n), labels]))
+        self.inertia_ = float(np.sum(nearest))
         return self
-
-    @staticmethod
-    def _point_norms(data) -> np.ndarray:
-        """``rowSums(T^2)`` as a flat ``(n,)`` vector."""
-        return to_dense_result(generic.rowsums(generic.square(data))).ravel()
-
-    @classmethod
-    def _distances_to(cls, data, centroids: np.ndarray,
-                      point_norms: Optional[np.ndarray] = None) -> np.ndarray:
-        """Squared distances of every row of *data* to every centroid column.
-
-        ``rowSums(T^2) + |c|^2 - T (2 C)``, broadcast; the batch fit and a
-        mini-batch run this one expansion, so a mini-batch covering all rows
-        reproduces the full-batch distance matrix bit for bit.  Scaling by 2
-        is exact, so ``T (2 C)`` has the bits of ``(2 T) C``.
-        """
-        if point_norms is None:
-            point_norms = cls._point_norms(data)
-        distances = point_norms[:, None] + np.sum(centroids ** 2, axis=0)
-        distances -= to_dense_result(data @ (2 * centroids))  # n x k LMM
-        return distances
 
     def _cluster_sums(self, data, labels: np.ndarray):
         """Per-cluster counts ``(1, k)`` and coordinate sums ``T^T K_A`` ``(d, k)``."""
@@ -174,14 +200,13 @@ class KMeans(IterativeEstimator):
         """
         data = self._dispatch_batch(data)
         k = self.num_clusters
-        n = data.shape[0]
         if self.centroids_ is None:
             self.centroids_ = self._initial_centroids(data)
         if self._stream_sums is None:
             self._stream_sums = np.zeros((data.shape[1], k))
             self._stream_counts = np.zeros((1, k))
-        distances = self._distances_to(data, self.centroids_)
-        labels = np.argmin(distances, axis=1)
+        labels, nearest = nearest_centroids(
+            data, self.centroids_, squared_row_norms(data, self._table_norms))
         counts, sums = self._cluster_sums(data, labels)
         self._stream_sums = self._stream_sums + sums
         self._stream_counts = self._stream_counts + counts
@@ -190,7 +215,7 @@ class KMeans(IterativeEstimator):
         updated = self._stream_sums / safe_counts
         self.centroids_ = np.where(counts > 0, updated, self.centroids_)
         self.labels_ = labels
-        self._last_batch_inertia = float(np.sum(distances[np.arange(n), labels]))
+        self._last_batch_inertia = float(np.sum(nearest))
         return self
 
     def _fit_sgd(self, data, centroids: np.ndarray) -> "KMeans":
@@ -204,25 +229,31 @@ class KMeans(IterativeEstimator):
         """
         self.centroids_ = centroids
         batches = self._stream_batches(data)
-        for _ in range(self.max_iter):
-            self._reset_stream()
-            epoch_inertia = 0.0
-            for batch in batches:
-                self.partial_fit(batch.data)
-                epoch_inertia += self._last_batch_inertia
-            if self.track_history:
-                self.history_.append(epoch_inertia)
-        # Final streamed assignment pass (fixed centroids, original row order).
-        labels = np.empty(data.shape[0], dtype=np.int64)
-        inertia = 0.0
-        from repro.core.stream import NormalizedBatchIterator
+        # Every batch shares the attribute tables: their row norms once per fit.
+        self._table_norms = {}
+        try:
+            for _ in range(self.max_iter):
+                self._reset_stream()
+                epoch_inertia = 0.0
+                for batch in batches:
+                    self.partial_fit(batch.data)
+                    epoch_inertia += self._last_batch_inertia
+                if self.track_history:
+                    self.history_.append(epoch_inertia)
+            # Final streamed assignment pass (fixed centroids, original row order).
+            labels = np.empty(data.shape[0], dtype=np.int64)
+            inertia = 0.0
+            from repro.core.stream import NormalizedBatchIterator
 
-        for batch in NormalizedBatchIterator(data, batch_size=batches.batch_size):
-            distances = self._distances_to(self._dispatch_batch(batch.data),
-                                           self.centroids_)
-            batch_labels = np.argmin(distances, axis=1)
-            labels[batch.indices] = batch_labels
-            inertia += float(np.sum(distances[np.arange(batch.num_rows), batch_labels]))
+            for batch in NormalizedBatchIterator(data, batch_size=batches.batch_size):
+                batch_data = self._dispatch_batch(batch.data)
+                batch_labels, nearest = nearest_centroids(
+                    batch_data, self.centroids_,
+                    squared_row_norms(batch_data, self._table_norms))
+                labels[batch.indices] = batch_labels
+                inertia += float(np.sum(nearest))
+        finally:
+            self._table_norms = None
         self.labels_ = labels
         self.inertia_ = inertia
         return self
@@ -232,8 +263,7 @@ class KMeans(IterativeEstimator):
         if self.centroids_ is None:
             raise RuntimeError("model is not fitted")
         data = validate_predict_data(data, self.centroids_.shape[0], "KMeans.predict")
-        distances = self._distances_to(data, self.centroids_)
-        return np.argmin(distances, axis=1)
+        return nearest_centroids(data, self.centroids_, squared_row_norms(data))[0]
 
     def export_weights(self) -> ServingExport:
         """Export the centroids as a servable linear map.

@@ -174,8 +174,7 @@ class SchemaGraph:
     uniqueness, that every master is reachable, and that the graph is acyclic
     and connected (every alias resolves to a path from the fact table);
     :meth:`resolve_order` returns the joins topologically sorted so builders
-    can construct hop indicators masters-first, and :meth:`join_path` gives
-    the hop sequence fact -> ... -> alias behind one role.
+    can construct hop indicators masters-first.
     """
 
     def __init__(self, fact: str, joins: Sequence[Join]):
@@ -251,21 +250,6 @@ class SchemaGraph:
     def resolve_order(self) -> List[Join]:
         """Joins sorted masters-first (declaration order among ready joins)."""
         return list(self._order)
-
-    def join_path(self, alias: str) -> List[Join]:
-        """The hop sequence fact -> ... -> alias (outermost hop first)."""
-        path: List[Join] = []
-        current = alias
-        while current != self.fact:
-            join = self.join_for(current)
-            path.append(join)
-            current = join.master.table
-        path.reverse()
-        return path
-
-    def depth(self, alias: str) -> int:
-        """Number of hops between the fact table and *alias*."""
-        return len(self.join_path(alias))
 
     # -- validation against concrete tables ------------------------------------
 

@@ -26,9 +26,11 @@ def _dense(x) -> np.ndarray:
 
 
 def gather_add(out: np.ndarray, indicator: MatrixLike, attribute: MatrixLike,
-               block: np.ndarray) -> np.ndarray:
-    # K (R X): compute the small product first, then scatter through K.
-    out += to_dense(matmul(indicator, matmul(attribute, block)))
+               block) -> np.ndarray:
+    # K (R X): compute the small product first (unless a row tile of the
+    # tiled LMM passes it as block=None), then scatter through K.
+    small = attribute if block is None else matmul(attribute, block)
+    out += to_dense(matmul(indicator, small))
     return out
 
 

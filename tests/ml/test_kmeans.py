@@ -119,10 +119,10 @@ class TestValidation:
 
 class TestMemory:
     def test_fit_peak_has_no_dense_assignment_or_doubled_copy(self):
-        """The fit's traced peak stays below four n x k blocks: the distance
-        matrix, the LMM result, its gather, and one block of headroom for the
-        per-row vectors (norms, labels, codes).  A dense n x k one-hot
-        assignment (4 MB here) plus a ``2 T`` copy (8 MB) would exceed it."""
+        """The fit's traced peak, first fit included, stays below four n x k
+        blocks.  A dense n x k one-hot assignment (4 MB here) plus a ``2 T``
+        copy (8 MB) would exceed it; ``test_row_tiled_fits.py`` holds the
+        warm fit to less than one block."""
         rng = np.random.default_rng(0)
         n, k = 50_000, 10
         entity = rng.random((n, 20))

@@ -248,9 +248,10 @@ class TestNormalizedFromSchema:
         codes composed, never the joined attribute rows."""
         graph, tables = snowflake
         dataset = normalized_from_schema(graph, tables)
+        # The regions role's hops, masters first: orders -> customers -> regions.
         hops = [pk_fk_indicator(tables[graph.table_for(j.master.table)], j.master.column,
                                 tables[j.detail.table], j.detail.column)
-                for j in graph.join_path("regions")]
+                for j in graph.resolve_order() if j.alias in ("customers", "regions")]
         assert len(hops) == 2
         regions = dataset.matrix.indicators[graph.aliases.index("regions")]
         assert isinstance(regions, Indicator)

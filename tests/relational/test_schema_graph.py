@@ -115,15 +115,6 @@ def test_resolve_order_is_breadth_first():
     assert graph.aliases == ["customers", "ship_loc", "bill_loc", "regions"]
 
 
-def test_join_path_and_depth():
-    graph = _snowflake()
-    assert [j.alias for j in graph.join_path("regions")] == ["customers", "regions"]
-    assert [j.alias for j in graph.join_path("ship_loc")] == ["ship_loc"]
-    assert graph.depth("regions") == 2
-    assert graph.depth("customers") == 1
-    assert graph.depth("orders") == 0
-
-
 def test_table_for_maps_aliases_to_physical_tables():
     graph = _snowflake()
     assert graph.table_for("orders") == "orders"
