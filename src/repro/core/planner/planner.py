@@ -188,8 +188,8 @@ class Planner:
         :func:`~repro.core.planner.memory.batch_rows_for_budget` derives from
         the budget -- is scored instead.  When the materialized footprint
         exceeds the budget the streamed (or full-pass factorized) plan is all
-        that remains, which is how ``engine="auto"`` routes larger-than-budget
-        fits to the estimators' mini-batch paths.
+        that remains, which is how ``engine="auto"`` runs larger-than-budget
+        fits as mini-batch epochs.
     """
 
     def __init__(self, calibration: Optional[CalibrationProfile] = None,

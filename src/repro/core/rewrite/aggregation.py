@@ -23,7 +23,7 @@ matrix's own norms, never squaring ``T`` or the base matrices::
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -45,15 +45,11 @@ def rowsums_star(entity: Optional[MatrixLike], indicators: Sequence[MatrixLike],
 
 
 def row_norms_star(entity: Optional[MatrixLike], indicators: Sequence[MatrixLike],
-                   attributes: Sequence[MatrixLike],
-                   table_norms: Optional[Dict[int, tuple]] = None) -> np.ndarray:
+                   attributes: Sequence[MatrixLike]) -> np.ndarray:
     """``rowSums(T * T)`` as a flat ``(n_S,)`` vector.
 
     Each attribute table's squared row norms are one ``(n_R, 1)`` column that
-    :func:`~repro.la.kernels.gather_rows` gathers by code.  *table_norms*, a
-    dict owned by the caller, keeps those columns across calls on matrices
-    sharing their tables -- the batches of one mini-batch fit -- keyed by the
-    table's ``id`` (the entry holds the table, so the key stays valid).
+    :func:`~repro.la.kernels.gather_rows` gathers by code.
     """
     n_rows = indicators[0].shape[0] if indicators else entity.shape[0]
     if entity is not None and entity.shape[1] > 0:
@@ -61,12 +57,7 @@ def row_norms_star(entity: Optional[MatrixLike], indicators: Sequence[MatrixLike
     else:
         norms = np.zeros(n_rows)
     for indicator, attribute in zip(indicators, attributes):
-        entry = table_norms.get(id(attribute)) if table_norms is not None else None
-        if entry is None or entry[0] is not attribute:
-            entry = (attribute, row_norms(attribute).reshape(-1, 1))
-            if table_norms is not None:
-                table_norms[id(attribute)] = entry
-        norms += kernels.gather_rows(indicator, entry[1]).ravel()
+        norms += kernels.gather_rows(indicator, row_norms(attribute).reshape(-1, 1)).ravel()
     return norms
 
 

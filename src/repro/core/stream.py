@@ -13,8 +13,12 @@ the streaming execution layer is built on:
   seeded shuffling, and a ``memory_budget`` mode that derives the batch size
   from the planner's memory model
   (:func:`repro.core.planner.memory.batch_rows_for_budget`).  The ML
-  estimators' ``solver="sgd"`` / ``partial_fit`` paths consume it, as does
-  the chunk-wise CSV ingestion in :mod:`repro.relational.csv_io`.
+  estimators' one training loop (:mod:`repro.ml.base`) runs ``max_iter``
+  epochs of :class:`Batch` updates: a ``solver="sgd"`` epoch is this
+  iterator's batches, and a full-batch fit is the one-batch epoch, one
+  in-order :class:`Batch` covering every row.  ``partial_fit`` takes one
+  batch; the chunk-wise CSV ingestion in :mod:`repro.relational.csv_io`
+  feeds it.
 
 All three accept the normalized matrices (anything with ``take_rows``) as
 well as plain dense/sparse matrices (sliced directly), so factorized and
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -98,15 +102,28 @@ def _slice_piece(data, start: int, stop: int):
 
 @dataclass
 class Batch:
-    """One mini-batch: the row-sliced data matrix, its row indices, the target slice."""
+    """One mini-batch: the row-sliced data matrix, its rows, the target slice.
+
+    *rows* is the batch's ``slice`` of the data rows when the epoch runs in
+    order (so per-row state updates through views), else its index array.
+    """
 
     data: object
-    indices: np.ndarray
+    rows: Union[slice, np.ndarray]
     target: Optional[np.ndarray] = None
 
     @property
+    def indices(self) -> np.ndarray:
+        """The batch's row indices as an array."""
+        if isinstance(self.rows, slice):
+            return np.arange(self.rows.start, self.rows.stop)
+        return self.rows
+
+    @property
     def num_rows(self) -> int:
-        return int(self.indices.shape[0])
+        if isinstance(self.rows, slice):
+            return self.rows.stop - self.rows.start
+        return int(self.rows.shape[0])
 
 
 class NormalizedBatchIterator:
@@ -125,10 +142,9 @@ class NormalizedBatchIterator:
         *memory_budget* is given.
     shuffle:
         Draw a fresh seeded permutation per epoch (per ``__iter__`` call).
-        With ``shuffle=False`` batches are contiguous row ranges in order, and
-        a batch that covers every row is the original operand itself -- so one
-        epoch at ``batch_size >= n_rows`` executes bit-for-bit like a
-        full-batch pass.
+        With ``shuffle=False`` batches are contiguous row ranges in order
+        (their ``rows`` a ``slice``), and a batch that covers every row is
+        the original operand itself.
     seed:
         Seed for the shuffling RNG; epochs draw successive permutations from
         one generator, so a whole multi-epoch run is reproducible.
@@ -201,21 +217,15 @@ class NormalizedBatchIterator:
                 _STREAM_BATCHES.inc()
                 _STREAM_ROWS.inc(stop - start)
             if order is None:
-                if start == 0 and stop == self.n_rows:
-                    # Identity fast path: a full-coverage in-order batch *is*
-                    # the matrix -- no slicing, so full-batch equivalence is
-                    # bit-for-bit by construction.
-                    yield Batch(data=self.data, indices=np.arange(self.n_rows),
-                                target=self.target)
-                    continue
-                indices = np.arange(start, stop)
                 target = self.target[start:stop] if self.target is not None else None
-                yield Batch(data=slice_rows(self.data, start, stop),
-                            indices=indices, target=target)
+                # A full-coverage in-order batch *is* the matrix: no slicing.
+                data = (self.data if stop - start == self.n_rows
+                        else slice_rows(self.data, start, stop))
+                yield Batch(data=data, rows=slice(start, stop), target=target)
                 continue
             indices = order[start:stop]
             target = self.target[indices] if self.target is not None else None
-            yield Batch(data=take_rows(self.data, indices), indices=indices, target=target)
+            yield Batch(data=take_rows(self.data, indices), rows=indices, target=target)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"NormalizedBatchIterator(rows={self.n_rows}, batch_size={self.batch_size}, "

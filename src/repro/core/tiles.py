@@ -11,8 +11,7 @@ built, and a sharded fit keeps the whole step in its workers.
 
 from __future__ import annotations
 
-import functools
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Tuple
 
 import numpy as np
 
@@ -60,19 +59,17 @@ def map_row_pieces(data, task: Callable, *aligned: np.ndarray
     return [((0, data.shape[0]), task(data, *aligned))]
 
 
-def squared_row_norms(data, table_norms: Optional[dict] = None) -> np.ndarray:
+def squared_row_norms(data) -> np.ndarray:
     """``rowSums(T * T)`` as a flat float64 ``(n,)`` vector, without squaring ``T``.
 
     A normalized matrix gathers each table's row norms by code
-    (:func:`~repro.core.rewrite.aggregation.row_norms_star`; *table_norms*
-    keeps them across calls), a partitioned one computes them piece by piece.
+    (:func:`~repro.core.rewrite.aggregation.row_norms_star`), a partitioned
+    one computes them piece by piece.
     """
     if isinstance(data, Partitioned) and not data.transposed:
-        task = functools.partial(squared_row_norms, table_norms=table_norms)
-        return np.concatenate(data.map_rows(task))
+        return np.concatenate(data.map_rows(squared_row_norms))
     if isinstance(data, NormalizedMatrix) and not data.transposed:
-        return aggregation.row_norms_star(data.entity, data.indicators, data.attributes,
-                                          table_norms)
+        return aggregation.row_norms_star(data.entity, data.indicators, data.attributes)
     if isinstance(data, np.ndarray) or is_sparse(data):
         return row_norms(data)
     return generic.to_dense_result(generic.rowsums(generic.square(data))).ravel()

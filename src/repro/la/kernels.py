@@ -337,11 +337,12 @@ def partial_scores(attribute: MatrixLike, weight_slice: np.ndarray) -> np.ndarra
 
 @_kernel
 def sgd_step(data, y: np.ndarray, w: np.ndarray,
-             step_size: float) -> Tuple[np.ndarray, float]:
-    """One fused least-squares mini-batch step; returns ``(w_new, batch_sse)``."""
-    residual = to_dense_result(data @ w) - y
+             step_size: float) -> Tuple[np.ndarray, np.ndarray]:
+    """One fused least-squares mini-batch step; returns ``(w_new, batch_residual)``."""
+    residual = to_dense_result(data @ w)
+    residual -= y  # in place: one n-row temporary per step
     gradient = to_dense_result(data.T @ residual)
-    return w - step_size * gradient, float(np.sum(residual ** 2))
+    return w - step_size * gradient, residual
 
 
 @_kernel
@@ -349,10 +350,11 @@ def logistic_sgd_step(data, y: np.ndarray, w: np.ndarray, step_size: float,
                       update: str) -> Tuple[np.ndarray, np.ndarray]:
     """One fused logistic mini-batch step; returns ``(w_new, batch_scores)``."""
     scores = to_dense_result(data @ w)
-    if update == "paper":
-        p = y / (1.0 + np.exp(_clip(scores)))
-    else:
-        p = y / (1.0 + np.exp(_clip(y * scores)))
+    # p = y / (1 + exp(clip(margin))), in one buffer.
+    p = _clip(scores if update == "paper" else y * scores)
+    np.exp(p, out=p)
+    p += 1.0
+    np.divide(y, p, out=p)
     w = w + step_size * to_dense_result(data.T @ p)
     return w, scores
 

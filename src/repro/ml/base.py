@@ -12,12 +12,13 @@ from __future__ import annotations
 import abc
 import functools
 import time
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 import numpy as np
 
 from repro import obs
 from repro.core.planner.memory import validate_memory_budget
+from repro.core.stream import Batch, NormalizedBatchIterator
 from repro.exceptions import ShapeError
 
 _FITS_TOTAL = obs.REGISTRY.counter(
@@ -115,23 +116,25 @@ class IterativeEstimator(abc.ABC):
         ``Partitioned.sharded`` -- and the same estimator code runs unchanged
         over the shards.
     solver:
-        ``"batch"`` (default) runs the historical full-batch loop -- one LA
-        pass over the whole data matrix per iteration.  ``"sgd"`` runs the
-        mini-batch loop instead: ``max_iter`` epochs, each streaming the data
-        through a :class:`~repro.core.stream.NormalizedBatchIterator` and
-        applying one ``partial_fit``-style update per batch.  On a normalized
-        matrix every batch is a factorized ``take_rows`` slice (attribute
-        tables shared across all batches), so mini-batch training never
-        materializes the join.  One epoch with ``batch_size >= n_rows`` (and
-        ``shuffle=False``) is bit-for-bit identical to one full-batch
-        iteration.  Composes with ``n_jobs`` (each batch is sharded for the
-        parallel backend).
+        How each of the ``max_iter`` epochs batches the rows: every fit runs
+        one training loop, ``max_iter`` epochs of the estimator's one update
+        step, one step per batch.  ``"batch"`` (default) makes an epoch one
+        in-order batch covering every row, so a full-batch fit is the
+        one-batch epoch and each epoch is one LA pass over the whole data
+        matrix.  ``"sgd"`` cuts each epoch into mini-batches by a
+        :class:`~repro.core.stream.NormalizedBatchIterator`.  On a
+        normalized matrix every batch is a factorized ``take_rows`` slice
+        (attribute tables shared across all batches), so mini-batch training
+        never materializes the join.  ``"sgd"`` with ``batch_size >= n_rows``
+        and ``shuffle=False`` is the same one-batch epoch, so it learns
+        exactly what ``"batch"`` learns.  Composes with ``n_jobs``: the
+        one-batch epoch is sharded once per fit, a mini-batch epoch each batch.
     batch_size:
         Rows per mini-batch for ``solver="sgd"`` / streamed plans.  ``None``
         derives it from ``memory_budget`` when set, else uses one full-size
         batch.
     shuffle:
-        Reshuffle the rows each epoch (seeded by ``seed``) in the sgd loop.
+        Reshuffle the rows each mini-batch epoch (seeded by ``seed``).
     memory_budget:
         Optional per-pass working-set budget in bytes.  ``solver="sgd"``
         derives the batch size from it (via the planner's memory model), and
@@ -143,6 +146,8 @@ class IterativeEstimator(abc.ABC):
 
     ENGINES = ("eager", "auto")
     SOLVERS = ("batch", "sgd")
+    #: the learned attribute whose first axis is the feature count.
+    _WEIGHTS = "coef_"
 
     def __init__(self, max_iter: int = 20, step_size: float = 1e-3,
                  seed: Optional[int] = 0, track_history: bool = False,
@@ -181,10 +186,6 @@ class IterativeEstimator(abc.ABC):
     def _rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
 
-    def _dispatch_data(self, data):
-        """Shard *data* according to ``n_jobs``."""
-        return shard_for_jobs(data, self.n_jobs)
-
     def _workload_descriptor(self):
         """This estimator's Table-1 operator footprint (for ``engine="auto"``).
 
@@ -196,36 +197,29 @@ class IterativeEstimator(abc.ABC):
         return WorkloadDescriptor.generic()
 
     def _resolve_engine(self, data):
-        """Resolve ``engine=`` to a concrete ``(engine, operand)`` pair.
+        """Resolve ``engine=`` to ``(engine, operand, n_jobs)`` for :meth:`_epoch`.
 
-        For ``"eager"`` this is exactly the ``_dispatch_data`` path.  For
-        ``"auto"`` the planner scores candidate plans for this estimator's
-        workload descriptor and the fit follows the winner: a materialized
-        plan swaps the normalized operand for its (memoized) materialization,
-        a sharded plan wraps the operand in the parallel backend, and the
-        returned engine (``"eager"`` or ``"cofactor"``) selects the
-        subclass's loop.  The plan lands in ``plan_``.
+        For ``"eager"`` this is ``(engine, data, n_jobs)``.  For ``"auto"``
+        the planner scores candidate plans for this estimator's workload
+        descriptor and the fit follows the winner: a materialized plan swaps
+        the normalized operand for its (memoized) materialization, a sharded
+        plan sets the shard count, a streamed plan the batch size, and the
+        returned engine (``"eager"`` or ``"cofactor"``) chooses between the
+        training loop and linear regression's co-factor form.  The plan
+        lands in ``plan_``.
         """
         if self.engine != "auto":
             self.plan_ = None
-            if self.solver == "sgd":
-                # The sgd loop batches the operand itself and shards per
-                # batch; wrapping the whole matrix in the sharded backend
-                # here would hide its row-selection surface.
-                return self.engine, data
-            return self.engine, self._dispatch_data(data)
+            return self.engine, data, self.n_jobs
         from repro.core.planner import Planner
         from repro.la.types import is_matrix_like
 
         pinned = effective_n_jobs(self.n_jobs) if self._n_jobs_pinned else None
-        if self.solver == "sgd":
-            # Mini-batch fits shard per batch, not whole-matrix; restrict the
-            # planner to the layout/engine axes.
-            pinned = 1
-        if not (hasattr(data, "shard") or is_matrix_like(data)):
-            # Chunked / already-sharded operands pass through shard_for_jobs
-            # unchanged, so a sharded plan could not be realized -- pin the
-            # shard axis and let the planner choose only the engine.
+        if self.solver == "sgd" or not (hasattr(data, "shard") or is_matrix_like(data)):
+            # A mini-batch fit shards each batch by n_jobs, and chunked or
+            # already-sharded operands pass through shard_for_jobs unchanged:
+            # pin the shard axis and let the planner choose the layout and
+            # the engine.
             pinned = 1
         # Steady-state planning: _memoized_materialize makes the join cost a
         # one-time setup per matrix, so repeated fits should not re-charge it.
@@ -240,53 +234,116 @@ class IterativeEstimator(abc.ABC):
         if not plan.factorized \
                 and plan.data_summary.get("kind") == "normalized":
             operand = _memoized_materialize(data)
-        if plan.backend == "streamed":
-            # A streamed plan dispatches the fit through the mini-batch loop
-            # (see _use_minibatch); the operand stays unsharded so the batch
-            # iterator can slice it.
-            return plan.engine, operand
-        if plan.n_jobs > 1:
-            operand = shard_for_jobs(operand, plan.n_jobs)
-        return plan.engine, operand
+        # A plan at one shard (every mini-batch and streamed plan) leaves the
+        # batches to n_jobs.
+        return plan.engine, operand, plan.n_jobs if plan.n_jobs > 1 else self.n_jobs
 
-    def _use_minibatch(self) -> bool:
-        """Whether this fit runs the mini-batch loop.
+    def _epoch(self, data, target=None, n_jobs: int = 1) -> "Epoch":
+        """The epoch this fit repeats ``max_iter`` times over *data*.
 
-        True when the user asked for it (``solver="sgd"``) or when an
-        ``engine="auto"`` plan chose the streamed backend under a memory
-        budget.
+        ``solver="batch"`` is one in-order batch covering every row.  A
+        mini-batch fit -- ``solver="sgd"``, or an ``engine="auto"`` plan that
+        chose the streamed backend under a memory budget -- batches through a
+        :class:`~repro.core.stream.NormalizedBatchIterator`.  Batch-size
+        precedence: an explicit ``batch_size`` wins; otherwise a streamed
+        plan's budget-derived ``batch_rows``; otherwise the ``memory_budget``
+        directly; otherwise one full-size batch.
         """
-        if self.solver == "sgd":
-            return True
-        return self.plan_ is not None and self.plan_.chosen.backend == "streamed"
-
-    def _stream_batches(self, data, target=None):
-        """The mini-batch iterator of one sgd/streamed fit over *data*.
-
-        Batch-size precedence: an explicit ``batch_size`` wins; otherwise a
-        streamed plan's budget-derived ``batch_rows``; otherwise the
-        ``memory_budget`` directly; otherwise one full-size batch.  Iterating
-        the returned object again starts a new epoch (with a fresh seeded
-        permutation when ``shuffle`` is on).
-        """
-        from repro.core.stream import NormalizedBatchIterator
-
+        streamed = self.plan_ is not None and self.plan_.chosen.backend == "streamed"
+        if self.solver == "batch" and not streamed:
+            return Epoch(data, target, None, n_jobs)
         batch_size = self.batch_size
-        if batch_size is None and self.plan_ is not None \
-                and self.plan_.chosen.backend == "streamed":
+        if batch_size is None and streamed:
             batch_size = self.plan_.chosen.batch_rows
         memory_budget = self.memory_budget if batch_size is None else None
-        return NormalizedBatchIterator(data, target=target, batch_size=batch_size,
-                                       shuffle=self.shuffle, seed=self.seed,
-                                       memory_budget=memory_budget)
+        batches = NormalizedBatchIterator(data, target=target, batch_size=batch_size,
+                                          shuffle=self.shuffle, seed=self.seed,
+                                          memory_budget=memory_budget)
+        return Epoch(data, target, batches, n_jobs)
 
-    def _dispatch_batch(self, batch_data):
-        """Shard one mini-batch for the parallel backend when ``n_jobs > 1``."""
-        return shard_for_jobs(batch_data, self.n_jobs)
+    def _run_epochs(self, epoch: "Epoch") -> None:
+        """The training loop: ``max_iter`` passes of :meth:`_step` over *epoch*.
+
+        With ``track_history`` each epoch appends :meth:`_epoch_loss` of its
+        summed :meth:`_batch_loss` values to ``history_``.
+        """
+        for _ in range(self.max_iter):
+            self._start_epoch()
+            loss = 0.0
+            for batch in epoch:
+                # Each step's output stays bound until the next step has
+                # allocated its own: freed first, its pages would go back to
+                # the OS and fault in again every iteration.
+                output = self._step(batch)
+                if self.track_history:
+                    loss += self._batch_loss(batch, output)
+            if self.track_history:
+                self.history_.append(self._epoch_loss(epoch, loss))
+
+    def _step(self, batch):
+        """One update of the learned state on one batch; returns its per-row output."""
+        raise NotImplementedError(f"{type(self).__name__} has no batch step")
+
+    def _batch_loss(self, batch, output) -> float:
+        """A batch's share of its epoch's ``history_`` entry, from :meth:`_step`'s output."""
+        return 0.0
+
+    def _start_epoch(self) -> None:
+        """Reset per-epoch state before an epoch's first batch (none by default)."""
+
+    def _epoch_loss(self, epoch: "Epoch", loss: float) -> float:
+        """The ``history_`` entry of one epoch: its summed batch losses by default."""
+        return loss
+
+    def _partial_operand(self, data):
+        """One ``partial_fit`` batch, sharded by ``n_jobs``, of the learned model's width."""
+        data = shard_for_jobs(data, self.n_jobs)
+        weights = getattr(self, self._WEIGHTS)
+        if weights is not None and data.shape[1] != weights.shape[0]:
+            raise ShapeError(
+                f"{type(self).__name__}.partial_fit: batch has {data.shape[1]} features "
+                f"but the model has {weights.shape[0]}"
+            )
+        return data
 
     @abc.abstractmethod
     def fit(self, data, *args, **kwargs):
         """Train the estimator; must be implemented by subclasses."""
+
+
+class Epoch:
+    """One pass of a fit over its operand: the batches :meth:`IterativeEstimator._step` takes.
+
+    An epoch of one in-order batch -- every ``solver="batch"`` fit, and an
+    unshuffled mini-batch fit whose batch covers every row -- is the whole
+    operand, sharded once for the fit (``single``).  Otherwise *batches*, a
+    :class:`~repro.core.stream.NormalizedBatchIterator`, cuts each epoch
+    anew and every batch is sharded when it is reached.  Either way a
+    batch's ``rows`` is a ``slice`` unless the epoch is shuffled.
+    """
+
+    def __init__(self, data, target=None, batches=None, n_jobs: int = 1):
+        n = data.shape[0]
+        self.data = data
+        self.n_jobs = n_jobs
+        self.single = batches is None or (not batches.shuffle and batches.num_batches <= 1)
+        #: rows per batch; an in-order pass over the data cuts the same ranges.
+        self.batch_rows = max(n, 1) if self.single else batches.batch_size
+        self._batches = batches
+        self._whole = (Batch(shard_for_jobs(data, n_jobs), slice(0, n), target)
+                       if self.single else None)
+
+    @property
+    def operand(self):
+        """What a once-per-fit pass over every row runs on (sharded when single)."""
+        return self._whole.data if self.single else self.data
+
+    def __iter__(self) -> Iterator[Batch]:
+        if self.single:
+            yield self._whole
+            return
+        for batch in self._batches:
+            yield Batch(shard_for_jobs(batch.data, self.n_jobs), batch.rows, batch.target)
 
 
 def validate_n_jobs(n_jobs) -> int:
@@ -425,8 +482,3 @@ def check_rows_match(data, y: np.ndarray, context: str) -> None:
             f"{context}: data matrix has {data.shape[0]} rows but target has {y.shape[0]}"
         )
 
-
-# Canonical clipped implementations live in repro.ml.metrics; re-exported here
-# because the estimators (and downstream users) historically import them from
-# the base module.
-from repro.ml.metrics import clip_scores, sigmoid  # noqa: E402,F401

@@ -25,10 +25,12 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.core.stream import Batch, slice_rows
 from repro.core.tiles import lmm_row_tiles, map_row_pieces
 from repro.la import ops as la_ops
 from repro.la.generic import to_dense_result
 from repro.ml.base import (
+    Epoch,
     IterativeEstimator,
     fit_telemetry,
     validate_predict_data,
@@ -68,6 +70,8 @@ class GNMF(IterativeEstimator):
         Learned ``(d, r)`` column-factor (topic) matrix.
     """
 
+    _WEIGHTS = "h_"
+
     def __init__(self, rank: int = 5, max_iter: int = 20, seed: Optional[int] = 0,
                  track_history: bool = False, epsilon: float = 1e-12,
                  engine: str = "eager", n_jobs: Optional[int] = None,
@@ -104,7 +108,7 @@ class GNMF(IterativeEstimator):
     def fit(self, data, initial_w: Optional[np.ndarray] = None,
             initial_h: Optional[np.ndarray] = None) -> "GNMF":
         """Run the multiplicative updates; *data* must be element-wise non-negative."""
-        _, data = self._resolve_engine(data)
+        _, data, n_jobs = self._resolve_engine(data)
         n, d = data.shape
         w, h = self._initial_factors(n, d)
         if initial_w is not None:
@@ -115,36 +119,34 @@ class GNMF(IterativeEstimator):
             raise ValueError("initial factors have incompatible shapes")
 
         self.history_ = []
-
-        if self._use_minibatch():
-            return self._fit_sgd(data, w, h)
-
-        for _ in range(self.max_iter):
-            # H update: numerator T^T W is a factorized transposed LMM.
-            numerator_h = to_dense_result(data.T @ w)                    # d x r
-            denominator_h = h @ la_ops.crossprod(w) + self.epsilon       # d x r
-            h = h * numerator_h / denominator_h
-            # W update: numerator T H is a factorized LMM, consumed tile by tile.
-            self._update_w(data, w, h)
-            if self.track_history:
-                self.history_.append(self._objective(data, w, h))
-
-        self.w_ = w
-        self.h_ = h
+        self.w_, self.h_ = w, h
+        self._run_epochs(self._epoch(data, n_jobs=n_jobs))
         return self
 
-    def _minibatch_step(self, data, w_rows: np.ndarray):
-        """One multiplicative update restricted to a batch.
+    def _step(self, batch) -> np.ndarray:
+        """One multiplicative update on *batch*; returns the batch's ``W`` rows.
 
-        Updates the global topic matrix ``H`` from the batch's statistics,
-        then the batch's own ``W`` rows against the new ``H``, overwriting
-        *w_rows* (each caller passes its own copy) and returning it.  With one
-        batch covering every row this is exactly one full multiplicative
-        iteration.
+        An in-order batch updates its ``W`` rows in place through a slice; a
+        shuffled batch gathers its rows and writes them back.  With one batch
+        covering every row this is exactly one full multiplicative iteration.
         """
-        numerator_h = to_dense_result(data.T @ w_rows)
-        denominator_h = self.h_ @ la_ops.crossprod(w_rows) + self.epsilon
+        w_rows = self.w_[batch.rows]
+        self._update_factors(batch.data, w_rows)
+        if not isinstance(batch.rows, slice):
+            self.w_[batch.rows] = w_rows
+        return w_rows
+
+    def _update_factors(self, data, w_rows: np.ndarray) -> np.ndarray:
+        """``H`` from the statistics of *data*, then *w_rows* against the new ``H``.
+
+        *w_rows* holds one ``W`` row per row of *data* and is overwritten in
+        place; returns it.
+        """
+        # H update: numerator T^T W is a factorized transposed LMM.
+        numerator_h = to_dense_result(data.T @ w_rows)                      # d x r
+        denominator_h = self.h_ @ la_ops.crossprod(w_rows) + self.epsilon   # d x r
         self.h_ = self.h_ * numerator_h / denominator_h
+        # W update: numerator T H is a factorized LMM, consumed tile by tile.
         self._update_w(data, w_rows, self.h_)
         return w_rows
 
@@ -156,47 +158,27 @@ class GNMF(IterativeEstimator):
             if not np.may_share_memory(rows, w):  # a process pool returns copies
                 w[start:stop] = rows
 
-    def _fit_sgd(self, data, w: np.ndarray, h: np.ndarray) -> "GNMF":
-        """Mini-batch GNMF: epochs of per-batch multiplicative updates.
+    def _epoch_loss(self, epoch: Epoch, loss: float) -> float:
+        """Squared Frobenius reconstruction error after *epoch* (densifies; diagnostics only).
 
-        ``W`` rows are updated in place batch by batch (each row belongs to
-        exactly one batch per epoch), ``H`` accumulates every batch's
-        contribution; factors initialize exactly like the batch solver, so
-        one full-size batch reproduces it bit for bit.
+        One in-order batch at a time, by its own pass: tracking must be purely
+        observational, and re-iterating a shuffled epoch would draw an extra
+        permutation and change the learned factors.
         """
-        self.w_, self.h_ = w, h
-        batches = self._stream_batches(data)
-        for _ in range(self.max_iter):
-            for batch in batches:
-                rows = batch.indices
-                self.w_[rows] = self._minibatch_step(
-                    self._dispatch_batch(batch.data), self.w_[rows])
-            if self.track_history:
-                self.history_.append(
-                    self._objective_streamed(data, batches.batch_size))
-        return self
-
-    def _objective_streamed(self, data, batch_size: int) -> float:
-        """Squared Frobenius reconstruction error, one batch at a time.
-
-        Uses its own unshuffled iterator: tracking must be purely
-        observational, and re-iterating the training iterator would consume an
-        extra shuffle permutation per epoch and change the learned factors.
-        """
-        from repro.core.stream import NormalizedBatchIterator
-
+        data, n = epoch.data, epoch.data.shape[0]
         total = 0.0
-        for batch in NormalizedBatchIterator(data, batch_size=batch_size):
-            dense = (batch.data.to_dense() if hasattr(batch.data, "to_dense")
-                     else np.asarray(batch.data))
-            total += float(np.linalg.norm(dense - self.w_[batch.indices] @ self.h_.T) ** 2)
+        for start in range(0, n, epoch.batch_rows):
+            stop = min(start + epoch.batch_rows, n)
+            piece = data if stop - start == n else slice_rows(data, start, stop)
+            dense = piece.to_dense() if hasattr(piece, "to_dense") else np.asarray(piece)
+            total += float(np.linalg.norm(dense - self.w_[start:stop] @ self.h_.T) ** 2)
         return total
 
     def partial_fit(self, data, row_indices=None) -> "GNMF":
         """One incremental multiplicative update on a single mini-batch.
 
-        With *row_indices* the batch updates those rows of ``w_`` (the sgd
-        fit path; indices come from the batch iterator).  Without indices the
+        With *row_indices* the batch updates those rows of ``w_``, as a
+        shuffled fit epoch's batches do.  Without indices the
         batch is treated as **new** rows of a growing stream: fresh ``W``
         rows are drawn from the persistent seeded RNG, updated against the
         batch, and appended -- which is how the chunk-wise CSV ingestion
@@ -204,34 +186,24 @@ class GNMF(IterativeEstimator):
         initializes from the seeded RNG on the first call (the feature count
         comes from the batch).
         """
-        data = self._dispatch_batch(data)
+        data = self._partial_operand(data)
         n_b, d = data.shape
         if self.h_ is None:
             self._stream_rng = self._rng()
             self.h_ = self._stream_rng.uniform(0.1, 1.0, size=(d, self.rank))
             if self.w_ is None:
                 self.w_ = np.zeros((0, self.rank))
-        if self.h_.shape[0] != d:
-            raise ValueError(
-                f"batch has {d} features but the learned H has {self.h_.shape[0]} rows"
-            )
         if row_indices is None:
             if self._stream_rng is None:
                 self._stream_rng = self._rng()
             w_rows = self._stream_rng.uniform(0.1, 1.0, size=(n_b, self.rank))
-            self.w_ = np.vstack([self.w_, self._minibatch_step(data, w_rows)])
+            self.w_ = np.vstack([self.w_, self._update_factors(data, w_rows)])
             return self
         rows = np.asarray(row_indices, dtype=np.int64).ravel()
         if rows.shape[0] != n_b:
             raise ValueError("row_indices must have one entry per batch row")
-        self.w_[rows] = self._minibatch_step(data, self.w_[rows])
+        self._step(Batch(data, rows))
         return self
-
-    @staticmethod
-    def _objective(data, w: np.ndarray, h: np.ndarray) -> float:
-        """Squared Frobenius reconstruction error (densifies; diagnostics only)."""
-        dense = data.to_dense() if hasattr(data, "to_dense") else np.asarray(data)
-        return float(np.linalg.norm(dense - w @ h.T) ** 2)
 
     def _projection_matrix(self) -> np.ndarray:
         """The ``(d, r)`` map taking data rows to least-squares topic loadings.

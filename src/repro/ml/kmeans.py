@@ -36,10 +36,12 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.core.stream import Batch, NormalizedBatchIterator
 from repro.core.tiles import lmm_row_tiles, map_row_pieces, squared_row_norms
 from repro.la.generic import to_dense_result
 from repro.la.ops import indicator_from_labels
 from repro.ml.base import (
+    Epoch,
     IterativeEstimator,
     fit_telemetry,
     validate_predict_data,
@@ -104,6 +106,8 @@ class KMeans(IterativeEstimator):
         Final within-cluster sum of squared distances.
     """
 
+    _WEIGHTS = "centroids_"
+
     def __init__(self, num_clusters: int = 10, max_iter: int = 20,
                  seed: Optional[int] = 0, track_history: bool = False,
                  engine: str = "eager", n_jobs: Optional[int] = None,
@@ -119,13 +123,13 @@ class KMeans(IterativeEstimator):
         self.centroids_: Optional[np.ndarray] = None
         self.labels_: Optional[np.ndarray] = None
         self.inertia_: Optional[float] = None
-        #: streaming sufficient statistics (per-cluster sums/counts) of the
-        #: mini-batch path; reset at every sgd epoch (see partial_fit).
+        #: per-cluster sums/counts accumulated over the batches of the current
+        #: epoch (or the partial_fit stream); reset at every fit epoch.
         self._stream_sums: Optional[np.ndarray] = None
         self._stream_counts: Optional[np.ndarray] = None
-        #: per-table squared row norms shared by the batches of one sgd fit
-        #: (see repro.core.rewrite.aggregation.row_norms_star); None outside it.
-        self._table_norms: Optional[dict] = None
+        #: (squared norms, labels, nearest distances) of the rows being fitted,
+        #: set for the span of one fit or partial_fit call.
+        self._rows: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     def _initial_centroids(self, data) -> np.ndarray:
         """Random Gaussian initialization, seeded so F and M runs coincide."""
@@ -140,38 +144,32 @@ class KMeans(IterativeEstimator):
 
     @fit_telemetry
     def fit(self, data, initial_centroids: Optional[np.ndarray] = None) -> "KMeans":
-        _, data = self._resolve_engine(data)
+        _, data, n_jobs = self._resolve_engine(data)
+        n, d = data.shape
         k = self.num_clusters
         centroids = (np.asarray(initial_centroids, dtype=np.float64)
                      if initial_centroids is not None else self._initial_centroids(data))
-        if centroids.shape != (data.shape[1], k):
+        if centroids.shape != (d, k):
             raise ValueError(
-                f"initial centroids must have shape ({data.shape[1]}, {k}), got {centroids.shape}"
+                f"initial centroids must have shape ({d}, {k}), got {centroids.shape}"
             )
-
         self.history_ = []
-
-        if self._use_minibatch():
-            return self._fit_sgd(data, centroids)
-
+        epoch = self._epoch(data, n_jobs=n_jobs)
         # Loop-invariant term, hoisted: the per-point squared norms rowSums(T ^ 2).
-        point_norms = squared_row_norms(data)
-
-        labels = np.empty(data.shape[0], dtype=np.intp)
-        nearest = np.empty(data.shape[0])
-        for _ in range(self.max_iter):
-            nearest_centroids(data, centroids, point_norms, labels, nearest)
-            counts, sums = self._cluster_sums(data, labels)
-            # Keep the previous centroid for empty clusters instead of dividing by zero.
-            safe_counts = np.where(counts > 0, counts, 1.0)
-            updated = sums / safe_counts
-            centroids = np.where(counts > 0, updated, centroids)
-            if self.track_history:
-                self.history_.append(float(np.sum(nearest)))
-
+        self._rows = (squared_row_norms(epoch.operand), np.empty(n, dtype=np.intp),
+                      np.empty(n))
         self.centroids_ = centroids
-        self.labels_ = labels
-        self.inertia_ = float(np.sum(nearest))
+        try:
+            self._run_epochs(epoch)
+            if epoch.single:
+                # The last epoch assigned every row under the final centroids.
+                inertia = float(np.sum(self._rows[2]))
+            else:
+                inertia = self._assign_in_order(epoch)
+            self.labels_ = self._rows[1]
+        finally:
+            self._rows = None
+        self.inertia_ = inertia
         return self
 
     def _cluster_sums(self, data, labels: np.ndarray):
@@ -181,81 +179,70 @@ class KMeans(IterativeEstimator):
         sums = to_dense_result(data.T @ indicator_from_labels(labels, k))
         return counts, sums
 
-    def _reset_stream(self) -> None:
-        """Forget the accumulated per-cluster sums/counts (new sgd epoch)."""
+    def _start_epoch(self) -> None:
+        """Forget the accumulated per-cluster sums/counts."""
         self._stream_sums = None
         self._stream_counts = None
 
-    def partial_fit(self, data) -> "KMeans":
-        """One incremental mini-batch update of the centroids.
+    def _step(self, batch) -> np.ndarray:
+        """One Lloyd update on *batch*; returns its rows' nearest squared distances.
 
         Assigns the batch rows to the nearest current centroid, folds the
-        batch's per-cluster sums and counts into the streaming statistics
-        accumulated since the last epoch (or :meth:`_reset_stream`), and
-        moves every touched centroid to the mean of the points seen so far;
-        untouched clusters keep their centroid.  Centroids initialize from
-        the seeded RNG on the first call, so factorized and materialized
-        streams start identically.  With one batch covering every row this
-        is exactly one Lloyd iteration.
+        batch's per-cluster sums and counts into the statistics accumulated
+        since the epoch began, and moves every touched centroid to the mean
+        of the points seen so far; untouched clusters keep their centroid.
+        With one batch covering every row this is exactly one Lloyd
+        iteration.
         """
-        data = self._dispatch_batch(data)
-        k = self.num_clusters
+        norms, labels, nearest = (column[batch.rows] for column in self._rows)
+        nearest_centroids(batch.data, self.centroids_, norms, labels, nearest)
+        counts, sums = self._cluster_sums(batch.data, labels)
+        if self._stream_sums is not None:
+            counts = self._stream_counts + counts
+            sums = self._stream_sums + sums
+        self._stream_counts, self._stream_sums = counts, sums
+        # Keep the previous centroid for empty clusters instead of dividing by zero.
+        safe_counts = np.where(counts > 0, counts, 1.0)
+        self.centroids_ = np.where(counts > 0, sums / safe_counts, self.centroids_)
+        return nearest
+
+    def _batch_loss(self, batch, nearest: np.ndarray) -> float:
+        """The batch's inertia under the centroids it was assigned to."""
+        return float(np.sum(nearest))
+
+    def _assign_in_order(self, epoch: Epoch) -> float:
+        """Assign every row under the final centroids, in order; returns the inertia.
+
+        A mini-batch epoch's labels are each from its own batch's centroids,
+        so ``labels_``/``inertia_`` come from this pass over the final model.
+        """
+        norms, labels, nearest = self._rows
+        inertia = 0.0
+        batches = NormalizedBatchIterator(epoch.data, batch_size=epoch.batch_rows)
+        for batch in Epoch(epoch.data, None, batches, epoch.n_jobs):
+            rows = batch.rows
+            nearest_centroids(batch.data, self.centroids_, norms[rows], labels[rows],
+                              nearest[rows])
+            inertia += float(np.sum(nearest[rows]))
+        return inertia
+
+    def partial_fit(self, data) -> "KMeans":
+        """One incremental mini-batch update of the centroids (see :meth:`_step`).
+
+        The per-cluster statistics accumulate across calls, starting from the
+        last fit epoch's.  Centroids initialize from the seeded RNG on the
+        first call, so factorized and materialized streams start identically.
+        """
+        data = self._partial_operand(data)
         if self.centroids_ is None:
             self.centroids_ = self._initial_centroids(data)
-        if self._stream_sums is None:
-            self._stream_sums = np.zeros((data.shape[1], k))
-            self._stream_counts = np.zeros((1, k))
-        labels, nearest = nearest_centroids(
-            data, self.centroids_, squared_row_norms(data, self._table_norms))
-        counts, sums = self._cluster_sums(data, labels)
-        self._stream_sums = self._stream_sums + sums
-        self._stream_counts = self._stream_counts + counts
-        counts = self._stream_counts
-        safe_counts = np.where(counts > 0, counts, 1.0)
-        updated = self._stream_sums / safe_counts
-        self.centroids_ = np.where(counts > 0, updated, self.centroids_)
-        self.labels_ = labels
-        self._last_batch_inertia = float(np.sum(nearest))
-        return self
-
-    def _fit_sgd(self, data, centroids: np.ndarray) -> "KMeans":
-        """Mini-batch K-Means: ``max_iter`` epochs of streamed Lloyd updates.
-
-        Every epoch resets the streaming statistics and replays the batches
-        through :meth:`partial_fit`; a final streaming pass assigns every row
-        under the learned centroids (so ``labels_``/``inertia_`` reflect the
-        *final* model -- the batch solver reports the assignment of its last
-        iteration's distance matrix instead).
-        """
-        self.centroids_ = centroids
-        batches = self._stream_batches(data)
-        # Every batch shares the attribute tables: their row norms once per fit.
-        self._table_norms = {}
+        n = data.shape[0]
+        self._rows = (squared_row_norms(data), np.empty(n, dtype=np.intp), np.empty(n))
         try:
-            for _ in range(self.max_iter):
-                self._reset_stream()
-                epoch_inertia = 0.0
-                for batch in batches:
-                    self.partial_fit(batch.data)
-                    epoch_inertia += self._last_batch_inertia
-                if self.track_history:
-                    self.history_.append(epoch_inertia)
-            # Final streamed assignment pass (fixed centroids, original row order).
-            labels = np.empty(data.shape[0], dtype=np.int64)
-            inertia = 0.0
-            from repro.core.stream import NormalizedBatchIterator
-
-            for batch in NormalizedBatchIterator(data, batch_size=batches.batch_size):
-                batch_data = self._dispatch_batch(batch.data)
-                batch_labels, nearest = nearest_centroids(
-                    batch_data, self.centroids_,
-                    squared_row_norms(batch_data, self._table_norms))
-                labels[batch.indices] = batch_labels
-                inertia += float(np.sum(nearest))
+            self._step(Batch(data, slice(0, n)))
+            self.labels_ = self._rows[1]
         finally:
-            self._table_norms = None
-        self.labels_ = labels
-        self.inertia_ = inertia
+            self._rows = None
         return self
 
     def predict(self, data) -> np.ndarray:

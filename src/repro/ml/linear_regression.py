@@ -23,6 +23,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.stream import Batch
 from repro.la import generic, kernels
 from repro.la.generic import to_dense_result
 from repro.ml.base import (
@@ -119,47 +120,31 @@ class LinearRegressionGD(IterativeEstimator):
     def fit(self, data, target, initial_weights: Optional[np.ndarray] = None
             ) -> "LinearRegressionGD":
         y = as_column(target)
-        engine, data = self._resolve_engine(data)
+        engine, data, n_jobs = self._resolve_engine(data)
         check_rows_match(data, y, "LinearRegressionGD.fit")
         d = data.shape[1]
         w = as_column(initial_weights).copy() if initial_weights is not None else np.zeros((d, 1))
         self.history_ = []
-        if self._use_minibatch():
-            return self._fit_sgd(data, y, w)
-        if engine == "cofactor":
-            return self._fit_cofactor(data, y, w)
-        for _ in range(self.max_iter):
-            residual = to_dense_result(data @ w) - y
-            gradient = to_dense_result(data.T @ residual)
-            w = w - self.step_size * gradient
-            if self.track_history:
-                self.history_.append(float(np.sum(residual ** 2)))
+        if engine == "cofactor" and self.solver == "batch":
+            return self._fit_cofactor(shard_for_jobs(data, n_jobs), y, w)
         self.coef_ = w
+        self._run_epochs(self._epoch(data, y, n_jobs))
         return self
 
-    def _minibatch_step(self, data, y: np.ndarray, w: np.ndarray):
-        """One mini-batch gradient step; returns the new weights and the batch SSE."""
-        return kernels.sgd_step(data, y, w, self.step_size)
+    def _step(self, batch) -> np.ndarray:
+        """One gradient step of Algorithm 11 on *batch*; returns the batch residual.
 
-    def _fit_sgd(self, data, y: np.ndarray, w: np.ndarray) -> "LinearRegressionGD":
-        """Mini-batch SGD: ``max_iter`` epochs over factorized row batches.
-
-        Each batch of a normalized matrix is a ``take_rows`` slice (attribute
+        A batch of a normalized matrix is a ``take_rows`` slice (attribute
         tables shared), so an epoch streams the base matrices without ever
-        materializing the join; one epoch at ``batch_size >= n_rows`` is the
-        full-batch update bit for bit.
+        materializing the join.
         """
-        batches = self._stream_batches(data, y)
-        for _ in range(self.max_iter):
-            epoch_sse = 0.0
-            for batch in batches:
-                w, sse = self._minibatch_step(self._dispatch_batch(batch.data),
-                                              batch.target, w)
-                epoch_sse += sse
-            if self.track_history:
-                self.history_.append(epoch_sse)
-        self.coef_ = w
-        return self
+        self.coef_, residual = kernels.sgd_step(batch.data, batch.target, self.coef_,
+                                                self.step_size)
+        return residual
+
+    def _batch_loss(self, batch, residual: np.ndarray) -> float:
+        """The batch's residual sum of squares."""
+        return float(np.sum(residual ** 2))
 
     def partial_fit(self, data, target) -> "LinearRegressionGD":
         """One incremental gradient step on a single mini-batch.
@@ -172,21 +157,22 @@ class LinearRegressionGD(IterativeEstimator):
         CSV reader) or a plain row slice -- the two match to numerical
         precision, which the equivalence suite checks.
         """
-        data = self._dispatch_batch(data)
+        data = self._partial_operand(data)
         y = as_column(target)
         check_rows_match(data, y, "LinearRegressionGD.partial_fit")
         if self.coef_ is None:
             self.coef_ = np.zeros((data.shape[1], 1))
-        self.coef_, sse = self._minibatch_step(data, y, self.coef_)
+        batch = Batch(data, slice(0, data.shape[0]), y)
+        residual = self._step(batch)
         if self.track_history:
-            self.history_.append(sse)
+            self.history_.append(self._batch_loss(batch, residual))
         return self
 
     def _fit_cofactor(self, data, y: np.ndarray, w: np.ndarray) -> "LinearRegressionGD":
         """The co-factor form: two data passes per fit, then ``d x d`` steps.
 
         With ``track_history`` every iteration also runs ``T w`` for the
-        residual sum of squares, as the eager loop reports it.
+        residual sum of squares, as the eager epochs report it.
         """
         gram, xty = cofactor_terms(data, y)
         for _ in range(self.max_iter):
@@ -231,7 +217,7 @@ class LinearRegressionCofactor(IterativeEstimator):
     @fit_telemetry
     def fit(self, data, target, initial_weights: Optional[np.ndarray] = None
             ) -> "LinearRegressionCofactor":
-        data = self._dispatch_data(data)
+        data = shard_for_jobs(data, self.n_jobs)
         y = as_column(target)
         check_rows_match(data, y, "LinearRegressionCofactor.fit")
         d = data.shape[1]

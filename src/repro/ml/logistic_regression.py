@@ -21,6 +21,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.stream import Batch
 from repro.la import kernels
 from repro.la.generic import to_dense_result
 from repro.ml.base import (
@@ -28,11 +29,10 @@ from repro.ml.base import (
     as_column,
     fit_telemetry,
     check_rows_match,
-    clip_scores,
-    sigmoid,
     validate_predict_data,
 )
 from repro.ml.export import ServingExport
+from repro.ml.metrics import clip_scores, sigmoid
 
 
 class LogisticRegressionGD(IterativeEstimator):
@@ -74,53 +74,24 @@ class LogisticRegressionGD(IterativeEstimator):
         :func:`repro.ml.preprocessing.binarize_labels` to convert 0/1 labels).
         """
         y = as_column(target)
-        _, data = self._resolve_engine(data)
+        _, data, n_jobs = self._resolve_engine(data)
         check_rows_match(data, y, "LogisticRegressionGD.fit")
         d = data.shape[1]
-        if initial_weights is not None:
-            w = as_column(initial_weights).copy()
-        else:
-            w = np.zeros((d, 1))
-        alpha = self.step_size
+        self.coef_ = as_column(initial_weights).copy() if initial_weights is not None \
+            else np.zeros((d, 1))
         self.history_ = []
-
-        if self._use_minibatch():
-            return self._fit_sgd(data, y, w)
-
-        for _ in range(self.max_iter):
-            scores = to_dense_result(data @ w)
-            # Clip the exponent to keep exp finite; beyond +/-500 the factor is
-            # numerically 0 or 1 anyway, so the update is unchanged.
-            if self.update == "paper":
-                p = y / (1.0 + np.exp(clip_scores(scores)))
-            else:
-                p = y / (1.0 + np.exp(clip_scores(y * scores)))
-            w = w + alpha * to_dense_result(data.T @ p)
-            if self.track_history:
-                self.history_.append(self._negative_log_likelihood(scores, y))
-
-        self.coef_ = w
+        self._run_epochs(self._epoch(data, y, n_jobs))
         return self
 
-    def _minibatch_step(self, data, y: np.ndarray, w: np.ndarray):
-        """One mini-batch ascent step; returns the new weights and the batch scores."""
-        return kernels.logistic_sgd_step(data, y, w, self.step_size, self.update)
+    def _step(self, batch) -> np.ndarray:
+        """One ascent step of Algorithm 3 on *batch*; returns the batch scores ``T w``."""
+        self.coef_, scores = kernels.logistic_sgd_step(batch.data, batch.target, self.coef_,
+                                                       self.step_size, self.update)
+        return scores
 
-    def _fit_sgd(self, data, y: np.ndarray, w: np.ndarray) -> "LogisticRegressionGD":
-        """Mini-batch SGD over factorized row batches; see
-        :meth:`LinearRegressionGD._fit_sgd` for the streaming contract."""
-        batches = self._stream_batches(data, y)
-        for _ in range(self.max_iter):
-            epoch_nll = 0.0
-            for batch in batches:
-                w, scores = self._minibatch_step(self._dispatch_batch(batch.data),
-                                                 batch.target, w)
-                if self.track_history:
-                    epoch_nll += self._negative_log_likelihood(scores, batch.target)
-            if self.track_history:
-                self.history_.append(epoch_nll)
-        self.coef_ = w
-        return self
+    def _batch_loss(self, batch, scores: np.ndarray) -> float:
+        """The batch's negative log-likelihood under the weights it was scored with."""
+        return self._negative_log_likelihood(scores, batch.target)
 
     def partial_fit(self, data, target) -> "LogisticRegressionGD":
         """One incremental ascent step on a single mini-batch (labels in ``{-1, +1}``).
@@ -128,14 +99,15 @@ class LogisticRegressionGD(IterativeEstimator):
         Initializes ``coef_`` to zeros on the first call; factorized and
         materialized batches produce matching updates to numerical precision.
         """
-        data = self._dispatch_batch(data)
+        data = self._partial_operand(data)
         y = as_column(target)
         check_rows_match(data, y, "LogisticRegressionGD.partial_fit")
         if self.coef_ is None:
             self.coef_ = np.zeros((data.shape[1], 1))
-        self.coef_, scores = self._minibatch_step(data, y, self.coef_)
+        batch = Batch(data, slice(0, data.shape[0]), y)
+        scores = self._step(batch)
         if self.track_history:
-            self.history_.append(self._negative_log_likelihood(scores, y))
+            self.history_.append(self._batch_loss(batch, scores))
         return self
 
     @staticmethod

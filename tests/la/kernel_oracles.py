@@ -98,10 +98,10 @@ def partial_scores(attribute: MatrixLike, weight_slice: np.ndarray) -> np.ndarra
 
 
 def sgd_step(data, y: np.ndarray, w: np.ndarray,
-             step_size: float) -> Tuple[np.ndarray, float]:
+             step_size: float) -> Tuple[np.ndarray, np.ndarray]:
     dense = np.asarray(_dense(data), dtype=np.float64)
     residual = dense @ w - y
-    return w - step_size * (dense.T @ residual), float(np.sum(residual ** 2))
+    return w - step_size * (dense.T @ residual), residual
 
 
 def logistic_sgd_step(data, y: np.ndarray, w: np.ndarray, step_size: float,

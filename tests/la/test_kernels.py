@@ -145,7 +145,7 @@ def _operator_snapshot(matrix, x, w, y, w0, rows, weight_slices) -> dict:
     partials = [kernels.partial_scores(r, ws)
                 for r, ws in zip(matrix.attributes, weight_slices)]
     codes = [indicator_codes(k) for k in matrix.indicators]
-    step_w, sse = kernels.sgd_step(matrix, y, w0.copy(), 1e-3)
+    step_w, residual = kernels.sgd_step(matrix, y, w0.copy(), 1e-3)
     logistic_w, scores = kernels.logistic_sgd_step(matrix, labels, w0.copy(), 1e-3, "exact")
     return {
         "lmm": np.asarray(matrix @ x, dtype=np.float64),
@@ -157,7 +157,7 @@ def _operator_snapshot(matrix, x, w, y, w0, rows, weight_slices) -> dict:
         "colsums": np.asarray(matrix.colsums(), dtype=np.float64),
         "total": np.asarray(matrix.total_sum(), dtype=np.float64),
         "take_rows": np.asarray(matrix.take_rows(rows) @ x, dtype=np.float64),
-        "sgd": (step_w, sse),
+        "sgd": (step_w, residual),
         "logistic": (logistic_w, scores),
         "serve": kernels.gather_dot(np.zeros((matrix.shape[0], 2)), partials, codes),
     }

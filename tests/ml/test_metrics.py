@@ -137,12 +137,6 @@ class TestScoreClipping:
         z = np.linspace(-30, 30, 101)
         assert np.allclose(metrics.sigmoid(z), 1.0 / (1.0 + np.exp(-z)))
 
-    def test_base_module_reexports_shared_helpers(self):
-        from repro.ml import base
-
-        assert base.sigmoid is metrics.sigmoid
-        assert base.clip_scores is metrics.clip_scores
-
     def test_predict_proba_on_extreme_scores_is_finite(self):
         from repro.ml import LogisticRegressionGD
 

@@ -5,10 +5,13 @@ through :mod:`repro.core.partitioned` and must reproduce the serial coefficients
 within floating-point reassociation (and bit-for-bit when ``n_jobs=1``).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core.partitioned import Partitioned
+from repro.core.planner import CalibrationProfile, Planner
 from repro.ml.base import effective_n_jobs, shard_for_jobs, validate_n_jobs
 from repro.ml.gnmf import GNMF
 from repro.ml.kmeans import KMeans
@@ -162,3 +165,33 @@ class TestGNMFParallel:
         parallel = GNMF(rank=3, max_iter=6, seed=0, n_jobs=3).fit(nonneg)
         assert np.allclose(parallel.w_, serial.w_, atol=1e-8)
         assert np.allclose(parallel.h_, serial.h_, atol=1e-8)
+
+
+class TestAutoFitRunsThePlannedShards:
+    """An unpinned ``engine="auto"`` fit shards as its plan says."""
+
+    class TwoShardPlanner(Planner):
+        """Ranks the factorized, eager, two-shard candidate first."""
+
+        def __init__(self):
+            super().__init__(calibration=CalibrationProfile.default(),
+                             charge_materialization=False, shard_candidates=(2,))
+
+        def plan(self, data, workload=None, n_shards=None):
+            plan = super().plan(data, workload, n_shards=n_shards)
+            ranked = sorted(plan.candidates, key=lambda c: not (
+                c.n_shards == 2 and c.factorized and c.engine == "eager"))
+            return replace(plan, candidates=tuple(ranked))
+
+    @pytest.mark.parametrize("name", ["logreg", "kmeans"])
+    def test_sharded_plan_shards_the_fit(self, classification_problem, name):
+        normalized, _, labels = classification_problem
+        if name == "logreg":
+            model, args = LogisticRegressionGD(max_iter=2, engine="auto"), (labels,)
+        else:
+            model, args = KMeans(num_clusters=3, max_iter=2, engine="auto"), ()
+        model.planner = self.TwoShardPlanner()
+        model.fit(normalized, *args)
+        assert model.plan_.n_jobs == 2
+        # shard_for_jobs memoizes the shard views it built on the matrix.
+        assert 2 in getattr(normalized, "_shard_views", {})

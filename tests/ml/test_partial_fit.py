@@ -74,6 +74,8 @@ class TestFullBatchBitForBit:
         sgd = KMeans(num_clusters=3, max_iter=4, solver="sgd", batch_size=n
                      ).fit(normalized)
         assert np.array_equal(full.centroids_, sgd.centroids_)
+        assert np.array_equal(full.labels_, sgd.labels_)
+        assert full.inertia_ == sgd.inertia_
 
     def test_gnmf(self, fixture_pair):
         _, materialized, _, _ = fixture_pair
@@ -83,6 +85,42 @@ class TestFullBatchBitForBit:
         sgd = GNMF(rank=3, max_iter=4, solver="sgd", batch_size=n).fit(nonneg)
         assert np.array_equal(full.w_, sgd.w_)
         assert np.array_equal(full.h_, sgd.h_)
+
+
+class TestShuffledOneBatchEpoch:
+    """One shuffled batch covering every row is the full-batch fit up to summation order."""
+
+    def test_all_four(self, fixture_pair):
+        normalized, materialized, y, labels = fixture_pair
+        n = materialized.shape[0]
+        sgd = dict(solver="sgd", batch_size=n, shuffle=True, seed=3)
+        for make, args in (
+                (lambda **kw: LinearRegressionGD(max_iter=3, step_size=1e-4, **kw), (y,)),
+                (lambda **kw: LogisticRegressionGD(max_iter=3, **kw), (labels,)),
+                (lambda **kw: KMeans(num_clusters=3, max_iter=3, **kw), ()),
+                (lambda **kw: GNMF(rank=2, max_iter=3, **kw), ())):
+            data = normalized + 5.0 if not args else normalized
+            full = make(seed=3).fit(data, *args)
+            shuffled = make(**sgd).fit(data, *args)
+            for attr in ("coef_", "centroids_", "w_", "h_"):
+                if hasattr(full, attr):
+                    assert np.allclose(getattr(full, attr), getattr(shuffled, attr),
+                                       rtol=1e-10, atol=1e-12), attr
+            if isinstance(full, KMeans):
+                assert np.array_equal(full.predict(data), shuffled.labels_)
+
+
+class TestMinibatchKMeansReportsFinalModel:
+    """A mini-batch K-Means fit's labels_/inertia_ come from its final centroids."""
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_labels_and_inertia(self, fixture_pair, shuffle):
+        normalized, materialized, _, _ = fixture_pair
+        model = KMeans(num_clusters=3, max_iter=3, solver="sgd", batch_size=23,
+                       shuffle=shuffle).fit(normalized)
+        assert np.array_equal(model.labels_, model.predict(materialized))
+        distances = ((materialized[:, :, None] - model.centroids_[None]) ** 2).sum(axis=1)
+        assert np.isclose(model.inertia_, distances.min(axis=1).sum(), rtol=1e-9)
 
 
 class TestFactorizedMatchesMaterializedMinibatch:
@@ -244,7 +282,7 @@ class TestStreamingComposition:
         model.fit(normalized, y)
         explicit = LinearRegressionGD(
             max_iter=2, step_size=1e-4, solver="sgd",
-            batch_size=model._stream_batches(normalized).batch_size).fit(normalized, y)
+            batch_size=model._epoch(normalized).batch_rows).fit(normalized, y)
         assert np.allclose(model.coef_, explicit.coef_, atol=1e-12)
 
     def test_solver_validation(self):

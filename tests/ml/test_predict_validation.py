@@ -96,6 +96,24 @@ def test_wrong_feature_count_raises_shape_error(fitted_models, name):
         _infer(name, model, dense[0, :-1])
 
 
+@pytest.mark.parametrize("n_jobs", [1, 2])
+@pytest.mark.parametrize("name", ["linreg_gd", "logreg", "kmeans", "gnmf"])
+def test_partial_fit_width_mismatch_raises_shape_error(fitted_models, name, n_jobs):
+    models, _, dense = fitted_models
+    model = models[name]
+    model.n_jobs = n_jobs
+    weights = {attr: np.copy(getattr(model, attr))
+               for attr in ("coef_", "centroids_", "w_", "h_") if hasattr(model, attr)}
+    d = dense.shape[1]
+    batch = np.abs(dense[:12, :-1])
+    args = () if name in ("kmeans", "gnmf") else (np.ones(12),)
+    message = rf"{type(model).__name__}\.partial_fit: batch has {d - 1} features .* {d}"
+    with pytest.raises(ShapeError, match=message):
+        model.partial_fit(batch, *args)
+    for attr, before in weights.items():
+        assert np.array_equal(getattr(model, attr), before), attr
+
+
 @pytest.mark.parametrize("name", ALL_MODELS)
 def test_bad_rank_raises_shape_error(fitted_models, name):
     models, _, dense = fitted_models
