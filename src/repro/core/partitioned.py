@@ -326,8 +326,7 @@ class Partitioned:
         memory model instead; with neither, the whole source is one batch.
         The source must be untransposed (stream it, then take ``.T``).
         """
-        batch_rows = stream.NormalizedBatchIterator(
-            source, batch_size=batch_rows, memory_budget=memory_budget).batch_size
+        batch_rows = stream.batch_rows_for(source, batch_rows, memory_budget)
         return cls(source=source, bounds=_fixed_bounds(int(source.shape[0]), batch_rows))
 
     @classmethod

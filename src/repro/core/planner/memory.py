@@ -12,12 +12,12 @@ deciding whether an operand can be executed in memory at all:
 
 When a :class:`~repro.core.planner.planner.Planner` is given a
 ``memory_budget`` it drops candidates whose resident footprint exceeds the
-budget and scores a ``"streamed"`` candidate instead: factorized mini-batch
-execution through :class:`~repro.core.stream.NormalizedBatchIterator`, whose
-batch size :func:`batch_rows_for_budget` derives from the same footprint
-model.  The batch size is chosen so that even a *densified* batch (the worst
-intermediate any Table-1 operator produces) fits in the budget, so the bound
-holds for every operator mix.
+budget and scores a ``"streamed"`` candidate instead: execution over
+:meth:`~repro.core.partitioned.Partitioned.streamed`, one row batch at a
+time, whose batch size :func:`batch_rows_for_budget` derives from the same
+footprint model.  The batch size is chosen so that even a *densified* batch
+(the worst intermediate any Table-1 operator produces) fits in the budget,
+so the bound holds for every operator mix.
 """
 
 from __future__ import annotations

@@ -28,8 +28,8 @@ class ScoredCandidate:
     predicted_seconds: float
     #: additive cost terms in seconds (arithmetic / dispatch / one-time ...)
     breakdown: Mapping[str, float] = field(default_factory=dict)
-    #: mini-batch row count of a "streamed" candidate (None otherwise); the
-    #: ML estimators feed it to NormalizedBatchIterator when the plan wins.
+    #: row batch of a "streamed" candidate (None otherwise); a full-batch
+    #: ML fit runs over Partitioned.streamed at it when the plan wins.
     batch_rows: Optional[int] = None
 
     @property

@@ -183,13 +183,13 @@ class Planner:
         materialized/chunked plan whose dense join output does not fit, a
         full-pass factorized plan whose entity + indicator matrices do not
         fit) are infeasible and dropped, and a ``"streamed"`` candidate --
-        mini-batch execution through
-        :class:`~repro.core.stream.NormalizedBatchIterator` at the batch size
+        execution over :meth:`~repro.core.partitioned.Partitioned.streamed`,
+        one row batch at a time, at the batch size
         :func:`~repro.core.planner.memory.batch_rows_for_budget` derives from
         the budget -- is scored instead.  When the materialized footprint
         exceeds the budget the streamed (or full-pass factorized) plan is all
-        that remains, which is how ``engine="auto"`` runs larger-than-budget
-        fits as mini-batch epochs.
+        that remains, which is how ``engine="auto"`` runs the same full-batch
+        fit over a larger-than-budget matrix.
     """
 
     def __init__(self, calibration: Optional[CalibrationProfile] = None,
@@ -292,16 +292,16 @@ class Planner:
                         dp, workload, profile, factorized, engine, backend, shards))
 
         # Memory dimension: drop candidates whose resident footprint exceeds
-        # the budget and add the streamed (mini-batch) candidate for
-        # factorized-capable operands.  The streamed candidate is always
-        # feasible by construction -- its batch size is derived from the same
-        # budget -- so a larger-than-budget matrix still gets a plan.
+        # the budget and add the streamed candidate (one row batch resident
+        # at a time) for row-selectable operands.  It is always feasible by
+        # construction -- its batch size is derived from the same budget --
+        # so a larger-than-budget matrix still gets a plan.
         if self.memory_budget is not None:
             feasible = [c for c in candidates if self._fits_budget(dp, c)]
             streamed = []
             if dp.kind in ("normalized", "plain"):
-                # Streamed mini-batch execution: the per-pass working set is
-                # one batch's slice, so it is feasible under any budget.  The
+                # Streamed execution: the per-pass working set is one row
+                # batch's slice, so it is feasible under any budget.  The
                 # layout follows the operand (factorized batches for
                 # normalized input, row slices for plain input); chunked and
                 # pre-sharded operands have no row-selection surface.
@@ -346,7 +346,7 @@ class Planner:
         dense ``n_S x d`` join output (a chunked operand holds its row
         chunks in memory, so it is *not* an escape hatch from the budget),
         a factorized pass touches the entity and indicator matrices, and the
-        streamed backend touches one mini-batch slice at a time -- which is
+        streamed backend touches one row batch's slice at a time -- which is
         why it is the fallback that always fits.
         """
         budget = self.memory_budget
@@ -408,7 +408,7 @@ class Planner:
         calls_per_op = (2.0 + 2.0 * max(dp.num_joins, 1)) if factorized else 1.0
         fanout = float(shards)
         if backend == "streamed":
-            # Every operator is executed once per mini-batch.
+            # Every operator is executed once per row batch.
             fanout = float(max(
                 memory_model.streamed_batch_count(dp.n_rows, batch_rows or dp.n_rows), 1))
         if backend == "chunked":  # a chunked operand: its own fan-out

@@ -100,6 +100,23 @@ def _slice_piece(data, start: int, stop: int):
     raise TypeError(f"cannot slice rows of {type(data).__name__}")
 
 
+def batch_rows_for(data, batch_size: Optional[int] = None,
+                   memory_budget: Optional[float] = None) -> int:
+    """Rows per batch of untransposed *data*: *batch_size*, else what fits in
+    *memory_budget* bytes (the planner's memory model), else every row."""
+    if getattr(data, "transposed", False):
+        raise NotSupportedError("batch iteration is only defined for untransposed matrices")
+    if batch_size is not None:
+        if int(batch_size) < 1:
+            raise ValueError("batch_size must be at least 1")
+        return int(batch_size)
+    if memory_budget is None:
+        return max(int(data.shape[0]), 1)
+    from repro.core.planner.memory import batch_rows_for_budget
+
+    return batch_rows_for_budget(data, memory_budget)
+
+
 @dataclass
 class Batch:
     """One mini-batch: the row-sliced data matrix, its rows, the target slice.
@@ -157,8 +174,7 @@ class NormalizedBatchIterator:
     def __init__(self, data, target=None, batch_size: Optional[int] = None,
                  shuffle: bool = False, seed: Optional[int] = 0,
                  memory_budget: Optional[float] = None):
-        if getattr(data, "transposed", False):
-            raise NotSupportedError("batch iteration is only defined for untransposed matrices")
+        self.batch_size = batch_rows_for(data, batch_size, memory_budget)
         if not (hasattr(data, "take_rows") or is_matrix_like(data)):
             raise NotSupportedError(
                 f"cannot stream batches of {type(data).__name__}: it has no row "
@@ -173,17 +189,6 @@ class NormalizedBatchIterator:
                     f"target has {target.shape[0]} rows but the data matrix has {self.n_rows}"
                 )
         self.target = target
-        if batch_size is not None:
-            batch_size = int(batch_size)
-            if batch_size < 1:
-                raise ValueError("batch_size must be at least 1")
-        elif memory_budget is not None:
-            from repro.core.planner.memory import batch_rows_for_budget
-
-            batch_size = batch_rows_for_budget(data, memory_budget)
-        else:
-            batch_size = max(self.n_rows, 1)
-        self.batch_size = batch_size
         self.shuffle = bool(shuffle)
         self._rng = np.random.default_rng(seed)
 

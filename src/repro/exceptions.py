@@ -46,8 +46,8 @@ class PlanningError(MorpheusError):
     """Raised when the cost-based planner cannot produce a feasible plan.
 
     The only current source is a memory budget too small for *any* execution
-    strategy -- even the streamed mini-batch backend needs the factorized base
-    matrices resident.
+    strategy -- even the streamed backend, one row batch at a time, needs the
+    factorized base matrices resident.
     """
 
 

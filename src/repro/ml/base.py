@@ -130,9 +130,9 @@ class IterativeEstimator(abc.ABC):
         exactly what ``"batch"`` learns.  Composes with ``n_jobs``: the
         one-batch epoch is sharded once per fit, a mini-batch epoch each batch.
     batch_size:
-        Rows per mini-batch for ``solver="sgd"`` / streamed plans.  ``None``
-        derives it from ``memory_budget`` when set, else uses one full-size
-        batch.
+        Rows per mini-batch for ``solver="sgd"`` (ignored by ``"batch"``).
+        ``None`` derives it from ``memory_budget`` when set, else uses one
+        full-size batch.
     shuffle:
         Reshuffle the rows each mini-batch epoch (seeded by ``seed``).
     memory_budget:
@@ -141,7 +141,8 @@ class IterativeEstimator(abc.ABC):
         ``engine="auto"`` hands it to the :class:`~repro.core.planner.Planner`
         as the memory dimension -- when the materialized (or even the
         full-pass factorized) footprint exceeds the budget, the planner
-        returns a streamed plan and the fit runs mini-batched automatically.
+        returns a streamed plan, which changes where the rows are held,
+        never what is learned (see :meth:`_resolve_engine`).
     """
 
     ENGINES = ("eager", "auto")
@@ -202,25 +203,24 @@ class IterativeEstimator(abc.ABC):
         For ``"eager"`` this is ``(engine, data, n_jobs)``.  For ``"auto"``
         the planner scores candidate plans for this estimator's workload
         descriptor and the fit follows the winner: a materialized plan swaps
-        the normalized operand for its (memoized) materialization, a sharded
-        plan sets the shard count, a streamed plan the batch size, and the
-        returned engine (``"eager"`` or ``"cofactor"``) chooses between the
-        training loop and linear regression's co-factor form.  The plan
-        lands in ``plan_``.
+        the normalized operand for its (memoized) materialization, a streamed
+        plan a ``"batch"`` fit's operand for ``Partitioned.streamed`` at its
+        ``batch_rows`` (the same full-batch epoch, one row batch resident at
+        a time, as a sharded plan's runs over shards), a sharded plan sets
+        the shard count, and the returned engine (``"eager"`` or
+        ``"cofactor"``) chooses between the training loop and linear
+        regression's co-factor form.  An sgd fit shards each mini-batch by
+        ``n_jobs``, so that is the count its plan prices.  The plan lands in
+        ``plan_``.
         """
         if self.engine != "auto":
             self.plan_ = None
             return self.engine, data, self.n_jobs
+        from repro.core.partitioned import Partitioned
         from repro.core.planner import Planner
-        from repro.la.types import is_matrix_like
 
-        pinned = effective_n_jobs(self.n_jobs) if self._n_jobs_pinned else None
-        if self.solver == "sgd" or not (hasattr(data, "shard") or is_matrix_like(data)):
-            # A mini-batch fit shards each batch by n_jobs, and chunked or
-            # already-sharded operands pass through shard_for_jobs unchanged:
-            # pin the shard axis and let the planner choose the layout and
-            # the engine.
-            pinned = 1
+        pinned = (effective_n_jobs(self.n_jobs)
+                  if self._n_jobs_pinned or self.solver == "sgd" else None)
         # Steady-state planning: _memoized_materialize makes the join cost a
         # one-time setup per matrix, so repeated fits should not re-charge it.
         planner = self.planner or Planner(charge_materialization=False,
@@ -228,37 +228,30 @@ class IterativeEstimator(abc.ABC):
         plan = planner.plan(data, self._workload_descriptor(), n_shards=pinned)
         self.plan_ = plan
         operand = data
+        # A streamed plan is factorized or over plain input, so it never
+        # materializes; an sgd fit's own mini-batches already bound its rows.
         # Only normalized input has a layout choice; fixed-layout operands
         # (plain, chunked, already-sharded) must never be densified here even
         # if they happen to expose a materialize() method.
-        if not plan.factorized \
-                and plan.data_summary.get("kind") == "normalized":
+        if plan.backend == "streamed" and self.solver == "batch":
+            operand = Partitioned.streamed(data, plan.chosen.batch_rows)
+        elif not plan.factorized and plan.data_summary.get("kind") == "normalized":
             operand = _memoized_materialize(data)
-        # A plan at one shard (every mini-batch and streamed plan) leaves the
-        # batches to n_jobs.
-        return plan.engine, operand, plan.n_jobs if plan.n_jobs > 1 else self.n_jobs
+        return plan.engine, operand, plan.n_jobs
 
     def _epoch(self, data, target=None, n_jobs: int = 1) -> "Epoch":
         """The epoch this fit repeats ``max_iter`` times over *data*.
 
-        ``solver="batch"`` is one in-order batch covering every row.  A
-        mini-batch fit -- ``solver="sgd"``, or an ``engine="auto"`` plan that
-        chose the streamed backend under a memory budget -- batches through a
-        :class:`~repro.core.stream.NormalizedBatchIterator`.  Batch-size
-        precedence: an explicit ``batch_size`` wins; otherwise a streamed
-        plan's budget-derived ``batch_rows``; otherwise the ``memory_budget``
-        directly; otherwise one full-size batch.
+        ``solver="batch"`` is one in-order batch covering every row;
+        ``solver="sgd"`` batches through a
+        :class:`~repro.core.stream.NormalizedBatchIterator` of ``batch_size``
+        rows, else rows sized by ``memory_budget``, else one full-size batch.
         """
-        streamed = self.plan_ is not None and self.plan_.chosen.backend == "streamed"
-        if self.solver == "batch" and not streamed:
+        if self.solver == "batch":
             return Epoch(data, target, None, n_jobs)
-        batch_size = self.batch_size
-        if batch_size is None and streamed:
-            batch_size = self.plan_.chosen.batch_rows
-        memory_budget = self.memory_budget if batch_size is None else None
-        batches = NormalizedBatchIterator(data, target=target, batch_size=batch_size,
+        batches = NormalizedBatchIterator(data, target=target, batch_size=self.batch_size,
                                           shuffle=self.shuffle, seed=self.seed,
-                                          memory_budget=memory_budget)
+                                          memory_budget=self.memory_budget)
         return Epoch(data, target, batches, n_jobs)
 
     def _run_epochs(self, epoch: "Epoch") -> None:

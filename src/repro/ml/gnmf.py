@@ -25,7 +25,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.stream import Batch, slice_rows
+from repro.core.partitioned import Partitioned
+from repro.core.stream import Batch
 from repro.core.tiles import lmm_row_tiles, map_row_pieces
 from repro.la import ops as la_ops
 from repro.la.generic import to_dense_result
@@ -161,15 +162,16 @@ class GNMF(IterativeEstimator):
     def _epoch_loss(self, epoch: Epoch, loss: float) -> float:
         """Squared Frobenius reconstruction error after *epoch* (densifies; diagnostics only).
 
-        One in-order batch at a time, by its own pass: tracking must be purely
-        observational, and re-iterating a shuffled epoch would draw an extra
-        permutation and change the learned factors.
+        Summed in order over row pieces -- a partitioned operand's own, else
+        the epoch's in-order batches -- one densified piece at a time, by its
+        own pass: tracking must be purely observational, and re-iterating a
+        shuffled epoch would draw an extra permutation and change the factors.
         """
-        data, n = epoch.data, epoch.data.shape[0]
+        data = epoch.data
+        if not isinstance(data, Partitioned):
+            data = Partitioned.streamed(data, epoch.batch_rows)
         total = 0.0
-        for start in range(0, n, epoch.batch_rows):
-            stop = min(start + epoch.batch_rows, n)
-            piece = data if stop - start == n else slice_rows(data, start, stop)
+        for (start, stop), piece in zip(data.bounds, data):
             dense = piece.to_dense() if hasattr(piece, "to_dense") else np.asarray(piece)
             total += float(np.linalg.norm(dense - self.w_[start:stop] @ self.h_.T) ** 2)
         return total

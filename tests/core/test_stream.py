@@ -218,6 +218,15 @@ class TestPartitionedStreamed:
         assert 1 <= view.batch_rows < n
         assert view.num_batches > 1
         assert np.allclose(view.crossprod(), materialized.T @ materialized)
+        assert view.batch_rows == batch_rows_for_budget(normalized, 29 * d * 8)
+        assert normalized.stream().num_batches == 1
+
+    def test_transposed_source_and_empty_batches_rejected(self, single_join_dense):
+        _, normalized, _ = single_join_dense
+        with pytest.raises(NotSupportedError):
+            Partitioned.streamed(normalized.T, batch_rows=5)
+        with pytest.raises(ValueError):
+            Partitioned.streamed(normalized, batch_rows=0)
 
 
 class TestMemoryModel:

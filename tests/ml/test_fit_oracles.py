@@ -5,11 +5,16 @@ batch covers every row -- runs ``max_iter`` one-batch epochs of the shared
 training loop.  These tests hold it to the plain full-batch loop of each
 algorithm on star, M:N and dense inputs (and a star large enough for the
 row-tiled LMM), serial and sharded, with and without ``track_history``.
+A budgeted ``engine="auto"`` fit whose plan streams the rows runs the same
+loop over ``Partitioned.streamed`` at the plan's batch size, and equals the
+hand-written loop over that operand.
 """
 
 import numpy as np
 import pytest
 
+from repro.core.partitioned import Partitioned
+from repro.core.planner.memory import entity_stream_nbytes
 from repro.datasets.synthetic import generate_star
 from repro.ml import GNMF, KMeans, LinearRegressionGD, LogisticRegressionGD
 from repro.ml.base import as_column, shard_for_jobs
@@ -67,6 +72,26 @@ def test_fit_equals_full_batch_oracle(operand, name, n_jobs, track_history, solv
     model = make(**kwargs).fit(data, *targets)
     expected = oracle(make(**kwargs), shard_for_jobs(data, n_jobs),
                       *(as_column(t) for t in targets))
+
+    for attr, value in expected.items():
+        assert np.array_equal(np.asarray(getattr(model, attr)), np.asarray(value)), attr
+    assert len(model.history_) == (3 if track_history else 0)
+
+
+@pytest.mark.parametrize("track_history", [False, True])
+@pytest.mark.parametrize("n_jobs", [None, 2])
+@pytest.mark.parametrize("name", ["linreg", "logreg"])
+def test_streamed_auto_fit_equals_full_batch_oracle(operand, name, n_jobs, track_history):
+    """Half the entity and indicator bytes leave the planner only the streamed plan."""
+    make, oracle, target_key = ESTIMATORS[name]
+    data, target = operand["matrix"], as_column(operand[target_key])
+    budget = entity_stream_nbytes(data) // 2
+    kwargs = dict(n_jobs=n_jobs, track_history=track_history)
+
+    model = make(engine="auto", memory_budget=budget, **kwargs).fit(data, target)
+    batch_rows = model.plan_.chosen.batch_rows
+    assert model.plan_.chosen.backend == "streamed" and batch_rows < data.shape[0]
+    expected = oracle(make(**kwargs), Partitioned.streamed(data, batch_rows), target)
 
     for attr, value in expected.items():
         assert np.array_equal(np.asarray(getattr(model, attr)), np.asarray(value)), attr

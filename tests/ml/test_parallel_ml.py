@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.partitioned import Partitioned
 from repro.core.planner import CalibrationProfile, Planner
+from repro.datasets.synthetic import generate_star
 from repro.ml.base import effective_n_jobs, shard_for_jobs, validate_n_jobs
 from repro.ml.gnmf import GNMF
 from repro.ml.kmeans import KMeans
@@ -195,3 +196,19 @@ class TestAutoFitRunsThePlannedShards:
         assert model.plan_.n_jobs == 2
         # shard_for_jobs memoizes the shard views it built on the matrix.
         assert 2 in getattr(normalized, "_shard_views", {})
+
+    @pytest.mark.parametrize("n_jobs", [None, 2])
+    def test_sgd_plan_prices_the_shards_its_batches_run_on(self, n_jobs):
+        """An sgd fit shards every mini-batch by ``n_jobs`` (one shard when
+        unset); its plan says so, under the default planner and one that
+        prefers two shards."""
+        dataset = generate_star(num_entity_rows=3000, num_entity_features=4,
+                                attribute_tables=[(100, 6)], seed=2)
+        shards = n_jobs or 1
+        for planner in (None, self.TwoShardPlanner()):
+            model = LinearRegressionGD(engine="auto", n_jobs=n_jobs, solver="sgd",
+                                       batch_size=1000)
+            model.planner = planner
+            model.fit(dataset.normalized, dataset.target)
+            assert model.plan_.n_jobs == model.plan_.chosen.n_shards == shards
+            assert model._resolve_engine(dataset.normalized)[2] == shards

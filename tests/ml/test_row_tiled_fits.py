@@ -3,8 +3,9 @@
 The per-iteration n-row steps of batch K-Means (nearest centroid) and GNMF
 (the ``W`` update) run over row tiles inside each shard
 (:mod:`repro.core.tiles`).  On integer-valued data built so that every
-intermediate is exactly representable, serial, ``n_jobs=2`` sharded and
-materialized fits must agree bit for bit; and a fit must not hold an
+intermediate is exactly representable, serial, ``n_jobs=2`` sharded,
+materialized and budgeted ``engine="auto"`` fits whose plan streams the rows
+(``Partitioned.streamed``) must agree bit for bit; and a fit must not hold an
 ``n x k`` array at any point (``tracemalloc`` measures the Python heap
 deterministically, where RSS would be too noisy for a unit test).
 """
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro import GNMF, KMeans, NormalizedMatrix
+from repro.core.planner.memory import entity_stream_nbytes
 from repro.core.rewrite.multiplication import TILE_ROWS
 from repro.la.ops import indicator_from_labels
 
@@ -47,27 +49,43 @@ def _blobs():
     return matrix, truth, initial
 
 
+def _runs(matrix):
+    """``(name, data, settings)`` of every path the agreement tests compare.
+
+    ``"streamed"`` is an ``engine="auto"`` fit whose budget (half the
+    entity and indicator bytes) leaves the planner only the streamed plan,
+    cut into batches that straddle the row tiles.
+    """
+    dense = np.asarray(matrix.to_dense())
+    budget = entity_stream_nbytes(matrix) // 2
+    return (("serial", matrix, dict(n_jobs=1)), ("sharded", matrix, dict(n_jobs=2)),
+            ("materialized", dense, dict(n_jobs=1)),
+            ("materialized-sharded", dense, dict(n_jobs=2)),
+            ("streamed", matrix, dict(engine="auto", memory_budget=budget)))
+
+
 class TestKMeansAgreement:
     @pytest.fixture(scope="class")
     def fits(self):
         matrix, truth, initial = _blobs()
         dense = np.asarray(matrix.to_dense())
         runs = {}
-        for name, data, jobs in (("serial", matrix, 1), ("sharded", matrix, 2),
-                                 ("materialized", dense, 1),
-                                 ("materialized-sharded", dense, 2)):
-            runs[name] = KMeans(num_clusters=NUM_CLUSTERS, max_iter=3,
-                                n_jobs=jobs).fit(data, initial_centroids=initial)
+        for name, data, settings in _runs(matrix):
+            runs[name] = KMeans(num_clusters=NUM_CLUSTERS, max_iter=3, track_history=True,
+                                **settings).fit(data, initial_centroids=initial)
         return runs, dense, truth
 
     def test_serial_sharded_and_materialized_fits_are_bit_identical(self, fits):
         runs, _, truth = fits
         serial = runs["serial"]
         assert np.array_equal(serial.labels_, truth)
+        assert runs["streamed"].plan_.chosen.backend == "streamed"
+        assert runs["streamed"].plan_.chosen.batch_rows % TILE_ROWS != 0
         for name, model in runs.items():
             assert np.array_equal(model.labels_, serial.labels_), name
             assert np.array_equal(model.centroids_, serial.centroids_), name
             assert model.inertia_ == serial.inertia_, name
+            assert np.array_equal(model.history_, serial.history_), name
 
     def test_inertia_is_the_sum_of_row_minima_of_the_distance_matrix(self, fits):
         runs, dense, _ = fits
@@ -112,15 +130,15 @@ class TestGNMFAgreement:
         matrix, initial_w, initial_h = problem
         dense = np.asarray(matrix.to_dense())
         runs = {}
-        for name, data, jobs in (("serial", matrix, 1), ("sharded", matrix, 2),
-                                 ("materialized", dense, 1),
-                                 ("materialized-sharded", dense, 2)):
-            runs[name] = GNMF(rank=2, max_iter=1, epsilon=0.0, n_jobs=jobs).fit(
-                data, initial_w=initial_w, initial_h=initial_h)
+        for name, data, settings in _runs(matrix):
+            runs[name] = GNMF(rank=2, max_iter=1, epsilon=0.0, track_history=True,
+                              **settings).fit(data, initial_w=initial_w, initial_h=initial_h)
         serial = runs["serial"]
+        assert runs["streamed"].plan_.chosen.backend == "streamed"
         for name, model in runs.items():
             assert np.array_equal(model.w_, serial.w_), name
             assert np.array_equal(model.h_, serial.h_), name
+            assert np.array_equal(model.history_, serial.history_), name
         h = initial_h * (dense.T @ initial_w) / (initial_h @ (initial_w.T @ initial_w))
         w = initial_w * (dense @ h) / (initial_w @ (h.T @ h))
         assert np.array_equal(serial.h_, h)
