@@ -17,8 +17,11 @@ same rows the paper's figures plot.
 
 from __future__ import annotations
 
+import ctypes
 import functools
-from typing import Dict, Tuple
+import glob
+import os
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -100,3 +103,18 @@ def point_id(point: Tuple[float, float]) -> str:
 def group_name(figure: str, operator: str, point) -> str:
     """Benchmark group so M and F land next to each other in the report."""
     return f"{figure} {operator} @ {point}"
+
+
+def blas_threads() -> Optional[int]:
+    """The thread count of the OpenBLAS bundled with NumPy, else ``None``.
+
+    Read through the library's own getter, so a timing gate can print the
+    BLAS threading it ran under without an extra package.
+    """
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        getter = getattr(ctypes.CDLL(path), "scipy_openblas_get_num_threads64_", None)
+        if getter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return int(getter())
+    return None

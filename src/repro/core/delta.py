@@ -11,6 +11,8 @@ matrix states), consumed by
 * :func:`patch_term` -- refreshing a join-invariant term (``crossprod(T)``,
   ``T^T Y``, an aggregate, ...) computed on the predecessor, by the rank-|Δ|
   rules of :mod:`repro.core.rewrite.delta`;
+* :func:`held_cofactor_terms` -- the co-factor terms a matrix holds for linear
+  regression, patched along one ``apply_delta`` link instead of recomputed;
 * :meth:`repro.serve.scorer.FactorizedScorer.apply_delta` -- patching only
   the changed rows of the table's partial-score matrix before the atomic
   snapshot swap.
@@ -23,7 +25,9 @@ non-patchable -- consumers must rebuild; see ``docs/incremental.md``.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -225,19 +229,27 @@ def patch_term(kind: str, value, matrix, table_index: int, delta: MatrixDelta,
     matrix; *matrix* is the **successor** returned by ``apply_delta`` (its
     ``attributes`` are post-delta).  The patch is the rank-``|Δ|`` rule of
     :mod:`repro.core.rewrite.delta`, so a caller holding ``crossprod(T)`` and
-    ``T^T Y`` (e.g. ``LinearRegressionCofactor.cofactor_``) refreshes them
-    without another pass over the join.  Dense results come back as fresh
-    arrays; *value* is never mutated.
+    ``T^T Y`` refreshes them without another pass over the join -- as
+    :func:`held_cofactor_terms` does for every co-factor fit.  Dense results
+    come back as fresh arrays; *value* is never mutated.
+
+    The post-delta rows are read from *matrix* rather than ``delta.new``:
+    :meth:`MatrixDelta.apply_to` keeps a float32 table float32 and an
+    integer sparse table integer, so the stored rows can round ``new``, and
+    the patched term must describe the values the matrix holds (the next
+    delta's ``old`` is the stored value, so the two never drift apart).
     """
     indicator = matrix.indicators[table_index]
-    rows, dvalues = delta.rows, delta.values
+    rows = delta.rows
+    new = np.asarray(to_dense(matrix.attributes[table_index][rows, :]), dtype=np.float64)
+    dvalues = new - delta.old
     offset, width = _segment_offset(matrix, table_index)
     segment = slice(offset, offset + width)
 
     if kind == "crossprod":
         return delta_rules.patch_crossprod(
             value, matrix.entity, matrix.indicators, matrix.attributes,
-            table_index, rows, delta.old, delta.new,
+            table_index, rows, delta.old, new,
         )
     if kind == "lmm":
         x_block = ensure_2d(operand)[segment, :]
@@ -257,3 +269,83 @@ def patch_term(kind: str, value, matrix, table_index: int, delta: MatrixDelta,
     if kind == "total_sum":
         return float(value) + delta_rules.delta_total_sum(indicator, rows, dvalues)
     raise DeltaError(f"no delta patch rule for term kind {kind!r}")
+
+
+# ---------------------------------------------------------------------------
+# Held co-factor terms: (crossprod(T), T^T y) kept on a matrix, patched on refit
+# ---------------------------------------------------------------------------
+
+class TermSlot:
+    """The co-factor terms held for one matrix: ``(target key, crossprod(T), T^T y)``.
+
+    ``held`` is ``None`` or that tuple, replaced whole so a concurrent reader
+    never sees a half-written slot.  A matrix keeps one slot; its successor's
+    lineage keeps a reference to the slot, never to the matrix.
+    """
+
+    __slots__ = ("held", "__weakref__")
+
+    def __init__(self):
+        self.held: Optional[tuple] = None
+
+
+def term_slot(matrix) -> TermSlot:
+    """*matrix*'s term slot, created empty on first use."""
+    slot = matrix._terms
+    if slot is None:
+        slot = matrix._terms = TermSlot()
+    return slot
+
+
+def term_owner(data):
+    """The untransposed normalized matrix whose terms *data* shares, else ``None``.
+
+    A normalized matrix owns its own terms, and a streamed view shares its
+    source's unless it is transposed or carries pending scalar ops.  Any
+    other operand, a sharded view included, computes its terms afresh.
+    """
+    from repro.core.normalized_matrix import NormalizedMatrix
+    from repro.core.partitioned import Partitioned
+
+    if isinstance(data, Partitioned):
+        if data.pieces is not None or data.transposed or data.ops:
+            return None
+        data = data.source
+    if isinstance(data, NormalizedMatrix) and not data.transposed:
+        return data
+    return None
+
+
+def held_cofactor_terms(matrix, y: np.ndarray,
+                        compute: Callable[[], Tuple[np.ndarray, np.ndarray]]):
+    """``(crossprod(T), T^T y)`` of *matrix*, held on it for later fits.
+
+    Terms already held for *y*'s contents come back as they are.  Otherwise,
+    on the first lookup after :meth:`NormalizedMatrix.apply_delta`, the
+    predecessor's held terms are patched by :func:`patch_term` along the
+    recorded ``(slot, table_index, delta)`` link, which is then dropped.  A
+    missing link (a built or rebuilt matrix), a predecessor that held no terms
+    (two deltas without a fit between them) or held them for another target
+    falls back to ``compute()``.  The held arrays are read-only.
+
+    The key is *y*'s shape and a digest of its bytes -- its contents, not its
+    ``id`` -- so a target mutated in place misses.
+    """
+    contents = np.ascontiguousarray(y, dtype=np.float64)
+    key = contents.shape, hashlib.sha1(contents, usedforsecurity=False).digest()
+    slot = term_slot(matrix)
+    held = slot.held
+    if held is not None and held[0] == key:
+        return held[1], held[2]
+    lineage, matrix._lineage = matrix._lineage, None
+    previous = lineage[0].held if lineage is not None else None
+    if previous is not None and previous[0] == key:
+        _, table_index, delta = lineage
+        gram = patch_term("crossprod", previous[1], matrix, table_index, delta)
+        xty = patch_term("tlmm", previous[2], matrix, table_index, delta, y)
+    else:
+        gram, xty = compute()
+    gram.setflags(write=False)
+    xty.setflags(write=False)
+    slot.held = (key, gram, xty)
+    return gram, xty

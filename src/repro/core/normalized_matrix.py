@@ -80,6 +80,11 @@ class NormalizedMatrix:
 
     #: Monotonic delta version: 0 at construction, bumped by :meth:`apply_delta`.
     version = 0
+    #: The co-factor terms held for this matrix (a :class:`~repro.core.delta.TermSlot`,
+    #: made on first use) and, on a successor of :meth:`apply_delta` until its
+    #: first co-factor fit, ``(predecessor's slot, table_index, delta)``.
+    _terms = None
+    _lineage = None
 
     def __init__(self, entity: Optional[MatrixLike], indicators: Sequence[MatrixLike],
                  attributes: Sequence[MatrixLike], transposed: bool = False,
@@ -277,9 +282,17 @@ class NormalizedMatrix:
         (``crossprod``, ``T^T Y``, an aggregate) is refreshed with
         :func:`repro.core.delta.patch_term` instead of recomputed.
 
+        The successor records its lineage: a reference to the predecessor's
+        term slot (never to the predecessor itself) plus ``(table_index,
+        delta)``.  Nothing is patched here; the successor's first co-factor
+        fit patches the terms the predecessor held for its target
+        (:func:`repro.core.delta.held_cofactor_terms`).
+
         Deltas that append rows are rejected (:class:`~repro.exceptions.DeltaError`)
         -- row growth changes indicator shapes and needs a rebuild.
         """
+        from repro.core.delta import term_slot
+
         if not 0 <= table_index < self.num_joins:
             raise IndexError(
                 f"table_index {table_index} out of range for {self.num_joins} joins"
@@ -288,6 +301,7 @@ class NormalizedMatrix:
         attributes[table_index] = delta.apply_to(attributes[table_index])
         successor = self._with_components(self.entity, attributes)
         successor.version = self.version + 1
+        successor._lineage = (term_slot(self), table_index, delta)
         return successor
 
     # -- streaming mini-batch execution -------------------------------------------

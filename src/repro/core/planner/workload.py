@@ -80,12 +80,18 @@ class WorkloadDescriptor:
         )
 
     @classmethod
-    def linear_regression_gd(cls, max_iter: int) -> "WorkloadDescriptor":
-        """Algorithm 11 eager; the co-factor form hoists ``crossprod(T)`` / ``T^T Y``."""
+    def linear_regression_gd(cls, max_iter: int,
+                             cofactor: bool = True) -> "WorkloadDescriptor":
+        """Algorithm 11 eager; the co-factor form hoists ``crossprod(T)`` / ``T^T Y``.
+
+        The co-factor form is a full-batch fit, so a mini-batch fit passes
+        ``cofactor=False`` and is planned with the eager loop only.
+        """
+        uses = (OperatorUse(Operator.LMM, x_cols=1), OperatorUse(Operator.RMM, x_cols=1))
+        if not cofactor:
+            return cls(name="linreg-gd", iterations=max_iter, uses=uses)
         return cls(
-            name="linreg-gd", iterations=max_iter,
-            uses=(OperatorUse(Operator.LMM, x_cols=1),
-                  OperatorUse(Operator.RMM, x_cols=1)),
+            name="linreg-gd", iterations=max_iter, uses=uses,
             cofactor_uses=(OperatorUse(Operator.CROSSPROD, per_iteration=False),
                            OperatorUse(Operator.RMM, x_cols=1, per_iteration=False)),
             gram_applies=1.0,  # the per-iteration gram @ w product

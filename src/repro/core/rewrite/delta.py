@@ -14,7 +14,7 @@ rows -- never the full table and never the join output.  Writing
     Δ colSums(T)[seg_k] = colSums(K_k[:, ρ]) Δ
     Δ sum(T)        = sum(colSums(K_k[:, ρ]) Δ)
     Δ crossprod(T)  = block-sparse, touching only row/column segment k:
-        diagonal:    crossprod(D_ρ^{1/2} R_k') - crossprod(D_ρ^{1/2} R_k)
+        diagonal:    R_k'[ρ]^T D_ρ R_k'[ρ] - R_k[ρ]^T D_ρ R_k[ρ]
         vs entity:   (S^T K_k[:, ρ]) Δ
         vs table j:  Δ^T (K_k[:, ρ]^T K_j) R_j
 
@@ -25,7 +25,10 @@ makes update-to-visibility latency sublinear in table size.
 
 Like every rewrite module, the rules are expressed exclusively through the
 :mod:`repro.la.ops` primitives, so they participate in the closure property
-and in the golden structural traces of :mod:`repro.core.rewrite.trace`.
+and in the golden structural traces of :mod:`repro.core.rewrite.trace`.  The
+cross blocks' ``K_k[:, ρ]^T K_j`` is counted from the indicator codes, as
+:func:`repro.la.kernels.cross_block` counts ``K_i^T K_j``, and enters the
+traces as an anonymous operand.
 The M:N rules are the same formulas without the entity block.
 """
 
@@ -39,7 +42,9 @@ import numpy as np
 
 from repro import obs
 from repro.exceptions import ShapeError
-from repro.la.ops import colsums, crossprod, diag_scale_rows, matmul, rowsums, transpose
+from repro.la.indicator import Indicator
+from repro.la.kernels import _code_pair_counts
+from repro.la.ops import colsums, diag_scale_rows, matmul, rowsums, transpose
 from repro.la.types import MatrixLike, ensure_2d, to_dense
 
 _RULE_SECONDS = obs.REGISTRY.histogram(
@@ -167,7 +172,7 @@ def delta_total_sum(indicator: MatrixLike, rows: np.ndarray,
 
 @_timed_rule
 def patch_crossprod(gram: np.ndarray, entity: Optional[MatrixLike],
-                    indicators: Sequence[MatrixLike], attributes: Sequence[MatrixLike],
+                    indicators: Sequence[Indicator], attributes: Sequence[MatrixLike],
                     table_index: int, rows: np.ndarray, old: np.ndarray,
                     new: np.ndarray) -> np.ndarray:
     """Return ``crossprod(T')`` patched from the pre-delta ``crossprod(T)``.
@@ -198,11 +203,12 @@ def patch_crossprod(gram: np.ndarray, entity: Optional[MatrixLike],
     dvalues = new - old
     selected = select_columns(indicators[k], rows)
 
-    # Diagonal block: crossprod(D^1/2 R') - crossprod(D^1/2 R) over changed rows.
-    counts = np.sqrt(np.asarray(colsums(selected)).ravel())
+    # Diagonal block: R'^T D R' - R^T D R over the changed rows (exact on
+    # integer data, where scaling by sqrt(D) would round).
+    counts = np.asarray(colsums(selected)).ravel()
     out[ok:ok + wk, ok:ok + wk] += (
-        to_dense(crossprod(diag_scale_rows(counts, new)))
-        - to_dense(crossprod(diag_scale_rows(counts, old)))
+        to_dense(matmul(transpose(new), diag_scale_rows(counts, new)))
+        - to_dense(matmul(transpose(old), diag_scale_rows(counts, old)))
     )
 
     # Entity block: (S^T K_k[:, ρ]) Δ and its transpose.
@@ -212,15 +218,33 @@ def patch_crossprod(gram: np.ndarray, entity: Optional[MatrixLike],
         out[ok:ok + wk, :entity_width] += block.T
 
     # Cross blocks vs every other table: Δ^T (K_k[:, ρ]^T K_j) R_j.
+    fact_rows, positions = _routed_rows(indicators[k], rows)
     for j, (indicator_j, attribute_j) in enumerate(zip(indicators, attributes)):
         if j == k:
             continue
-        crossing = matmul(transpose(selected), indicator_j)
+        crossing = _code_pair_counts(positions, indicator_j._codes[fact_rows],
+                                     rows.size, indicator_j.shape[1])
         block = to_dense(matmul(transpose(dvalues), matmul(crossing, attribute_j)))
         oj, wj = offsets[j], widths[j]
         out[ok:ok + wk, oj:oj + wj] += block
         out[oj:oj + wj, ok:ok + wk] += block.T
     return out
+
+
+def _routed_rows(indicator: Indicator, rows: np.ndarray):
+    """``(fact rows, positions in ρ)`` of the rows of *indicator* that
+    reference a changed row, read off its codes.
+
+    They are the nonzeros of ``K_k[:, ρ]``, so ``K_k[:, ρ]^T K_j`` is the
+    code-pair histogram of *positions* against ``K_j``'s codes at *fact
+    rows* (as :func:`repro.la.kernels.cross_block` counts ``K_i^T K_j``)
+    instead of a sparse product that converts ``K_j``'s ``n``-row CSR.
+    """
+    position = np.full(indicator.shape[1], -1, dtype=np.intp)
+    position[rows] = np.arange(rows.size)
+    positions = position[indicator._codes]
+    fact_rows = np.flatnonzero(positions >= 0)
+    return fact_rows, positions[fact_rows]
 
 
 def _offsets(entity_width: int, widths: Sequence[int]) -> List[int]:

@@ -172,9 +172,17 @@ class GNMF(IterativeEstimator):
             data = Partitioned.streamed(data, epoch.batch_rows)
         total = 0.0
         for (start, stop), piece in zip(data.bounds, data):
-            dense = piece.to_dense() if hasattr(piece, "to_dense") else np.asarray(piece)
-            total += float(np.linalg.norm(dense - self.w_[start:stop] @ self.h_.T) ** 2)
+            total += self._squared_error(piece, start, stop)
         return total
+
+    def _squared_error(self, piece, start: int, stop: int) -> float:
+        """``||piece - W[start:stop] H^T||_F^2``, the residual formed in the
+        ``W H^T`` buffer: at most two piece-sized arrays are live, and none
+        outlives the call."""
+        dense = piece.to_dense() if hasattr(piece, "to_dense") else np.asarray(piece)
+        residual = self.w_[start:stop] @ self.h_.T
+        np.subtract(dense, residual, out=residual)
+        return float(np.linalg.norm(residual) ** 2)
 
     def partial_fit(self, data, row_indices=None) -> "GNMF":
         """One incremental multiplicative update on a single mini-batch.

@@ -23,6 +23,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.delta import held_cofactor_terms, term_owner
 from repro.core.stream import Batch
 from repro.la import generic, kernels
 from repro.la.generic import to_dense_result
@@ -38,14 +39,29 @@ from repro.ml.base import (
 from repro.ml.export import ServingExport
 
 
-def cofactor_terms(data, y: np.ndarray):
+def cofactor_terms(data, y: np.ndarray, n_jobs: int = 1):
     """The two join-invariant terms ``(crossprod(T), T^T Y)`` of least squares.
 
     One factorized cross-product and one factorized transposed LMM over
-    *data*; together they are the co-factor matrix of Algorithms 13/14, and
-    ``crossprod(T) w - T^T Y`` is the least-squares gradient for any ``w``.
+    *data*, sharded by *n_jobs*; together they are the co-factor matrix of
+    Algorithms 13/14, and ``crossprod(T) w - T^T Y`` is the least-squares
+    gradient for any ``w``.
+
+    The terms are held on the normalized matrix they were computed for (a
+    streamed view resolves to its source), keyed by *y*'s contents: a
+    later fit on the same matrix and target reuses them, and the first fit
+    on an ``apply_delta`` successor patches the predecessor's instead of
+    passing over the join again (:func:`repro.core.delta.held_cofactor_terms`).
+    Neither path builds shards.  Any other operand computes them afresh.
     """
-    return generic.crossprod(data), to_dense_result(data.T @ y)
+    def compute():
+        operand = shard_for_jobs(data, n_jobs)
+        return generic.crossprod(operand), to_dense_result(operand.T @ y)
+
+    owner = term_owner(data)
+    if owner is None:
+        return compute()
+    return held_cofactor_terms(owner, y, compute)
 
 
 def _export_linear(coef: Optional[np.ndarray], context: str) -> ServingExport:
@@ -114,7 +130,8 @@ class LinearRegressionGD(IterativeEstimator):
     def _workload_descriptor(self):
         from repro.core.planner import WorkloadDescriptor
 
-        return WorkloadDescriptor.linear_regression_gd(self.max_iter)
+        return WorkloadDescriptor.linear_regression_gd(
+            self.max_iter, cofactor=self.solver == "batch")
 
     @fit_telemetry
     def fit(self, data, target, initial_weights: Optional[np.ndarray] = None
@@ -125,8 +142,8 @@ class LinearRegressionGD(IterativeEstimator):
         d = data.shape[1]
         w = as_column(initial_weights).copy() if initial_weights is not None else np.zeros((d, 1))
         self.history_ = []
-        if engine == "cofactor" and self.solver == "batch":
-            return self._fit_cofactor(shard_for_jobs(data, n_jobs), y, w)
+        if engine == "cofactor":
+            return self._fit_cofactor(data, n_jobs, y, w)
         self.coef_ = w
         self._run_epochs(self._epoch(data, y, n_jobs))
         return self
@@ -168,13 +185,18 @@ class LinearRegressionGD(IterativeEstimator):
             self.history_.append(self._batch_loss(batch, residual))
         return self
 
-    def _fit_cofactor(self, data, y: np.ndarray, w: np.ndarray) -> "LinearRegressionGD":
-        """The co-factor form: two data passes per fit, then ``d x d`` steps.
+    def _fit_cofactor(self, data, n_jobs: int, y: np.ndarray,
+                      w: np.ndarray) -> "LinearRegressionGD":
+        """The co-factor form: two data passes per fit (or none, with held
+        terms), then ``d x d`` steps.
 
-        With ``track_history`` every iteration also runs ``T w`` for the
-        residual sum of squares, as the eager epochs report it.
+        With ``track_history`` every iteration also runs ``T w`` over the
+        *n_jobs* shards for the residual sum of squares, as the eager epochs
+        report it.
         """
-        gram, xty = cofactor_terms(data, y)
+        gram, xty = cofactor_terms(data, y, n_jobs)
+        if self.track_history:
+            data = shard_for_jobs(data, n_jobs)
         for _ in range(self.max_iter):
             if self.track_history:
                 residual = to_dense_result(data @ w) - y
@@ -217,11 +239,10 @@ class LinearRegressionCofactor(IterativeEstimator):
     @fit_telemetry
     def fit(self, data, target, initial_weights: Optional[np.ndarray] = None
             ) -> "LinearRegressionCofactor":
-        data = shard_for_jobs(data, self.n_jobs)
         y = as_column(target)
         check_rows_match(data, y, "LinearRegressionCofactor.fit")
         d = data.shape[1]
-        gram, xty = cofactor_terms(data, y)
+        gram, xty = cofactor_terms(data, y, self.n_jobs)
         cofactor = np.vstack([xty.T, gram])         # (d + 1) x d
         self.cofactor_ = cofactor
 

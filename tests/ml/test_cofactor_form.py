@@ -110,6 +110,24 @@ def test_cofactor_plan_matches_eager_serial(schema, track_history, n_jobs):
         assert auto.history_ == []
 
 
+@pytest.mark.parametrize("schema", sorted(SCHEMAS))
+def test_sgd_fit_plans_the_eager_loop_it_runs(schema):
+    """The co-factor form is a full-batch fit: an sgd fit is offered none, so
+    even a planner that ranks co-factor candidates first plans the eager loop."""
+    data, y = _problem(schema)
+    auto = LinearRegressionGD(max_iter=ITERS, step_size=STEP, engine="auto",
+                              solver="sgd", batch_size=32)
+    auto.planner = CofactorPlanner()
+    auto.fit(data, y)
+    assert auto.plan_.engine == "eager"
+    assert {c.engine for c in auto.plan_.candidates} == {"eager"}
+    eager = LinearRegressionGD(max_iter=ITERS, step_size=STEP, solver="sgd",
+                               batch_size=32, n_jobs=1)
+    if not auto.plan_.factorized:
+        data = data.to_dense()
+    np.testing.assert_allclose(auto.coef_, eager.fit(data, y).coef_, **TOL)
+
+
 def test_engine_is_eager_or_auto():
     # "cofactor" is a planner candidate, not a user-facing engine.
     assert LinearRegressionGD.ENGINES == ("eager", "auto")

@@ -119,3 +119,25 @@ def test_gnmf_history_densifies_one_row_batch_at_a_time(star):
         tracemalloc.stop()
     assert len(model.history_) == 2
     assert peak - model.w_.nbytes < data.shape[0] * data.shape[1] * 8
+
+
+def test_gnmf_history_holds_at_most_two_row_batches(star):
+    """Each piece's residual is formed in its ``W H^T`` buffer: beyond ``w_``,
+    the tracked fit's peak is the densified batch and that buffer (the
+    difference as a third array would put it at three)."""
+    data, _ = star["gnmf"]
+
+    def make():
+        return GNMF(rank=5, max_iter=2, track_history=True, engine="auto",
+                    memory_budget=BUDGET)
+
+    make().fit(data)
+    tracemalloc.start()
+    try:
+        model = make().fit(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    batch_bytes = model.plan_.chosen.batch_rows * data.shape[1] * 8
+    assert peak - model.w_.nbytes < 2.5 * batch_bytes, (
+        f"{(peak - model.w_.nbytes) / batch_bytes:.2f} row batches beyond w_")
