@@ -25,7 +25,6 @@ non-patchable -- consumers must rebuild; see ``docs/incremental.md``.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -219,7 +218,7 @@ def _segment_offset(matrix, table_index: int) -> tuple:
 
 
 def patch_term(kind: str, value, matrix, table_index: int, delta: MatrixDelta,
-               operand=None):
+               operand=None, routing: Optional[delta_rules.Routing] = None):
     """Return the post-delta value of one join-invariant term of ``T``.
 
     *kind* names the term -- ``"crossprod"`` (``T^T T``), ``"lmm"``
@@ -238,6 +237,10 @@ def patch_term(kind: str, value, matrix, table_index: int, delta: MatrixDelta,
     integer sparse table integer, so the stored rows can round ``new``, and
     the patched term must describe the values the matrix holds (the next
     delta's ``old`` is the stored value, so the two never drift apart).
+
+    *routing* is :func:`repro.core.rewrite.delta.route` of ``delta.rows``
+    through the changed table's indicator, for a caller patching several
+    terms with one delta; the rule computes it when omitted.
     """
     indicator = matrix.indicators[table_index]
     rows = delta.rows
@@ -249,25 +252,26 @@ def patch_term(kind: str, value, matrix, table_index: int, delta: MatrixDelta,
     if kind == "crossprod":
         return delta_rules.patch_crossprod(
             value, matrix.entity, matrix.indicators, matrix.attributes,
-            table_index, rows, delta.old, new,
+            table_index, rows, delta.old, new, routing,
         )
     if kind == "lmm":
         x_block = ensure_2d(operand)[segment, :]
-        return value + delta_rules.delta_lmm(indicator, rows, dvalues, x_block)
+        return value + delta_rules.delta_lmm(indicator, rows, dvalues, x_block, routing)
     if kind == "tlmm":
         patched = np.array(to_dense(value), dtype=np.float64)
         patched[segment, :] += delta_rules.delta_tlmm_block(
-            indicator, rows, dvalues, operand
+            indicator, rows, dvalues, operand, routing
         )
         return patched
     if kind == "rowsums":
-        return value + delta_rules.delta_rowsums(indicator, rows, dvalues)
+        return value + delta_rules.delta_rowsums(indicator, rows, dvalues, routing)
     if kind == "colsums":
         patched = np.array(to_dense(value), dtype=np.float64)
-        patched[:, segment] += delta_rules.delta_colsums_block(indicator, rows, dvalues)
+        patched[:, segment] += delta_rules.delta_colsums_block(indicator, rows, dvalues,
+                                                               routing)
         return patched
     if kind == "total_sum":
-        return float(value) + delta_rules.delta_total_sum(indicator, rows, dvalues)
+        return float(value) + delta_rules.delta_total_sum(indicator, rows, dvalues, routing)
     raise DeltaError(f"no delta patch rule for term kind {kind!r}")
 
 
@@ -316,6 +320,13 @@ def term_owner(data):
     return None
 
 
+def _same_target(key: np.ndarray, contents: np.ndarray) -> bool:
+    """Whether *contents* equals the held *key* byte for byte (so NaNs match
+    and ``-0.0`` differs from ``0.0``)."""
+    return key.shape == contents.shape and np.array_equal(key.view(np.int64),
+                                                          contents.view(np.int64))
+
+
 def held_cofactor_terms(matrix, y: np.ndarray,
                         compute: Callable[[], Tuple[np.ndarray, np.ndarray]]):
     """``(crossprod(T), T^T y)`` of *matrix*, held on it for later fits.
@@ -323,27 +334,34 @@ def held_cofactor_terms(matrix, y: np.ndarray,
     Terms already held for *y*'s contents come back as they are.  Otherwise,
     on the first lookup after :meth:`NormalizedMatrix.apply_delta`, the
     predecessor's held terms are patched by :func:`patch_term` along the
-    recorded ``(slot, table_index, delta)`` link, which is then dropped.  A
-    missing link (a built or rebuilt matrix), a predecessor that held no terms
-    (two deltas without a fit between them) or held them for another target
-    falls back to ``compute()``.  The held arrays are read-only.
+    recorded ``(slot, table_index, delta)`` link, which is then dropped; both
+    patches share one routing of the changed rows.  A missing link (a built
+    or rebuilt matrix), a predecessor that held no terms (two deltas without
+    a fit between them) or held them for another target falls back to
+    ``compute()``.  The held arrays are read-only.
 
-    The key is *y*'s shape and a digest of its bytes -- its contents, not its
-    ``id`` -- so a target mutated in place misses.
+    The key is a read-only float64 copy of *y* -- its contents, not its
+    ``id`` -- compared byte for byte, so a target mutated in place misses.
+    A patched successor shares its predecessor's key array.
     """
     contents = np.ascontiguousarray(y, dtype=np.float64)
-    key = contents.shape, hashlib.sha1(contents, usedforsecurity=False).digest()
     slot = term_slot(matrix)
     held = slot.held
-    if held is not None and held[0] == key:
+    if held is not None and _same_target(held[0], contents):
         return held[1], held[2]
     lineage, matrix._lineage = matrix._lineage, None
     previous = lineage[0].held if lineage is not None else None
-    if previous is not None and previous[0] == key:
+    if previous is not None and _same_target(previous[0], contents):
+        key = previous[0]
         _, table_index, delta = lineage
-        gram = patch_term("crossprod", previous[1], matrix, table_index, delta)
-        xty = patch_term("tlmm", previous[2], matrix, table_index, delta, y)
+        routing = delta_rules.route(matrix.indicators[table_index], delta.rows)
+        gram = patch_term("crossprod", previous[1], matrix, table_index, delta,
+                          routing=routing)
+        xty = patch_term("tlmm", previous[2], matrix, table_index, delta, y,
+                         routing=routing)
     else:
+        key = contents.copy()
+        key.setflags(write=False)
         gram, xty = compute()
     gram.setflags(write=False)
     xty.setflags(write=False)

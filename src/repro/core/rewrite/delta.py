@@ -19,16 +19,24 @@ rows -- never the full table and never the join output.  Writing
         vs table j:  Δ^T (K_k[:, ρ]^T K_j) R_j
 
 where ``D_ρ = diag(colSums(K_k[:, ρ]))`` counts the foreign keys referencing
-each changed row.  Each patch costs ``O(nnz(K_k[:, ρ]) + b · d · m)`` --
-proportional to the *delta*, not to ``|R_k|`` or ``n_S`` -- which is what
-makes update-to-visibility latency sublinear in table size.
+each changed row.  The nonzeros of ``K_k[:, ρ]`` -- the fact rows that
+reference a changed row, grouped by it -- come from the indicator's reverse
+index (:meth:`repro.la.indicator.Indicator.reverse_index`, one sort of its
+codes, built once per indicator) in ``O(b + f)``, where ``f = nnz(K_k[:, ρ])``
+is the delta's fan-in.  Every ``K_k[:, ρ]^T Z`` is then a sum of the gathered
+rows ``Z[fact rows]`` per changed row, so a patch costs ``O(b + f · d + b · d
+· m)`` -- proportional to the *delta*, not to ``|R_k|`` or ``n_S`` -- which is
+what makes update-to-visibility latency sublinear in table size.  (The
+``T X`` and ``rowSums(T)`` patches are ``n_S``-row vectors: they scatter
+``f`` rows into a zeroed result.)
 
-Like every rewrite module, the rules are expressed exclusively through the
+Like every rewrite module, the rules are expressed through the
 :mod:`repro.la.ops` primitives, so they participate in the closure property
 and in the golden structural traces of :mod:`repro.core.rewrite.trace`.  The
-cross blocks' ``K_k[:, ρ]^T K_j`` is counted from the indicator codes, as
-:func:`repro.la.kernels.cross_block` counts ``K_i^T K_j``, and enters the
-traces as an anonymous operand.
+routed sums ``K_k[:, ρ]^T S``, ``K_k[:, ρ]^T Y`` and ``K_k[:, ρ]^T K_j R_j``
+(the last gathered through ``K_j``'s codes at the fact rows) are indexing,
+not Table-1 primitives, and enter the traces as anonymous operands, as
+:func:`repro.la.kernels.cross_block`'s code-pair counts do.
 The M:N rules are the same formulas without the entity block.
 """
 
@@ -36,16 +44,15 @@ from __future__ import annotations
 
 import functools
 import time
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from repro import obs
 from repro.exceptions import ShapeError
 from repro.la.indicator import Indicator
-from repro.la.kernels import _code_pair_counts
-from repro.la.ops import colsums, diag_scale_rows, matmul, rowsums, transpose
-from repro.la.types import MatrixLike, ensure_2d, to_dense
+from repro.la.ops import diag_scale_rows, matmul, rowsums, transpose
+from repro.la.types import MatrixLike, ensure_2d, is_sparse, to_dense
 
 _RULE_SECONDS = obs.REGISTRY.histogram(
     "repro_delta_rule_seconds",
@@ -79,17 +86,6 @@ def _timed_rule(fn):
     return wrapper
 
 
-def select_columns(indicator: MatrixLike, rows: np.ndarray) -> MatrixLike:
-    """The ``n_S x b`` indicator slice ``K[:, ρ]`` routing only changed rows.
-
-    Column selection is not a Table-1 primitive (it is plain indexing, the
-    same way the LMM rewrite slices ``X`` row-wise), so the slice appears as
-    an anonymous operand in the golden traces.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    return indicator[:, rows]
-
-
 def _check_delta(rows: np.ndarray, values: np.ndarray, what: str) -> None:
     if values.ndim != 2:
         raise ShapeError(f"{what}: delta values must be 2-D, got ndim={values.ndim}")
@@ -101,69 +97,139 @@ def _check_delta(rows: np.ndarray, values: np.ndarray, what: str) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Routing: the nonzeros of K_k[:, ρ], read off the reverse index
+# ---------------------------------------------------------------------------
+
+class Routing(NamedTuple):
+    """The nonzeros of ``K_k[:, ρ]``, grouped by changed row.
+
+    *fact_rows* are the rows of ``K_k`` whose ``1`` lies in a column of ρ,
+    grouped by that column's position in ρ (*positions*, non-decreasing);
+    *counts* are the group sizes, ``colSums(K_k[:, ρ])``.
+    """
+
+    fact_rows: np.ndarray
+    positions: np.ndarray
+    counts: np.ndarray
+
+
+def route(indicator: Indicator, rows: np.ndarray) -> Routing:
+    """The :class:`Routing` of the changed rows *rows* (ρ) through *indicator*.
+
+    ``O(b + f)`` for ``b`` changed rows referenced by ``f`` fact rows, once
+    the indicator's reverse index exists; no ``n_S``-length pass.
+    """
+    order, starts = indicator.reverse_index()
+    rows = np.asarray(rows, dtype=np.intp)
+    first = starts[rows]
+    counts = starts[rows + 1] - first
+    positions = np.repeat(np.arange(rows.size), counts)
+    # Routed row i of group p sits at order[first[p] + i - (rows routed before p)].
+    shift = first - (np.cumsum(counts) - counts)
+    fact_rows = order[np.repeat(shift, counts) + np.arange(positions.size)]
+    return Routing(fact_rows, positions, counts)
+
+
+def _routing(indicator: Indicator, rows: np.ndarray,
+             routing: Optional[Routing]) -> Routing:
+    return route(indicator, rows) if routing is None else routing
+
+
+def _routed_sums(values: MatrixLike, gather: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``(b, d)`` float64 sums of the rows ``values[gather]`` over consecutive
+    groups of *counts* rows: ``K_k[:, ρ]^T values`` when *gather* are the
+    routed fact rows, ``K_k[:, ρ]^T K_j R_j`` when they are ``K_j``'s codes
+    at them."""
+    bounds = np.zeros(counts.size + 1, dtype=np.intp)
+    np.cumsum(counts, out=bounds[1:])
+    if is_sparse(values):
+        picked = values.tocsr()[gather]
+        # Each group's rows concatenated into one CSR row; densifying sums
+        # the repeated columns.
+        merged = type(picked)((picked.data.astype(np.float64, copy=False), picked.indices,
+                               picked.indptr[bounds]), shape=(counts.size, values.shape[1]))
+        return merged.toarray()
+    picked = np.asarray(values).take(gather, axis=0).astype(np.float64, copy=False)
+    out = np.zeros((counts.size, picked.shape[1]))
+    filled = counts > 0
+    if gather.size:
+        out[filled] = np.add.reduceat(picked, bounds[:-1][filled], axis=0)
+    return out
+
+
+def _scattered(indicator: Indicator, routing: Routing, small: np.ndarray) -> np.ndarray:
+    """``K_k[:, ρ] small``: row ``p`` of *small* written to each fact row of group ``p``."""
+    out = np.zeros((indicator.shape[0], small.shape[1]))
+    out[routing.fact_rows] = small[routing.positions]
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Linear patches (LMM / transposed LMM / aggregations)
 # ---------------------------------------------------------------------------
 
 @_timed_rule
-def delta_lmm(indicator: MatrixLike, rows: np.ndarray, dvalues: np.ndarray,
-              x_block: MatrixLike) -> np.ndarray:
+def delta_lmm(indicator: Indicator, rows: np.ndarray, dvalues: np.ndarray,
+              x_block: MatrixLike, routing: Optional[Routing] = None) -> np.ndarray:
     """Patch term for ``T @ X``: ``K_k[:, ρ] (Δ X_k)``, shape ``(n_S, m)``.
 
     *x_block* is the row block of ``X`` belonging to table ``k`` (the same
     split the LMM rewrite uses); the small product ``Δ X_k`` goes first,
-    exactly like the crucial ``K (R X)`` ordering of the full rule.
+    exactly like the crucial ``K (R X)`` ordering of the full rule, and is
+    then scattered to the routed fact rows.
     """
     dvalues = ensure_2d(dvalues)
     rows = np.asarray(rows, dtype=np.int64)
     _check_delta(rows, dvalues, "delta LMM")
-    selected = select_columns(indicator, rows)
-    return to_dense(matmul(selected, matmul(dvalues, x_block)))
+    routing = _routing(indicator, rows, routing)
+    return _scattered(indicator, routing, to_dense(matmul(dvalues, x_block)))
 
 
 @_timed_rule
-def delta_tlmm_block(indicator: MatrixLike, rows: np.ndarray, dvalues: np.ndarray,
-                     y: MatrixLike) -> np.ndarray:
+def delta_tlmm_block(indicator: Indicator, rows: np.ndarray, dvalues: np.ndarray,
+                     y: MatrixLike, routing: Optional[Routing] = None) -> np.ndarray:
     """Patch for rows ``seg_k`` of ``T^T Y``: ``Δ^T (K_k[:, ρ]^T Y)``, ``(d_k, m)``.
 
     Only the ``d_k`` result rows belonging to the changed table move; the
-    caller adds this block in place.  ``K_k[:, ρ]^T Y`` gathers the target
-    rows whose foreign key points at a changed attribute row -- ``O(nnz)``
-    in the delta's fan-in, not in ``n_S``.
+    caller adds this block in place.  ``K_k[:, ρ]^T Y`` sums the target
+    rows whose foreign key points at a changed attribute row -- ``O(f)`` in
+    the delta's fan-in, not in ``n_S``.
     """
     dvalues = ensure_2d(dvalues)
     rows = np.asarray(rows, dtype=np.int64)
     _check_delta(rows, dvalues, "delta transposed LMM")
-    selected = select_columns(indicator, rows)
-    return to_dense(matmul(transpose(dvalues), matmul(transpose(selected), y)))
+    routing = _routing(indicator, rows, routing)
+    routed = _routed_sums(ensure_2d(y), routing.fact_rows, routing.counts)
+    return to_dense(matmul(transpose(dvalues), routed))
 
 
 @_timed_rule
-def delta_rowsums(indicator: MatrixLike, rows: np.ndarray,
-                  dvalues: np.ndarray) -> np.ndarray:
+def delta_rowsums(indicator: Indicator, rows: np.ndarray, dvalues: np.ndarray,
+                  routing: Optional[Routing] = None) -> np.ndarray:
     """Patch term for ``rowSums(T)``: ``K_k[:, ρ] rowSums(Δ)``, ``(n_S, 1)``."""
     dvalues = ensure_2d(dvalues)
     rows = np.asarray(rows, dtype=np.int64)
     _check_delta(rows, dvalues, "delta rowsums")
-    selected = select_columns(indicator, rows)
-    return to_dense(matmul(selected, rowsums(dvalues)))
+    routing = _routing(indicator, rows, routing)
+    return _scattered(indicator, routing, to_dense(rowsums(dvalues)))
 
 
 @_timed_rule
-def delta_colsums_block(indicator: MatrixLike, rows: np.ndarray,
-                        dvalues: np.ndarray) -> np.ndarray:
+def delta_colsums_block(indicator: Indicator, rows: np.ndarray, dvalues: np.ndarray,
+                        routing: Optional[Routing] = None) -> np.ndarray:
     """Patch for columns ``seg_k`` of ``colSums(T)``: ``colSums(K_k[:, ρ]) Δ``."""
     dvalues = ensure_2d(dvalues)
     rows = np.asarray(rows, dtype=np.int64)
     _check_delta(rows, dvalues, "delta colsums")
-    counts = colsums(select_columns(indicator, rows))
-    return to_dense(matmul(counts, dvalues))
+    counts = _routing(indicator, rows, routing).counts.astype(np.float64)
+    return to_dense(matmul(counts.reshape(1, -1), dvalues))
 
 
 @_timed_rule
-def delta_total_sum(indicator: MatrixLike, rows: np.ndarray,
-                    dvalues: np.ndarray) -> float:
+def delta_total_sum(indicator: Indicator, rows: np.ndarray, dvalues: np.ndarray,
+                    routing: Optional[Routing] = None) -> float:
     """Patch term for ``sum(T)``: the grand total of the colsums patch."""
-    return float(delta_colsums_block(indicator, rows, dvalues).sum())
+    return float(delta_colsums_block(indicator, rows, dvalues, routing).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +240,7 @@ def delta_total_sum(indicator: MatrixLike, rows: np.ndarray,
 def patch_crossprod(gram: np.ndarray, entity: Optional[MatrixLike],
                     indicators: Sequence[Indicator], attributes: Sequence[MatrixLike],
                     table_index: int, rows: np.ndarray, old: np.ndarray,
-                    new: np.ndarray) -> np.ndarray:
+                    new: np.ndarray, routing: Optional[Routing] = None) -> np.ndarray:
     """Return ``crossprod(T')`` patched from the pre-delta ``crossprod(T)``.
 
     *attributes* are the **post-delta** attribute matrices (only
@@ -201,50 +267,33 @@ def patch_crossprod(gram: np.ndarray, entity: Optional[MatrixLike],
         )
     out = np.array(to_dense(gram), dtype=np.float64)  # writable successor copy
     dvalues = new - old
-    selected = select_columns(indicators[k], rows)
+    fact_rows, _, counts = _routing(indicators[k], rows, routing)
 
     # Diagonal block: R'^T D R' - R^T D R over the changed rows (exact on
     # integer data, where scaling by sqrt(D) would round).
-    counts = np.asarray(colsums(selected)).ravel()
+    weights = counts.astype(np.float64)
     out[ok:ok + wk, ok:ok + wk] += (
-        to_dense(matmul(transpose(new), diag_scale_rows(counts, new)))
-        - to_dense(matmul(transpose(old), diag_scale_rows(counts, old)))
+        to_dense(matmul(transpose(new), diag_scale_rows(weights, new)))
+        - to_dense(matmul(transpose(old), diag_scale_rows(weights, old)))
     )
 
-    # Entity block: (S^T K_k[:, ρ]) Δ and its transpose.
+    # Entity block: (K_k[:, ρ]^T S)^T Δ and its transpose.
     if entity_width:
-        block = to_dense(matmul(matmul(transpose(entity), selected), dvalues))
+        block = to_dense(matmul(transpose(_routed_sums(entity, fact_rows, counts)), dvalues))
         out[:entity_width, ok:ok + wk] += block
         out[ok:ok + wk, :entity_width] += block.T
 
-    # Cross blocks vs every other table: Δ^T (K_k[:, ρ]^T K_j) R_j.
-    fact_rows, positions = _routed_rows(indicators[k], rows)
+    # Cross blocks vs every other table: Δ^T (K_k[:, ρ]^T K_j R_j), the
+    # routed sums of R_j's rows at K_j's codes of the fact rows.
     for j, (indicator_j, attribute_j) in enumerate(zip(indicators, attributes)):
         if j == k:
             continue
-        crossing = _code_pair_counts(positions, indicator_j._codes[fact_rows],
-                                     rows.size, indicator_j.shape[1])
-        block = to_dense(matmul(transpose(dvalues), matmul(crossing, attribute_j)))
+        routed = _routed_sums(attribute_j, indicator_j._codes[fact_rows], counts)
+        block = to_dense(matmul(transpose(dvalues), routed))
         oj, wj = offsets[j], widths[j]
         out[ok:ok + wk, oj:oj + wj] += block
         out[oj:oj + wj, ok:ok + wk] += block.T
     return out
-
-
-def _routed_rows(indicator: Indicator, rows: np.ndarray):
-    """``(fact rows, positions in ρ)`` of the rows of *indicator* that
-    reference a changed row, read off its codes.
-
-    They are the nonzeros of ``K_k[:, ρ]``, so ``K_k[:, ρ]^T K_j`` is the
-    code-pair histogram of *positions* against ``K_j``'s codes at *fact
-    rows* (as :func:`repro.la.kernels.cross_block` counts ``K_i^T K_j``)
-    instead of a sparse product that converts ``K_j``'s ``n``-row CSR.
-    """
-    position = np.full(indicator.shape[1], -1, dtype=np.intp)
-    position[rows] = np.arange(rows.size)
-    positions = position[indicator._codes]
-    fact_rows = np.flatnonzero(positions >= 0)
-    return fact_rows, positions[fact_rows]
 
 
 def _offsets(entity_width: int, widths: Sequence[int]) -> List[int]:

@@ -129,6 +129,14 @@ class Batch:
     rows: Union[slice, np.ndarray]
     target: Optional[np.ndarray] = None
 
+    def take(self, array: np.ndarray) -> np.ndarray:
+        """The batch's rows of *array*: a view for an in-order slice, else a
+        copy gathered with ``ndarray.take``, several times faster than fancy
+        indexing for the rows of a 2-D array."""
+        if isinstance(self.rows, slice):
+            return array[self.rows]
+        return array.take(self.rows, axis=0)
+
     @property
     def indices(self) -> np.ndarray:
         """The batch's row indices as an array."""

@@ -6,9 +6,10 @@ indicator ``K`` (Section 3.1) and the M:N indicators ``I_S``/``I_R``
 holding its ``1`` -- and that code array is all :class:`Indicator` stores.
 The fused kernels (:mod:`repro.la.kernels`) gather and bin by the codes; the
 few generic sparse products of the rewrite layer use a CSR matrix built from
-them once, on first use.  A snowflake alias reached through several PK-FK
-hops is one indicator too: a product of indicators is an indicator whose
-codes compose (``(K1 @ K2).codes == K2.codes[K1.codes]``).
+them once, on first use, and the delta rules find the rows that reference a
+column through a reverse index, also built once.  A snowflake alias reached
+through several PK-FK hops is one indicator too: a product of indicators is
+an indicator whose codes compose (``(K1 @ K2).codes == K2.codes[K1.codes]``).
 """
 
 from __future__ import annotations
@@ -76,6 +77,7 @@ class Indicator:
         self.transposed = False
         self._plain: Optional[Indicator] = None  # the untransposed twin
         self._csr: Optional[sp.csr_matrix] = None
+        self._reverse: Optional[tuple] = None
 
     @classmethod
     def _wrap(cls, codes: np.ndarray, n_cols: int, transposed: bool = False) -> "Indicator":
@@ -100,7 +102,8 @@ class Indicator:
         if self.transposed:
             return self._plain
         flipped = Indicator.__new__(Indicator)
-        flipped.__dict__.update(self.__dict__, transposed=True, _plain=self, _csr=None)
+        flipped.__dict__.update(self.__dict__, transposed=True, _plain=self, _csr=None,
+                                _reverse=None)
         return flipped
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -119,6 +122,26 @@ class Indicator:
                 shape=(n, plain.n_cols),
             )
         return plain._csr.T if self.transposed else plain._csr
+
+    def reverse_index(self) -> tuple:
+        """``(order, starts)`` of the untransposed matrix: its rows sorted
+        stably by code, and per column where its rows start in *order*, so
+        the rows whose ``1`` is in column ``c`` are
+        ``order[starts[c]:starts[c + 1]]`` in increasing order.
+
+        Built once on first use (8 bytes per row plus 8 per column), then
+        cached on the untransposed twin like the CSR.  The sort runs on the
+        narrowest unsigned code type, so up to 65,536 columns it is NumPy's
+        linear-time radix sort rather than an ``O(n log n)`` merge sort.
+        """
+        plain = self._plain if self.transposed else self
+        if plain._reverse is None:
+            codes = plain._codes
+            starts = np.zeros(plain.n_cols + 1, dtype=np.intp)
+            np.cumsum(np.bincount(codes, minlength=plain.n_cols), out=starts[1:])
+            narrow = codes.astype(np.min_scalar_type(max(plain.n_cols - 1, 0)))
+            plain._reverse = (np.argsort(narrow, kind="stable"), starts)
+        return plain._reverse
 
     def tocsr(self) -> sp.csr_matrix:
         return self.sparse().tocsr()

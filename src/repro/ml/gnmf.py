@@ -131,7 +131,7 @@ class GNMF(IterativeEstimator):
         shuffled batch gathers its rows and writes them back.  With one batch
         covering every row this is exactly one full multiplicative iteration.
         """
-        w_rows = self.w_[batch.rows]
+        w_rows = batch.take(self.w_)
         self._update_factors(batch.data, w_rows)
         if not isinstance(batch.rows, slice):
             self.w_[batch.rows] = w_rows

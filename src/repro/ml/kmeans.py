@@ -194,7 +194,7 @@ class KMeans(IterativeEstimator):
         With one batch covering every row this is exactly one Lloyd
         iteration.
         """
-        norms, labels, nearest = (column[batch.rows] for column in self._rows)
+        norms, labels, nearest = (batch.take(column) for column in self._rows)
         nearest_centroids(batch.data, self.centroids_, norms, labels, nearest)
         counts, sums = self._cluster_sums(batch.data, labels)
         if self._stream_sums is not None:

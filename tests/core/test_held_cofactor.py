@@ -7,13 +7,17 @@ first co-factor fit patches the held terms with the rank-|Δ| rules instead of
 passing over the join again.  On integer-valued data every path is exact, so
 the patched terms must equal a recompute on a freshly built matrix bit for
 bit -- also when the stored tables round the delta's values (float32 and
-integer sparse tables).  The Gram patch's cross blocks count code pairs; the
-counts must equal the sparse product they replace.
+integer sparse tables).  The patches find the fact rows that reference a
+changed row through the indicator's reverse index; that routing must equal
+the nonzeros of ``K_k[:, ρ]``, and a patched refit at scale must touch only
+what the delta reaches: no indicator CSR, no hash of the target, no
+``n``-row temporary.
 """
 
 from __future__ import annotations
 
 import gc
+import hashlib
 import tracemalloc
 import weakref
 
@@ -385,10 +389,95 @@ def test_cross_block_code_pairs_equal_the_sparse_product(schema):
     matrix, _, rng = _problem(schema)
     for indicator_k in matrix.indicators:
         rows = np.sort(rng.choice(indicator_k.shape[1], size=4, replace=False))
-        fact_rows, positions = delta_rules._routed_rows(indicator_k, rows)
-        selected = delta_rules.select_columns(indicator_k, rows)
+        fact_rows, positions, _ = delta_rules.route(indicator_k, rows)
+        selected = indicator_k.sparse()[:, rows]
         for indicator_j in matrix.indicators:
             counts = _code_pair_counts(positions, indicator_j.codes[fact_rows],
                                        rows.size, indicator_j.shape[1])
             expected = (selected.T @ indicator_j.sparse()).toarray()
             assert np.array_equal(to_dense(counts), expected)
+
+
+# -- routing through the reverse index ----------------------------------------
+
+def _with_unreferenced_columns(indicator, rng):
+    """*indicator* without the fact rows of three of its columns, which then
+    no fact row references."""
+    dropped = rng.choice(indicator.shape[1], size=3, replace=False)
+    kept = np.flatnonzero(~np.isin(indicator.codes, dropped))
+    return indicator[kept, :], dropped
+
+
+@pytest.mark.parametrize("schema", sorted(SCHEMAS))
+def test_routing_equals_the_nonzeros_of_the_column_selection(schema):
+    """``route`` lists the nonzeros of ``K_k[:, ρ]`` column by column, rows
+    increasing, for changed rows nobody references (count 0) and for a ρ
+    that covers every code; the routed sums equal ``K_k[:, ρ]^T Z``."""
+    matrix, _, rng = _problem(schema)
+    for full in matrix.indicators:
+        indicator, dropped = _with_unreferenced_columns(full, rng)
+        some = rng.choice(indicator.shape[1], size=4, replace=False)
+        for rows in (np.unique(np.concatenate([some, dropped[:2]])),
+                     np.arange(indicator.shape[1])):
+            fact_rows, positions, counts = delta_rules.route(indicator, rows)
+            selected = indicator.sparse()[:, rows].tocsc()
+            selected.sort_indices()
+            sizes = np.diff(selected.indptr)
+            assert np.array_equal(counts, sizes)
+            assert np.array_equal(fact_rows, selected.indices)
+            assert np.array_equal(positions, np.repeat(np.arange(rows.size), sizes))
+            assert np.all(counts[np.isin(rows, dropped)] == 0)
+            values = _ints(rng, (indicator.shape[0], 3))
+            for z in (values, sp.csr_matrix(values)):
+                routed = delta_rules._routed_sums(z, fact_rows, counts)
+                assert np.array_equal(routed, (selected.T @ values))
+        assert indicator.T.reverse_index() is indicator.reverse_index()
+
+
+def test_patched_refit_at_scale_touches_only_the_delta(monkeypatch, patches):
+    """At ``n`` = 100k, a patched refit builds no CSR of any indicator, hashes
+    nothing, and its traced peak stays below one ``n``-row float64 array
+    (the reverse index, 8 bytes per row, is built by the first patched refit
+    and shared by every successor)."""
+    rng = np.random.default_rng(28)
+    n, n_store, n_region, n_product = 100_000, 2_000, 50, 300
+    store = indicator_from_labels(_labels(rng, n, n_store), num_columns=n_store)
+    region = store @ indicator_from_labels(_labels(rng, n_store, n_region),
+                                           num_columns=n_region)
+    product = indicator_from_labels(_labels(rng, n, n_product), num_columns=n_product)
+    matrix = NormalizedMatrix(_ints(rng, (n, 3)), [store, region, product],
+                              [_ints(rng, (n_store, 6)), _ints(rng, (n_region, 2)),
+                               _ints(rng, (n_product, 4))])
+    y = _ints(rng, (n, 1))
+    cofactor_terms(matrix, y)
+    # The full computation's scatters build CSR forms; a patch must not.
+    for indicator in matrix.indicators:
+        indicator._csr = None
+    hashed = []
+    for name in ("new", "md5", "sha1", "sha256", "blake2b"):
+        def recording(*args, _name=name, _hash=getattr(hashlib, name), **kwargs):
+            hashed.append(_name)
+            return _hash(*args, **kwargs)
+
+        monkeypatch.setattr(hashlib, name, recording)
+
+    def refresh(m):
+        rows = rng.choice(n_store, size=100, replace=False)
+        return m.apply_delta(0, MatrixDelta.upsert(rows, _ints(rng, (100, 6)),
+                                                   m.attributes[0]))
+
+    matrix = refresh(matrix)
+    cofactor_terms(matrix, y)
+    matrix = refresh(matrix)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        terms = cofactor_terms(matrix, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert patches == ["crossprod", "tlmm"] * 2
+    assert hashed == []
+    assert all(indicator._csr is None for indicator in matrix.indicators)
+    assert peak - before < y.nbytes
+    _assert_terms_equal(terms, _recompute(matrix, y))
