@@ -40,7 +40,7 @@ from repro.ml import (
 from repro.relational import Table, read_csv, read_csv_chunks, stream_normalized_batches
 from repro.serve import FactorizedScorer, ModelRegistry, ScoringService
 
-__version__ = "7.0.0"
+__version__ = "8.0.0"
 
 __all__ = [
     "obs",

@@ -23,7 +23,7 @@ This package implements the paper's primary contribution:
 * :mod:`repro.core.partitioned` -- :class:`Partitioned`, the one
   row-partitioned operand: chunked (ORE ``ore.rowapply``), sharded
   (``NormalizedMatrix.shard()``, fanning the Table-1 operators out over the
-  worker pools of :mod:`repro.la.parallel`) and streamed
+  shared thread pool of :mod:`repro.la.parallel`) and streamed
   (``NormalizedMatrix.stream()``, one batch resident at a time).
 """
 

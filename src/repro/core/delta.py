@@ -31,6 +31,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from repro.core.rewrite import delta as delta_rules
+from repro.core.segments import attribute_offsets
 from repro.exceptions import DeltaError
 from repro.la.types import MatrixLike, ensure_2d, is_sparse, to_dense
 
@@ -209,14 +210,6 @@ class MatrixDelta:
 # Term patching: one rule per join-invariant Table-1 term
 # ---------------------------------------------------------------------------
 
-def _segment_offset(matrix, table_index: int) -> tuple:
-    """(offset, width) of table *table_index*'s column segment inside ``T``."""
-    entity_width = matrix.entity_width
-    widths = [r.shape[1] for r in matrix.attributes]
-    offset = entity_width + sum(widths[:table_index])
-    return offset, widths[table_index]
-
-
 def patch_term(kind: str, value, matrix, table_index: int, delta: MatrixDelta,
                operand=None, routing: Optional[delta_rules.Routing] = None):
     """Return the post-delta value of one join-invariant term of ``T``.
@@ -246,8 +239,9 @@ def patch_term(kind: str, value, matrix, table_index: int, delta: MatrixDelta,
     rows = delta.rows
     new = np.asarray(to_dense(matrix.attributes[table_index][rows, :]), dtype=np.float64)
     dvalues = new - delta.old
-    offset, width = _segment_offset(matrix, table_index)
-    segment = slice(offset, offset + width)
+    widths = matrix.attribute_widths
+    offset = attribute_offsets(matrix.entity_width, widths)[table_index]
+    segment = slice(offset, offset + widths[table_index])
 
     if kind == "crossprod":
         return delta_rules.patch_crossprod(

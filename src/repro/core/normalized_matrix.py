@@ -31,6 +31,7 @@ from repro.la.types import (
     MatrixLike,
     ensure_2d,
     is_matrix_like,
+    is_scalar,
     normalize_row_indices,
     to_dense,
 )
@@ -40,10 +41,6 @@ from repro.core.rewrite import aggregation, crossprod as crossprod_rules
 from repro.core.rewrite import inversion, multiplication, scalar_ops
 
 Scalar = Union[int, float, np.floating, np.integer]
-
-
-def _is_scalar(value: object) -> bool:
-    return isinstance(value, (int, float, np.floating, np.integer)) and not isinstance(value, bool)
 
 
 class NormalizedMatrix:
@@ -344,10 +341,9 @@ class NormalizedMatrix:
         Returns the sharded preset of
         :class:`~repro.core.partitioned.Partitioned`, whose pieces slice the
         entity and indicator matrices (the attribute matrices are shared by
-        reference) and whose Table-1 operators fan out
-        over *pool* -- ``"serial"``, ``"thread"`` (default), ``"process"``, a
-        worker count, a :class:`~repro.la.parallel.WorkerPool`, or any
-        ``concurrent.futures`` executor.  The shard count is clamped to the
+        reference) and whose Table-1 operators fan out over *pool* -- ``None``
+        or ``"thread"`` for the process-wide thread pool every sharded operand
+        shares, ``"serial"`` to run inline.  The shard count is clamped to the
         row count; ``n_shards=1`` executes bit-for-bit like this matrix.
         """
         from repro.core.partitioned import Partitioned
@@ -391,63 +387,63 @@ class NormalizedMatrix:
         return self._with_components(entity, attributes)
 
     def __mul__(self, other):
-        if _is_scalar(other):
+        if is_scalar(other):
             return self._scalar_result("*", other, reverse=False)
         if is_matrix_like(other):
             return self._elementwise_matrix_op(other, "*", reverse=False)
         return NotImplemented
 
     def __rmul__(self, other):
-        if _is_scalar(other):
+        if is_scalar(other):
             return self._scalar_result("*", other, reverse=True)
         if is_matrix_like(other):
             return self._elementwise_matrix_op(other, "*", reverse=True)
         return NotImplemented
 
     def __add__(self, other):
-        if _is_scalar(other):
+        if is_scalar(other):
             return self._scalar_result("+", other, reverse=False)
         if is_matrix_like(other):
             return self._elementwise_matrix_op(other, "+", reverse=False)
         return NotImplemented
 
     def __radd__(self, other):
-        if _is_scalar(other):
+        if is_scalar(other):
             return self._scalar_result("+", other, reverse=True)
         if is_matrix_like(other):
             return self._elementwise_matrix_op(other, "+", reverse=True)
         return NotImplemented
 
     def __sub__(self, other):
-        if _is_scalar(other):
+        if is_scalar(other):
             return self._scalar_result("-", other, reverse=False)
         if is_matrix_like(other):
             return self._elementwise_matrix_op(other, "-", reverse=False)
         return NotImplemented
 
     def __rsub__(self, other):
-        if _is_scalar(other):
+        if is_scalar(other):
             return self._scalar_result("-", other, reverse=True)
         if is_matrix_like(other):
             return self._elementwise_matrix_op(other, "-", reverse=True)
         return NotImplemented
 
     def __truediv__(self, other):
-        if _is_scalar(other):
+        if is_scalar(other):
             return self._scalar_result("/", other, reverse=False)
         if is_matrix_like(other):
             return self._elementwise_matrix_op(other, "/", reverse=False)
         return NotImplemented
 
     def __rtruediv__(self, other):
-        if _is_scalar(other):
+        if is_scalar(other):
             return self._scalar_result("/", other, reverse=True)
         if is_matrix_like(other):
             return self._elementwise_matrix_op(other, "/", reverse=True)
         return NotImplemented
 
     def __pow__(self, exponent):
-        if _is_scalar(exponent):
+        if is_scalar(exponent):
             return self._scalar_result("**", exponent, reverse=False)
         return NotImplemented
 

@@ -25,17 +25,16 @@ scalar ops, ``f(T)``  per piece (stays partitioned)
 ==================  =========================================
 
 Each operator is one :meth:`~repro.la.parallel.ParallelExecutor.map` over the
-pieces followed by one reduction.  The task functions are module-level so a
-:class:`~repro.la.parallel.ProcessPool` can pickle them; only ``apply`` with
-a non-picklable callable is thread/serial-only.  Transposition flips a flag
+pieces followed by one reduction, in piece order.  Transposition flips a flag
 and routes through the identities of Appendix A, so pieces always stay
 untransposed.  Three presets cover the execution families:
 
-* :meth:`Partitioned.chunked` -- fixed-size row chunks on a serial pool, the
+* :meth:`Partitioned.chunked` -- fixed-size row chunks run inline, the
   ORE ``ore.rowapply`` emulation of Tables 9/10;
-* :meth:`Partitioned.sharded` -- balanced row shards on a worker pool
-  (``NormalizedMatrix.shard()``, the estimators' ``n_jobs``); with one shard
-  the fan-out degenerates to the unsharded computation bit for bit;
+* :meth:`Partitioned.sharded` -- balanced row shards on the shared thread
+  pool or inline (``NormalizedMatrix.shard()``, the estimators' ``n_jobs``);
+  with one shard the fan-out degenerates to the unsharded computation bit
+  for bit;
 * :meth:`Partitioned.streamed` -- fixed-size row batches cut on demand from
   a source through :func:`repro.core.stream.slice_rows`
   (``NormalizedMatrix.stream()``), so only one batch is resident at a time.
@@ -58,7 +57,8 @@ from repro.exceptions import NotSupportedError, ShapeError
 from repro.la import generic
 from repro.la import ops as la_ops
 from repro.la.parallel import ParallelExecutor, PoolSpec
-from repro.la.types import MatrixLike, ensure_2d, is_matrix_like, is_sparse, to_dense
+from repro.la.types import (MatrixLike, ensure_2d, is_matrix_like, is_scalar, is_sparse,
+                             to_dense)
 
 _SHARD_BUILDS = obs.REGISTRY.counter(
     "repro_shard_builds_total",
@@ -77,10 +77,6 @@ _PY_OPS = {
 _EW_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
 
 Bounds = List[Tuple[int, int]]
-
-
-def _is_scalar(value: object) -> bool:
-    return isinstance(value, (int, float, np.floating, np.integer)) and not isinstance(value, bool)
 
 
 def shard_bounds(n_rows: int, n_shards: int) -> Bounds:
@@ -115,10 +111,9 @@ def _fixed_bounds(n_rows: int, rows: int) -> Bounds:
 
 
 # ---------------------------------------------------------------------------
-# Module-level piece tasks (picklable, so ProcessPool works).  Each receives a
-# piece reference: a held piece, or a _Slice cut from the source on demand.
-# Plain pieces dispatch through repro.la.ops; logical pieces through their own
-# (factorized) operator overloads.
+# Piece tasks.  Each receives a piece reference: a held piece, or a _Slice
+# cut from the source on demand.  Plain pieces dispatch through repro.la.ops;
+# logical pieces through their own (factorized) operator overloads.
 # ---------------------------------------------------------------------------
 
 class _Slice(NamedTuple):
@@ -290,7 +285,7 @@ class Partitioned:
 
     @classmethod
     def chunked(cls, matrix: MatrixLike, chunk_rows: int) -> "Partitioned":
-        """Chunks of at most *chunk_rows* rows on a serial pool (ORE's ``ore.rowapply``)."""
+        """Chunks of at most *chunk_rows* rows, run inline (ORE's ``ore.rowapply``)."""
         if chunk_rows <= 0:
             raise ValueError("chunk_rows must be positive")
         matrix = ensure_2d(matrix)
@@ -299,8 +294,12 @@ class Partitioned:
 
     @classmethod
     def sharded(cls, operand, n_shards: int, pool: PoolSpec = None) -> "Partitioned":
-        """*n_shards* balanced row shards mapped through *pool* (default: threads).
+        """*n_shards* balanced row shards mapped through *pool*.
 
+        *pool* is ``None`` or ``"thread"`` -- the process-wide thread pool
+        of :func:`~repro.la.parallel.default_workers` threads that every
+        sharded operand shares -- or ``"serial"`` (inline on the calling
+        thread); results are bit-for-bit the same either way.
         *operand* is a plain matrix or a (PK-FK or M:N) normalized matrix,
         whose shards slice the entity and indicator matrices and share the
         attribute matrices.  Sharding a transposed matrix shards the rows of
@@ -312,8 +311,7 @@ class Partitioned:
         n_rows = operand.shape[1] if getattr(operand, "transposed", False) else operand.shape[0]
         with obs.span(f"shard.from_{kind}", n_shards=n_shards, n_rows=n_rows):
             bounds = shard_bounds(n_rows, n_shards)
-            sharded = cls._cut(operand, bounds,
-                               ParallelExecutor(pool, default_max_workers=len(bounds)))
+            sharded = cls._cut(operand, bounds, ParallelExecutor(pool))
         _SHARD_BUILDS.labels(kind=kind).inc()
         return sharded
 
@@ -434,23 +432,16 @@ class Partitioned:
         theirs = to_dense(ensure_2d(other))
         return mine.shape == theirs.shape and bool(np.allclose(mine, theirs, rtol=rtol, atol=atol))
 
-    def row_apply(self, fn: Callable, pool: PoolSpec = None) -> list:
+    def row_apply(self, fn: Callable) -> list:
         """Apply *fn* to every piece and collect the results in order.
 
         The analogue of ORE's ``ore.rowapply``: *fn* sees one in-memory
-        piece at a time.  The pieces go through this operand's executor, or
-        through *pool* (any spec :func:`repro.la.parallel.resolve_pool`
-        accepts) when given.
+        piece at a time, through this operand's executor -- inline for the
+        chunked and streamed presets; for a parallel rowapply, shard the
+        matrix (``Partitioned.sharded(m, k).row_apply(fn)``).  A sharded
+        operator that *fn* runs on the shared pool's worker runs inline there.
         """
-        executor = self.executor if pool is None else ParallelExecutor(
-            pool, default_max_workers=self.num_pieces)
-        try:
-            return executor.map(functools.partial(_call, fn), self._refs())
-        finally:
-            # Only tear down pools built here from a spec; caller-owned
-            # WorkerPool instances (resolve_pool returns them as-is) stay alive.
-            if executor is not self.executor and executor.pool is not pool:
-                executor.pool.close()
+        return self.executor.map(functools.partial(_call, fn), self._refs())
 
     def map_rows(self, fn: Callable, *aligned: np.ndarray) -> list:
         """``fn(piece, *rows)`` for every piece, in row order, through the executor.
@@ -615,7 +606,7 @@ class Partitioned:
         return Partitioned(parts, bounds=self.bounds, executor=self.executor)
 
     def _binary(self, op: str, other, reverse: bool):
-        if _is_scalar(other):
+        if is_scalar(other):
             return self._scalar_op(op, float(other), reverse)
         if is_matrix_like(other):
             return self._elementwise_matrix_op(other, op, reverse)
@@ -646,7 +637,7 @@ class Partitioned:
         return self._binary("/", other, reverse=True)
 
     def __pow__(self, exponent):
-        if _is_scalar(exponent):
+        if is_scalar(exponent):
             return self._scalar_op("**", float(exponent))
         return NotImplemented
 
@@ -671,5 +662,5 @@ class Partitioned:
                            transposed=self.transposed, ops=self.ops)
 
 
-#: Module-level form of :meth:`Partitioned.row_apply`: ``row_apply(matrix, fn, pool=None)``.
+#: Module-level form of :meth:`Partitioned.row_apply`: ``row_apply(matrix, fn)``.
 row_apply = Partitioned.row_apply

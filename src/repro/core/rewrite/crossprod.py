@@ -19,10 +19,11 @@ and :func:`gram_transposed_star` is ``sum_i I_i crossprod(R_i^T) I_i^T``.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.core.segments import attribute_offsets
 from repro.la import kernels
 from repro.la.ops import crossprod, matmul, transpose
 from repro.la.types import MatrixLike, to_dense
@@ -40,7 +41,7 @@ def crossprod_star_naive(entity: Optional[MatrixLike], indicators: Sequence[Matr
     total = entity_width + sum(widths)
     dtype = kernels.result_dtype(entity, *attributes)
     out = np.zeros((total, total), dtype=dtype)
-    offsets = _offsets(entity_width, widths)
+    offsets = attribute_offsets(entity_width, widths)
 
     if entity_width:
         out[:entity_width, :entity_width] = to_dense(matmul(transpose(entity), entity))
@@ -78,7 +79,7 @@ def crossprod_star_efficient(entity: Optional[MatrixLike], indicators: Sequence[
     total = entity_width + sum(widths)
     dtype = kernels.result_dtype(entity, *attributes)
     out = np.zeros((total, total), dtype=dtype)
-    offsets = _offsets(entity_width, widths)
+    offsets = attribute_offsets(entity_width, widths)
 
     if entity_width:
         out[:entity_width, :entity_width] = to_dense(crossprod(entity))
@@ -115,13 +116,3 @@ def gram_transposed_star(entity: Optional[MatrixLike], indicators: Sequence[Matr
     for indicator, attribute in zip(indicators, attributes):
         out = kernels.gather_gram(out, indicator, attribute)
     return out
-
-
-def _offsets(entity_width: int, widths: Sequence[int]) -> List[int]:
-    """Column offsets of each attribute block inside ``T``."""
-    offsets = []
-    start = entity_width
-    for width in widths:
-        offsets.append(start)
-        start += width
-    return offsets

@@ -44,11 +44,12 @@ from __future__ import annotations
 
 import functools
 import time
-from typing import List, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from repro import obs
+from repro.core.segments import attribute_offsets
 from repro.exceptions import ShapeError
 from repro.la.indicator import Indicator
 from repro.la.ops import diag_scale_rows, matmul, rowsums, transpose
@@ -258,7 +259,7 @@ def patch_crossprod(gram: np.ndarray, entity: Optional[MatrixLike],
         raise ShapeError(f"crossprod patch: old {old.shape} vs new {new.shape}")
     entity_width = entity.shape[1] if entity is not None else 0
     widths = [r.shape[1] for r in attributes]
-    offsets = _offsets(entity_width, widths)
+    offsets = attribute_offsets(entity_width, widths)
     k = table_index
     ok, wk = offsets[k], widths[k]
     if new.shape[1] != wk:
@@ -294,12 +295,3 @@ def patch_crossprod(gram: np.ndarray, entity: Optional[MatrixLike],
         out[ok:ok + wk, oj:oj + wj] += block
         out[oj:oj + wj, ok:ok + wk] += block.T
     return out
-
-
-def _offsets(entity_width: int, widths: Sequence[int]) -> List[int]:
-    offsets = []
-    start = entity_width
-    for width in widths:
-        offsets.append(start)
-        start += width
-    return offsets

@@ -86,6 +86,16 @@ def build_segments(entity_width: Optional[int],
     return segments
 
 
+def attribute_offsets(entity_width: int, attribute_widths: Sequence[int]) -> List[int]:
+    """Column offset inside ``T`` of each attribute block, after *entity_width* entity columns."""
+    offsets = []
+    start = entity_width
+    for width in attribute_widths:
+        offsets.append(start)
+        start += width
+    return offsets
+
+
 def segment_widths(segments: Sequence[ColumnSegment]) -> Dict[str, int]:
     """Name -> width mapping of a segment list (the ``n_features_per_table`` view)."""
     return {segment.name: segment.width for segment in segments}

@@ -11,7 +11,7 @@ built, and a sharded fit keeps the whole step in its workers.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Tuple
+from typing import Callable, Iterator, Tuple
 
 import numpy as np
 
@@ -46,17 +46,18 @@ def lmm_row_tiles(data, x: np.ndarray) -> Iterator[Tuple[int, int, np.ndarray]]:
         yield 0, data.shape[0], generic.to_dense_result(data @ x)
 
 
-def map_row_pieces(data, task: Callable, *aligned: np.ndarray
-                   ) -> List[Tuple[Tuple[int, int], object]]:
-    """``[((start, stop), task(piece, *rows)), ...]`` over the row pieces of *data*.
+def map_row_pieces(data, task: Callable, *aligned: np.ndarray) -> None:
+    """Run ``task(piece, *rows)`` over the row pieces of *data*, for its in-place writes.
 
     A partitioned operand runs *task* in each piece's worker
     (:meth:`~repro.core.partitioned.Partitioned.map_rows`); any other operand
-    is one piece.  Each array in *aligned* reaches *task* as the piece's rows.
+    is one piece.  Each array in *aligned* reaches *task* as the piece's rows
+    -- views, so the task writes its results straight into them.
     """
     if isinstance(data, Partitioned) and not data.transposed:
-        return list(zip(data.bounds, data.map_rows(task, *aligned)))
-    return [((0, data.shape[0]), task(data, *aligned))]
+        data.map_rows(task, *aligned)
+    else:
+        task(data, *aligned)
 
 
 def squared_row_norms(data) -> np.ndarray:

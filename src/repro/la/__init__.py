@@ -14,9 +14,9 @@ It provides:
 * :mod:`repro.la.generic` -- the same primitives dispatched on the operand's
   own methods, so one ML script runs over plain, normalized and
   row-partitioned (:mod:`repro.core.partitioned`) operands alike.
-* :mod:`repro.la.parallel` -- the worker pools and the fan-out executor the
-  row-partitioned operand (:mod:`repro.core.partitioned`) maps its pieces
-  through.
+* :mod:`repro.la.parallel` -- the fan-out executor the row-partitioned
+  operand (:mod:`repro.core.partitioned`) maps its pieces through: inline,
+  or on the one process-wide thread pool.
 """
 
 from repro.la.indicator import Indicator
@@ -49,12 +49,9 @@ from repro.la.ops import (
     indicator_from_labels,
 )
 from repro.la.parallel import (
-    ExecutorPool,
     ParallelExecutor,
-    ProcessPool,
     SerialPool,
     ThreadPool,
-    WorkerPool,
     resolve_pool,
 )
 
@@ -84,11 +81,8 @@ __all__ = [
     "nnz",
     "row_min",
     "indicator_from_labels",
-    "WorkerPool",
     "SerialPool",
     "ThreadPool",
-    "ProcessPool",
-    "ExecutorPool",
     "ParallelExecutor",
     "resolve_pool",
 ]

@@ -40,6 +40,11 @@ def is_matrix_like(x: object) -> bool:
     return is_dense(x) or is_sparse(x) or isinstance(x, Indicator)
 
 
+def is_scalar(x: object) -> bool:
+    """Return ``True`` if *x* is a Python or NumPy int/float (``bool`` excluded)."""
+    return isinstance(x, (int, float, np.floating, np.integer)) and not isinstance(x, bool)
+
+
 def is_vector(x: object) -> bool:
     """Return ``True`` if *x* is a 1-D array or a 2-D array with one row/column."""
     if is_dense(x):

@@ -40,12 +40,12 @@ from repro.ml.export import ServingExport
 
 
 def _update_rows(piece, w_rows: np.ndarray, h: np.ndarray, gram: np.ndarray,
-                 epsilon: float) -> np.ndarray:
+                 epsilon: float) -> None:
     """``W <- W * (T H) / (W gram + eps)`` on one row piece, tile by tile, in place.
 
     Element for element the arithmetic of the whole-matrix update, so tiled,
     sharded and whole runs agree bit for bit.  The numerator is formed in
-    the LMM tile itself; returns *w_rows*.
+    the LMM tile itself.
     """
     for start, stop, tile in lmm_row_tiles(piece, h):
         rows = w_rows[start:stop]
@@ -57,7 +57,6 @@ def _update_rows(piece, w_rows: np.ndarray, h: np.ndarray, gram: np.ndarray,
         denominator += epsilon
         np.divide(scaled, denominator, out=rows)
         del denominator  # freed before the next tile's gather, not after it
-    return w_rows
 
 
 class GNMF(IterativeEstimator):
@@ -155,9 +154,7 @@ class GNMF(IterativeEstimator):
         """Overwrite ``w`` (one row per row of *data*) with its multiplicative update."""
         task = functools.partial(_update_rows, h=h, gram=la_ops.crossprod(h),
                                  epsilon=self.epsilon)
-        for (start, stop), rows in map_row_pieces(data, task, w):
-            if not np.may_share_memory(rows, w):  # a process pool returns copies
-                w[start:stop] = rows
+        map_row_pieces(data, task, w)
 
     def _epoch_loss(self, epoch: Epoch, loss: float) -> float:
         """Squared Frobenius reconstruction error after *epoch* (densifies; diagnostics only).

@@ -51,7 +51,7 @@ from repro.ml.export import ServingExport
 
 def _nearest_in_piece(piece, point_norms: np.ndarray, labels: np.ndarray,
                       nearest: np.ndarray, doubled: np.ndarray,
-                      centroid_norms: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+                      centroid_norms: np.ndarray) -> None:
     """Fill one row piece's *labels* and *nearest* squared distances, tile by tile.
 
     Each LMM tile ``(T (2 C))[t]`` becomes its distance tile in place,
@@ -66,7 +66,6 @@ def _nearest_in_piece(piece, point_norms: np.ndarray, labels: np.ndarray,
         rows = np.argmin(distances, axis=1)
         labels[start:stop] = rows
         nearest[start:stop] = np.take_along_axis(distances, rows[:, None], axis=1)[:, 0]
-    return labels, nearest
 
 
 def nearest_centroids(data, centroids: np.ndarray, point_norms: np.ndarray,
@@ -85,10 +84,7 @@ def nearest_centroids(data, centroids: np.ndarray, point_norms: np.ndarray,
     nearest = np.empty(n) if nearest is None else nearest
     task = functools.partial(_nearest_in_piece, doubled=2 * centroids,
                              centroid_norms=np.sum(centroids ** 2, axis=0))
-    for (start, stop), (rows, distances) in map_row_pieces(data, task, point_norms,
-                                                           labels, nearest):
-        if not np.may_share_memory(rows, labels):  # a process pool returns copies
-            labels[start:stop], nearest[start:stop] = rows, distances
+    map_row_pieces(data, task, point_norms, labels, nearest)
     return labels, nearest
 
 

@@ -1,5 +1,6 @@
 """Sharded parallel execution: shard geometry, operators, pools, edge cases."""
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -9,13 +10,7 @@ import scipy.sparse as sp
 from repro.core.normalized_matrix import NormalizedMatrix
 from repro.core.partitioned import Partitioned, row_apply, shard_bounds
 from repro.exceptions import ShapeError
-from repro.la.parallel import (
-    ParallelExecutor,
-    ProcessPool,
-    SerialPool,
-    ThreadPool,
-    resolve_pool,
-)
+from repro.la.parallel import ParallelExecutor, SerialPool, ThreadPool, resolve_pool
 
 
 class TestShardBounds:
@@ -79,25 +74,16 @@ class TestPools:
     def test_resolve_named_pools(self):
         assert isinstance(resolve_pool("serial"), SerialPool)
         assert isinstance(resolve_pool("thread"), ThreadPool)
-        assert isinstance(resolve_pool("process"), ProcessPool)
-
-    def test_resolve_int_and_instance(self):
-        pool = resolve_pool(3)
-        assert isinstance(pool, ThreadPool) and pool.max_workers == 3
-        assert resolve_pool(pool) is pool
-
-    def test_resolve_wraps_raw_executor(self):
-        with ThreadPoolExecutor(max_workers=2) as executor:
-            pool = resolve_pool(executor)
-            assert pool.map(lambda x: x * 2, [1, 2, 3]) == [2, 4, 6]
+        assert isinstance(resolve_pool(None), ThreadPool)
 
     def test_resolve_rejects_bad_specs(self):
+        # Only None / "thread" (the shared pool) and "serial" (inline) exist.
+        with ThreadPoolExecutor(max_workers=1) as executor:
+            for spec in ("warp-drive", "process", 0, 3, object(), executor, ThreadPool()):
+                with pytest.raises(ValueError):
+                    resolve_pool(spec)
         with pytest.raises(ValueError):
-            resolve_pool("warp-drive")
-        with pytest.raises(ValueError):
-            resolve_pool(0)
-        with pytest.raises(TypeError):
-            resolve_pool(object())
+            Partitioned.sharded(np.ones((4, 2)), 2, pool="process")
 
     def test_maps_preserve_order(self):
         items = list(range(50))
@@ -106,13 +92,8 @@ class TestPools:
 
     def test_executor_single_item_runs_inline(self):
         executor = ParallelExecutor("thread")
-        assert executor.map(lambda x: x * 10, [4]) == [40]
-        # the lazily-created thread pool was never needed
-        assert executor.pool._executor is None
-
-    def test_map_reduce(self):
-        executor = ParallelExecutor("serial")
-        assert executor.map_reduce(lambda x: x * x, [1, 2, 3], sum) == 14
+        assert executor.map(lambda x: (x * 10, threading.get_ident()), [4]) == [
+            (40, threading.get_ident())]
 
 
 @pytest.fixture
@@ -376,15 +357,6 @@ class TestPartitionedShardedNormalized:
         assert sharded.equals_materialized(materialized)
         assert not sharded.equals_materialized(materialized + 1.0)
 
-    def test_process_pool_executes(self, single_join_dense, rng):
-        _, normalized, materialized = single_join_dense
-        sharded = normalized.shard(2, pool=ProcessPool(max_workers=2))
-        x = rng.standard_normal((materialized.shape[1], 2))
-        try:
-            assert np.allclose((sharded @ x).to_dense(), materialized @ x, atol=1e-8)
-        finally:
-            sharded.executor.pool.close()
-
     def test_rejects_transposed_pieces(self, single_join_dense):
         _, normalized, _ = single_join_dense
         with pytest.raises(ShapeError):
@@ -400,15 +372,15 @@ class TestRowApplyParallel:
         assert len(results) == chunked.num_chunks
 
     def test_parallel_pool_matches_serial(self, rng):
+        # A parallel rowapply is a rowapply over a thread-sharded operand.
         matrix = rng.standard_normal((20, 3))
-        chunked = Partitioned.chunked(matrix, 6)
-        serial = row_apply(chunked, lambda c: float(c.sum()))
-        threaded = row_apply(chunked, lambda c: float(c.sum()), pool="thread")
+        serial = row_apply(Partitioned.sharded(matrix, 4, pool="serial"), lambda c: float(c.sum()))
+        threaded = Partitioned.sharded(matrix, 4).row_apply(lambda c: float(c.sum()))
         assert serial == threaded
 
     def test_bound_method(self, rng):
         chunked = Partitioned.chunked(rng.standard_normal((9, 2)), 3)
-        assert chunked.row_apply(lambda c: c.shape[0], pool=2) == [3, 3, 3]
+        assert chunked.row_apply(lambda c: c.shape[0]) == [3, 3, 3]
 
 
 class TestShardedOperandComposition:

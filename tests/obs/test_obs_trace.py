@@ -86,7 +86,7 @@ class TestNesting:
 class TestWorkerPoolBoundary:
     def test_spans_propagate_into_thread_pool(self):
         obs.enable()
-        executor = ParallelExecutor("thread", default_max_workers=4)
+        executor = ParallelExecutor("thread")
 
         def work(i):
             with obs.span(f"task-{i}"):
